@@ -14,7 +14,7 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   if (nc.pending + nc.tlb_penalty >= cfg_.access_quantum) return false;
 
   const sim::PageId page = pageOf(vaddr);
-  const vm::PageEntry& e = pt_->entry(page);
+  vm::PageEntry& e = pt_->entry(page);
   if (e.state != vm::PageState::kResident) return false;
 
   if (!write) {
@@ -47,6 +47,9 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
       dir_->onWriteback(cpu, o2.evicted_line);
     }
     if (!o2.hit) {
+      // L2 fills mark the page's residency mask; every L1 fill comes with
+      // an L2 access, so that covers both levels (vm::PageEntry::cached_on).
+      e.cached_on |= std::uint64_t{1} << cpu;
       auto act = dir_->onWrite(cpu, line);
       for (int n = 0; n < cfg_.num_nodes; ++n) {
         if (act.invalidate_mask & (std::uint64_t{1} << n)) {
@@ -125,6 +128,7 @@ sim::Task<> Machine::slowAccess(int cpu, std::uint64_t vaddr, bool write) {
       auto o2 = nc.l2.access(vaddr, write);
       pipeline += cfg_.l2_hit_latency;
       l2_miss = !o2.hit;
+      if (l2_miss) e.cached_on |= std::uint64_t{1} << cpu;
       if (o2.evicted && o2.evicted_dirty) {
         nc.mem_bus.request(eng_->now(), line_ser_membus_);
         dir_->onWriteback(cpu, o2.evicted_line);

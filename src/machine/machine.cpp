@@ -54,7 +54,24 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
   if (cfg_.num_nodes < 1 || cfg_.num_nodes > 64) {
     throw std::invalid_argument(
         "MachineConfig.num_nodes must be in [1, 64]: the directory tracks "
-        "sharers in a 64-bit node bitmask");
+        "sharers, and each page entry tracks the nodes caching it, in a "
+        "64-bit node bitmask");
+  }
+  if (cfg_.num_io_nodes < 1 || cfg_.num_io_nodes > cfg_.num_nodes) {
+    throw std::invalid_argument(
+        "MachineConfig.num_io_nodes (io_nodes) must be in [1, num_nodes]");
+  }
+  if (cfg_.tlb_entries < 1) {
+    throw std::invalid_argument("MachineConfig.tlb_entries must be >= 1");
+  }
+  if (!(cfg_.pcycle_ns > 0.0)) {
+    throw std::invalid_argument("MachineConfig.pcycle_ns must be > 0");
+  }
+  if (cfg_.page_bytes == 0 || cfg_.page_bytes % cfg_.l1.line_bytes != 0 ||
+      cfg_.page_bytes % cfg_.l2.line_bytes != 0) {
+    throw std::invalid_argument(
+        "MachineConfig.page_bytes must be a positive multiple of the L1 and "
+        "L2 line sizes: eviction invalidates a page line by line");
   }
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<NodeCtx>(

@@ -109,6 +109,12 @@ class Machine {
   mem::Directory& directory() { return *dir_; }
   vm::FramePool& framePool(sim::NodeId n) { return nodes_[static_cast<std::size_t>(n)]->frames; }
   mem::Tlb& tlb(sim::NodeId n) { return nodes_[static_cast<std::size_t>(n)]->tlb; }
+  const mem::SetAssocCache& l1(sim::NodeId n) const {
+    return nodes_[static_cast<std::size_t>(n)]->l1;
+  }
+  const mem::SetAssocCache& l2(sim::NodeId n) const {
+    return nodes_[static_cast<std::size_t>(n)]->l2;
+  }
   io::DiskCache& diskCache(int disk) { return disks_[static_cast<std::size_t>(disk)]->cache; }
   io::DiskModel& disk(int d) { return disks_[static_cast<std::size_t>(d)]->disk; }
   /// The I/O backend implementing the configured system variant.

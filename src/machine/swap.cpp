@@ -7,6 +7,8 @@
 // staging, the DCD's log disk, or remote-memory paging. This file owns only
 // the variant-independent parts: victim selection, shootdowns, and the
 // metrics/trace wrapper around the backend's write-out.
+#include <bit>
+
 #include "machine/backends/io_backend.hpp"
 #include "machine/machine.hpp"
 #include "obs/timeline.hpp"
@@ -42,10 +44,18 @@ void Machine::shootdown(sim::PageId page, sim::NodeId initiator) {
 
 void Machine::dropPageFromCachesAndDirectory(sim::PageId page) {
   const std::uint64_t base = static_cast<std::uint64_t>(page) * cfg_.page_bytes;
-  for (auto& node : nodes_) {
-    node->l1.invalidatePage(base, cfg_.page_bytes);
-    node->l2.invalidatePage(base, cfg_.page_bytes);
+  // Only nodes in the residency mask can hold a line of the page: every
+  // other node's lines were invalidated by the previous drop and it has
+  // filled none since. The directory drop stays unconditional, because a
+  // write that stalled on its write buffer can register ownership after
+  // the mask was cleared.
+  vm::PageEntry& e = pt_->entry(page);
+  for (std::uint64_t mask = e.cached_on; mask != 0; mask &= mask - 1) {
+    NodeCtx& nc = *nodes_[static_cast<std::size_t>(std::countr_zero(mask))];
+    nc.l1.invalidatePage(base, cfg_.page_bytes);
+    nc.l2.invalidatePage(base, cfg_.page_bytes);
   }
+  e.cached_on = 0;
   const std::uint64_t first_line = base / cfg_.l2.line_bytes;
   dir_->dropPage(first_line, cfg_.page_bytes / cfg_.l2.line_bytes);
 }

@@ -29,7 +29,9 @@ enum class PageState : std::uint8_t {
 
 const char* toString(PageState s);
 
-struct PageEntry {
+// Aligned so the fields before `mutex` (32 bytes, the ones the access path
+// reads and writes) never straddle two cache lines.
+struct alignas(32) PageEntry {
   PageEntry(sim::Engine& eng) : mutex(eng), changed(eng) {}
 
   PageState state = PageState::kDisk;
@@ -38,6 +40,11 @@ struct PageEntry {
   int ring_channel = -1;                     // channel while kRing
   bool dirty = false;                        // modified since last disk copy
   bool referenced = false;                   // has ever been faulted in
+  /// Residency mask: bit n is set once cpu n filled an L2 line of this page
+  /// since its last eviction (L1 fills always go with an L2 access). Nodes
+  /// outside the mask hold no line of the page in L1 or L2, so eviction
+  /// invalidates caches only on the nodes inside it.
+  std::uint64_t cached_on = 0;
 
   sim::CoMutex mutex;   // serializes fault/swap transitions on this entry
   sim::Signal changed;  // pulsed on every state transition
@@ -52,6 +59,7 @@ struct PageEntry {
     ring_channel = -1;
     dirty = false;
     referenced = false;
+    cached_on = 0;
     mutex.rebind(eng);
     changed.rebind(eng);
   }

@@ -2,6 +2,9 @@
 // consistent (failure-injection-style robustness tests).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "apps/runner.hpp"
 #include "machine/machine.hpp"
 #include "nwcache/interface.hpp"
@@ -160,6 +163,56 @@ TEST(EdgeConfig, AppOnSixteenNodes) {
   const apps::RunSummary s = apps::runApp(c, "radix", 0.12);
   EXPECT_TRUE(s.verified);
   EXPECT_EQ(s.invariant_violations, "");
+}
+
+// Configurations that used to crash or mislead (segfault, SIGFPE, a bogus
+// execution time, a silently doubled-up disk) are rejected when the machine
+// is built, with a message naming the key.
+void expectRejected(const MachineConfig& c, const std::string& key) {
+  try {
+    Machine m(c);
+    ADD_FAILURE() << "accepted a config with bad " << key;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(EdgeConfig, RejectsZeroTlbEntries) {
+  MachineConfig c;
+  c.tlb_entries = 0;
+  expectRejected(c, "tlb_entries");
+}
+
+TEST(EdgeConfig, RejectsIoNodeCountOutsideMachine) {
+  MachineConfig c;
+  c.num_io_nodes = 0;
+  expectRejected(c, "io_nodes");
+  c.num_io_nodes = c.num_nodes + 1;
+  expectRejected(c, "io_nodes");
+  c.num_io_nodes = c.num_nodes;
+  EXPECT_NO_THROW(Machine{c});
+}
+
+TEST(EdgeConfig, RejectsNonPositiveCycleTime) {
+  MachineConfig c;
+  c.pcycle_ns = 0.0;
+  expectRejected(c, "pcycle_ns");
+  c.pcycle_ns = -5.0;
+  expectRejected(c, "pcycle_ns");
+}
+
+TEST(EdgeConfig, RejectsPagesThatSplitCacheLines) {
+  MachineConfig c;
+  c.page_bytes = 1000;
+  expectRejected(c, "page_bytes");
+}
+
+TEST(EdgeConfig, RejectsNodeCountBeyondMaskWidth) {
+  MachineConfig c;
+  c.num_nodes = 65;
+  expectRejected(c, "num_nodes");
+  c.num_nodes = 0;
+  expectRejected(c, "num_nodes");
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 // Machine integration: fault paths, replacement, swap-out protocols, the
-// NWCache victim-read path, TLB shootdown accounting, invariants.
+// NWCache victim-read path, TLB shootdown accounting, invariants, and the
+// per-page residency masks that bound eviction-time cache invalidation.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "apps/app_context.hpp"
+#include "apps/registry.hpp"
+#include "apps/workload.hpp"
 #include "machine/machine.hpp"
 #include "nwcache/interface.hpp"
 #include "nwcache/optical_ring.hpp"
@@ -375,6 +382,109 @@ TEST(Machine, WriteBufferAbsorbsWritesWithoutStall) {
   };
   m.engine().spawn(workload());
   m.engine().run();
+}
+
+// Forwards to a workload and hands the drained machine to `probe` from
+// verify(), which the runner calls while the machine is still alive.
+class ProbedWorkload final : public apps::WorkloadSource {
+ public:
+  ProbedWorkload(std::unique_ptr<apps::WorkloadSource> inner,
+                 std::function<void(Machine&)> probe)
+      : inner_(std::move(inner)), probe_(std::move(probe)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void setup(apps::AppContext& ctx) override {
+    machine_ = &ctx.machine();
+    inner_->setup(ctx);
+  }
+  Task<> drive(apps::AppContext& ctx, int cpu) override {
+    return inner_->drive(ctx, cpu);
+  }
+  bool verify() const override {
+    probe_(*machine_);
+    return inner_->verify();
+  }
+  std::uint64_t dataBytes() const override { return inner_->dataBytes(); }
+
+ private:
+  std::unique_ptr<apps::WorkloadSource> inner_;
+  std::function<void(Machine&)> probe_;
+  Machine* machine_ = nullptr;
+};
+
+bool pageInCache(const mem::SetAssocCache& c, std::uint64_t base,
+                 std::uint64_t page_bytes) {
+  for (std::uint64_t a = base; a < base + page_bytes; a += c.lineBytes()) {
+    if (c.contains(a)) return true;
+  }
+  return false;
+}
+
+TEST(Machine, ResidencyMaskCoversEveryCachedLine) {
+  for (const auto sys : {SystemKind::kStandard, SystemKind::kNWCache}) {
+    MachineConfig c;
+    c.withSystem(sys, Prefetch::kOptimal);
+    c.memory_per_node = 16 * 1024;  // paging-bound
+    std::uint64_t pairs = 0;
+    std::uint64_t masked_pairs = 0;
+    std::uint64_t cached_pairs = 0;
+    std::uint64_t stray_pairs = 0;  // cached outside the mask
+    std::string first_stray;
+    auto probe = [&](Machine& m) {
+      const std::uint64_t pb = m.config().page_bytes;
+      for (PageId p = 0; p < m.numPages(); ++p) {
+        const std::uint64_t mask = m.pageTable().entry(p).cached_on;
+        const std::uint64_t base = static_cast<std::uint64_t>(p) * pb;
+        for (int n = 0; n < m.config().num_nodes; ++n) {
+          const bool cached =
+              pageInCache(m.l1(n), base, pb) || pageInCache(m.l2(n), base, pb);
+          ++pairs;
+          if (mask & (std::uint64_t{1} << n)) {
+            ++masked_pairs;
+          } else if (cached && stray_pairs++ == 0) {
+            first_stray = "page " + std::to_string(p) + " on node " + std::to_string(n);
+          }
+          if (cached) ++cached_pairs;
+        }
+      }
+    };
+    const apps::AppInfo* info = apps::findApp("radix");
+    ASSERT_NE(info, nullptr);
+    ProbedWorkload src(
+        std::make_unique<apps::KernelWorkload>(info->name, info->make(0.02)), probe);
+    const apps::RunSummary s = apps::runWorkload(c, src, apps::ObsSinks{});
+    EXPECT_TRUE(s.ok());
+    EXPECT_EQ(stray_pairs, 0u) << "first: " << first_stray;
+    EXPECT_GT(s.metrics.swap_outs + s.metrics.clean_evictions, 1000u);
+    // Not vacuous: pages are still cached somewhere, and masks are sparse.
+    EXPECT_GT(cached_pairs, 0u);
+    EXPECT_GT(masked_pairs, 0u);
+    EXPECT_LT(masked_pairs, pairs);
+  }
+}
+
+TEST(Machine, BlockServingLeavesResidencyMasksEmpty) {
+  MachineConfig c;
+  c.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
+  auto probe = [](Machine& m) {
+    for (PageId p = 0; p < m.numPages(); ++p) {
+      EXPECT_EQ(m.pageTable().entry(p).cached_on, 0u) << "page " << p;
+    }
+  };
+  ProbedWorkload src(
+      apps::makeWorkload("synth:clients=8;objects=4096;ops=2000;seed=31337", 0.25),
+      probe);
+  const apps::RunSummary s = apps::runWorkload(c, src, apps::ObsSinks{});
+  EXPECT_TRUE(s.ok());
+  EXPECT_GT(s.metrics.swap_outs + s.metrics.clean_evictions, 0u);
+}
+
+TEST(Machine, PageEntryResetClearsResidencyMask) {
+  sim::Engine eng;
+  vm::PageEntry e(eng);
+  e.cached_on = 0b1011;
+  e.reset(eng);
+  EXPECT_EQ(e.cached_on, 0u);
 }
 
 }  // namespace
