@@ -7,10 +7,6 @@
 //   --seed=<n>    machine seed
 //   --jobs=<n>    simulation threads (0 = all cores, 1 = serial)
 //   --metrics-dir=<dir>  export one MetricsRegistry JSON per simulation
-//   --trace-dir=<dir>    kernel trace cache: replay hits, record misses
-//   --record      with --trace-dir: always execute and (re)write traces
-//   --replay      with --trace-dir: strict replay, never fall back
-//   --no-trace    ignore the trace cache even if --trace-dir is given
 //   --profile=<path>     profile the simulator itself: nwc-profile-v1 JSON
 //                        report (+ .folded flamegraph stacks) at exit
 //
@@ -26,7 +22,6 @@
 #include <vector>
 
 #include "apps/runner.hpp"
-#include "apps/trace_cache.hpp"
 #include "machine/config.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -40,7 +35,6 @@ struct Options {
   std::string metrics_dir;  // non-empty: per-run instrument JSON exports
   std::uint64_t seed = 0x5eed;
   unsigned jobs = 0;  // 0 = hardware concurrency, 1 = serial
-  apps::TraceCacheConfig trace;  // --trace-dir / --record / --replay / --no-trace
   std::string profile_path;  // --profile=: host self-profile report at exit
 };
 
@@ -79,11 +73,6 @@ apps::RunSummary run(const machine::MachineConfig& cfg, const std::string& app,
 void emit(const Options& opt, const util::AsciiTable& table,
           const std::vector<std::string>& headers,
           const std::vector<std::vector<std::string>>& rows);
-
-/// One stderr line with the process-wide trace-cache totals (no-op when
-/// the cache is disabled). emit() calls this; benches with bespoke output
-/// paths call it directly.
-void printTraceCacheSummary(const Options& opt);
 
 /// Renders fraction in [0,1] as a crude ASCII bar (for the figure benches).
 std::string bar(double fraction, int width = 40);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -44,6 +45,17 @@ std::vector<std::string> splitList(const std::string& s) {
 }  // namespace
 
 BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
+  static const std::set<std::string> kKeys = {
+      "apps",           "systems", "prefetch", "seeds",           "scale",
+      "best_min_free",  "csv",     "jsonl",    "meta_dir",        "jobs",
+      "heartbeat_secs", "resume",  "status",   "sample_interval", "sample_dir"};
+  for (const auto& [full_key, value] : ini.values()) {
+    (void)value;
+    if (full_key.rfind("batch.", 0) != 0) continue;
+    if (!kKeys.contains(full_key.substr(6))) {
+      throw std::runtime_error("unknown [batch] key: " + full_key.substr(6));
+    }
+  }
   BatchSpec spec;
   machine::applyIni(ini, spec.base);
 
@@ -96,21 +108,11 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
     if (*v < 0) throw std::runtime_error("batch: jobs must be >= 0");
     spec.jobs = static_cast<unsigned>(*v);
   }
-  if (const auto v = ini.getInt("batch.sim_threads")) {
-    if (*v < 1) throw std::runtime_error("batch: sim_threads must be >= 1");
-    spec.sim_threads = static_cast<int>(*v);
-  }
   if (const auto v = ini.getInt("batch.heartbeat_secs")) {
     if (*v < 0) throw std::runtime_error("batch: heartbeat_secs must be >= 0");
     spec.heartbeat_secs = static_cast<unsigned>(*v);
   }
   if (const auto v = ini.getBool("batch.resume")) spec.resume = *v;
-  if (const auto v = ini.get("batch.trace_dir")) spec.trace_dir = *v;
-  if (const auto v = ini.get("batch.trace_mode")) {
-    if (!parseTraceMode(*v, spec.trace_mode)) {
-      throw std::runtime_error("batch: trace_mode must be off/auto/record/replay, got " + *v);
-    }
-  }
   if (const auto v = ini.getInt("batch.sample_interval")) {
     if (*v < 0) throw std::runtime_error("batch: sample_interval must be >= 0");
     spec.sample_interval = static_cast<sim::Tick>(*v);
@@ -447,8 +449,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
   // summaries (they would break the serial-vs-parallel byte-identity) and
   // land here instead. Peak RSS is the process high-water mark, so for a
   // parallel batch it is an upper bound on the cell's own footprint.
-  auto writeCellMeta = [&](std::size_t i, const RunSummary& s, double wall_ms,
-                           const TraceCacheResult& tr) {
+  auto writeCellMeta = [&](std::size_t i, const RunSummary& s, double wall_ms) {
     if (spec.meta_dir.empty()) return;
     obs::RunMeta meta;
     meta.app = grid[i].app;
@@ -462,16 +463,12 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     meta.peak_rss_bytes = util::peakRssBytes();
     meta.exec_pcycles = static_cast<std::uint64_t>(s.exec_time);
     meta.verified = s.verified;
-    meta.trace_outcome = toString(tr.outcome);
-    meta.kernel_trace_hash = tr.kernel_hash;
-    meta.trace_bytes = tr.trace_bytes;
     meta.health_verdict = s.health_verdict;
     meta.health_trips = s.health_trips;
     meta.fillHostFields();
     meta.write(spec.meta_dir + "/" + cellStem(i) + ".json");
   };
 
-  const TraceCacheConfig tc{spec.trace_dir, spec.trace_mode};
   // Largest RSS observed right after a cell finished — with the per-worker
   // arena this is close to the steady per-cell footprint (process-wide, so
   // parallel runs see the sum of concurrent workers).
@@ -484,7 +481,6 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     thread_local machine::MachineArena arena;
     ObsSinks sinks;
     sinks.arena = &arena;
-    sinks.sim_threads = spec.sim_threads;
     // Per-cell telemetry: samples are taken at simulated ticks, so the
     // exported series are byte-identical at any jobs= setting.
     std::unique_ptr<obs::Sampler> sampler;
@@ -494,8 +490,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
       sampler = std::make_unique<obs::Sampler>(scfg, healthContextFor(grid[i].cfg));
       sinks.sampler = sampler.get();
     }
-    TraceCacheResult tr;
-    RunSummary s = runAppCached(grid[i].cfg, grid[i].app, spec.scale, tc, sinks, &tr);
+    RunSummary s = runApp(grid[i].cfg, grid[i].app, spec.scale, sinks);
     if (sampler != nullptr && !spec.sample_dir.empty()) {
       const std::string stem = spec.sample_dir + "/" + cellStem(i);
       sampler->writeJson(stem + ".timeseries.json");
@@ -510,7 +505,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     while (rss > seen &&
            !cell_rss_peak.compare_exchange_weak(seen, rss, std::memory_order_relaxed)) {
     }
-    writeCellMeta(i, s, wall_ms, tr);
+    writeCellMeta(i, s, wall_ms);
     statusCell(i, s, wall_ms);
     return s;
   };

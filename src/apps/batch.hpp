@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "apps/runner.hpp"
-#include "apps/trace_cache.hpp"
 #include "machine/config.hpp"
 #include "util/ini.hpp"
 
@@ -27,14 +26,9 @@ struct BatchSpec {
   std::string meta_dir;       // non-empty: one run_meta.json per grid cell
   unsigned jobs = 0;          // worker threads; 0 = hardware concurrency,
                               // 1 = serial (today's loop, unchanged)
-  int sim_threads = 1;        // engine partitions per run (conservative
-                              // PDES); results are byte-identical for any
-                              // value
   unsigned heartbeat_secs = 2;  // parallel-run status cadence; 0 disables
   bool resume = false;        // skip grid cells already checkpointed in the
                               // JSONL (crashed grids restart where they died)
-  std::string trace_dir;      // non-empty: kernel trace cache directory
-  TraceMode trace_mode = TraceMode::kAuto;  // what to do with the cache
   sim::Tick sample_interval = 0;  // pcycles between telemetry samples; 0 = off
   std::string sample_dir;     // non-empty (with sample_interval): one
                               // nwc-timeseries-v1 JSON + CSV per grid cell
@@ -43,10 +37,10 @@ struct BatchSpec {
 
   /// Parses the [machine] and [batch] sections. [batch] keys:
   ///   apps, systems, prefetch (comma lists), scale, seeds, csv, jsonl,
-  ///   meta_dir, best_min_free, jobs, sim_threads, heartbeat_secs, resume,
-  ///   trace_dir, trace_mode (off/auto/record/replay), sample_interval,
-  ///   sample_dir, status. Missing keys default to the full matrix of the
-  ///   standard+nwcache systems over all seven applications.
+  ///   meta_dir, best_min_free, jobs, heartbeat_secs, resume,
+  ///   sample_interval, sample_dir, status. Missing keys default to the
+  ///   full matrix of the standard+nwcache systems over all seven
+  ///   applications; any other [batch] key throws, naming it.
   static BatchSpec fromIni(const util::IniFile& ini);
 
   std::size_t runCount() const {

@@ -9,7 +9,6 @@
 #include "machine/config.hpp"
 #include "machine/metrics.hpp"
 #include "machine/trace.hpp"
-#include "sim/partition.hpp"
 
 namespace nwc::obs {
 class EventTimeline;
@@ -33,11 +32,6 @@ struct RunSummary {
   /// when the run was not sampled.
   std::string health_verdict;
   std::uint64_t health_trips = 0;
-  /// Conservative-PDES accounting (ObsSinks.sim_threads > 1); partitions=1
-  /// and zero counters for serial runs. Host-side only — never part of the
-  /// simulated results, which are byte-identical across sim_threads.
-  int sim_partitions = 1;
-  sim::PdesStats pdes;
 
   bool ok() const { return verified && invariant_violations.empty(); }
 };
@@ -52,8 +46,8 @@ struct ObsSinks {
   obs::EventTimeline* timeline = nullptr;
   obs::MetricsRegistry* registry = nullptr;
   std::vector<obs::AttrRecord>* attr_records = nullptr;
-  /// Kernel reference-stream capture (trace-driven replay); attached before
-  /// setup() so region allocations are seen. See apps/kernel_trace.hpp.
+  /// Kernel reference-stream capture; attached before setup() so region
+  /// allocations are seen. See machine::RefRecorder.
   machine::RefRecorder* ref_recorder = nullptr;
   /// Periodic in-run sampler (obs/sampler.hpp). When `timeline` is also
   /// attached, health onsets/clears land there as `health.*` instants.
@@ -61,10 +55,6 @@ struct ObsSinks {
   /// Allocation pool shared by runs on one worker thread (not thread-safe);
   /// the machine draws its page table from here and parks it on teardown.
   machine::MachineArena* arena = nullptr;
-  /// Host-side engine partitioning (conservative PDES): >1 splits the
-  /// calendar into that many logical processes (clamped to the node count).
-  /// Simulated results are byte-identical regardless of the value.
-  int sim_threads = 1;
 };
 
 /// Runs `app_name` at input `scale` on a machine built from `cfg`.

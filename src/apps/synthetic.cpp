@@ -57,7 +57,7 @@ sim::Task<> BlockServeWorkload::drive(AppContext& ctx, int cpu) {
     // the past is a synchronous no-op) when it does not.
     if (k.at > eng.now()) co_await eng.waitUntil(k.at);
     co_await m.blockAccess(cpu, base_ + op.obj * page_bytes_, op.write);
-    issued_.fetch_add(1, std::memory_order_relaxed);
+    ++issued_;
 
     ++k.idx;
     if (k.idx >= trace_.clients[k.client].size()) {
@@ -70,7 +70,7 @@ sim::Task<> BlockServeWorkload::drive(AppContext& ctx, int cpu) {
 }
 
 bool BlockServeWorkload::verify() const {
-  return issued_.load(std::memory_order_relaxed) == total_ops_;
+  return issued_ == total_ops_;
 }
 
 bool isWorkloadSpec(const std::string& spec) {

@@ -4,7 +4,6 @@
 // run and a replay of the same generated trace are byte-identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,9 +34,9 @@ class BlockServeWorkload final : public WorkloadSource {
   std::uint64_t page_bytes_ = 0;
   std::uint64_t data_bytes_ = 0;
   std::uint64_t total_ops_ = 0;
-  // Host-side issue counter for verify(); relaxed is fine (PDES partitions
-  // join before verify runs) and never feeds back into simulated time.
-  std::atomic<std::uint64_t> issued_{0};
+  // Host-side issue counter for verify(); never feeds back into simulated
+  // time.
+  std::uint64_t issued_ = 0;
 };
 
 }  // namespace nwc::apps

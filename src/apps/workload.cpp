@@ -30,7 +30,6 @@ RunSummary runWorkload(const machine::MachineConfig& cfg, WorkloadSource& src,
   {
     obs::prof::Scope scope("setup");
     m.emplace(cfg, sinks.arena);
-    if (sinks.sim_threads > 1) m->configureSimThreads(sinks.sim_threads);
     if (sinks.trace != nullptr) m->attachTrace(sinks.trace);
     if (sinks.timeline != nullptr) m->attachEventTimeline(sinks.timeline);
     if (sinks.attr_records != nullptr) m->attachAttrRecords(sinks.attr_records);
@@ -47,7 +46,7 @@ RunSummary runWorkload(const machine::MachineConfig& cfg, WorkloadSource& src,
     src.setup(ctx);
     m->start();
     for (int cpu = 0; cpu < cfg.num_nodes; ++cpu) {
-      m->engine().spawnOn(m->partitionOf(cpu), driveCpu(ctx, src, cpu));
+      m->engine().spawn(driveCpu(ctx, src, cpu));
     }
   }
   {
@@ -68,11 +67,6 @@ RunSummary runWorkload(const machine::MachineConfig& cfg, WorkloadSource& src,
   s.invariant_violations = m->checkInvariants();
   s.engine_events = m->engine().eventsProcessed();
   s.data_bytes = src.dataBytes();
-  s.sim_partitions = m->engine().partitionCount();
-  if (s.sim_partitions > 1) {
-    s.pdes = m->engine().pdesStats();
-    obs::prof::notePdes(s.pdes);
-  }
   if (sinks.registry != nullptr) m->publishMetrics(*sinks.registry);
   if (sinks.sampler != nullptr) {
     s.health_verdict = sinks.sampler->health().verdict();

@@ -8,7 +8,6 @@
 #include "machine/backends/io_backend.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeline.hpp"
-#include "util/units.hpp"
 
 namespace nwc::machine {
 
@@ -72,6 +71,23 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
     throw std::invalid_argument(
         "MachineConfig.page_bytes must be a positive multiple of the L1 and "
         "L2 line sizes: eviction invalidates a page line by line");
+  }
+  if (cfg_.framesPerNode() < 1) {
+    throw std::invalid_argument(
+        "MachineConfig.memory_per_node must hold at least one page frame");
+  }
+  if (cfg_.diskCacheSlots() < 1) {
+    throw std::invalid_argument(
+        "MachineConfig.disk_cache_bytes must hold at least one page");
+  }
+  if (cfg_.hasRing()) {
+    if (cfg_.ring_channels < 1) {
+      throw std::invalid_argument("MachineConfig.ring_channels must be >= 1 on nwcache");
+    }
+    if (cfg_.ring_channel_bytes < cfg_.page_bytes) {
+      throw std::invalid_argument(
+          "MachineConfig.ring_channel_bytes must hold at least one page on nwcache");
+    }
   }
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<NodeCtx>(
@@ -141,41 +157,12 @@ std::uint64_t Machine::allocRegion(std::uint64_t bytes, std::string name) {
 void Machine::start() {
   if (started_) return;
   started_ = true;
-  for (int n = 0; n < cfg_.num_nodes; ++n) {
-    eng_->spawnOn(partitionOf(n), replacementDaemon(n));
-  }
+  for (int n = 0; n < cfg_.num_nodes; ++n) eng_->spawn(replacementDaemon(n));
   for (int d = 0; d < static_cast<int>(disks_.size()); ++d) {
-    const int part = partitionOf(disks_[d]->node);
-    eng_->spawnOn(part, diskDrainLoop(d));
-    // Backend daemons spawn internally via eng().spawn(); the ambient
-    // partition pins them to the disk's hosting node.
-    eng_->setAmbientPartition(part);
+    eng_->spawn(diskDrainLoop(d));
     backend_->startDiskDaemons(d);
-    eng_->setAmbientPartition(0);
   }
   if (sampler_ != nullptr) eng_->spawn(samplerDaemon());
-}
-
-void Machine::configureSimThreads(int threads) {
-  assert(!started_ && "configureSimThreads must precede start()");
-  int parts = threads < 1 ? 1 : threads;
-  if (parts > cfg_.num_nodes) parts = cfg_.num_nodes;
-  if (parts == eng_->partitionCount()) return;
-  eng_->configurePartitions(parts, pdesLookahead());
-}
-
-sim::Tick Machine::pdesLookahead() const {
-  // Any cross-node interaction crosses the mesh: one hop of latency is a
-  // hard lower bound on how soon a partition can affect another.
-  sim::Tick la = cfg_.hop_latency > 0 ? cfg_.hop_latency : 1;
-  if (cfg_.hasRing() && cfg_.ring_channels > 0) {
-    // A ring slot (round-trip spread over the TDM channels) can undercut
-    // the mesh hop for aggressive ring geometries.
-    const sim::Tick slot = util::usToTicks(
-        cfg_.ring_round_trip_us / cfg_.ring_channels, cfg_.pcycle_ns);
-    if (slot > 0 && slot < la) la = slot;
-  }
-  return la;
 }
 
 ring::OpticalRing* Machine::ring() { return backend_->ring(); }

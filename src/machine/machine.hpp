@@ -79,29 +79,6 @@ class Machine {
   /// Idempotent; called automatically by the app runner.
   void start();
 
-  // --- conservative PDES ----------------------------------------------------
-  /// Partitions the event calendar into up to `threads` logical processes
-  /// (contiguous node groups) synchronized by conservative time windows
-  /// with pdesLookahead() ticks of cross-partition lookahead. The machine
-  /// model runs merged windows (the shared fabric performs same-tick remote
-  /// coherence work, so windows cannot overlap without changing results) —
-  /// a partitioned run is byte-identical to a serial one. Must be called
-  /// before start() and before any region is allocated.
-  void configureSimThreads(int threads);
-
-  /// Logical process owning node `n` (0 when unpartitioned). Nodes map to
-  /// partitions in contiguous blocks so neighbor traffic stays local.
-  int partitionOf(sim::NodeId n) const {
-    const int parts = eng_->partitionCount();
-    if (parts <= 1) return 0;
-    return static_cast<int>(static_cast<std::int64_t>(n) * parts / cfg_.num_nodes);
-  }
-
-  /// Conservative cross-partition lookahead in ticks, derived from the
-  /// fabric: any cross-node interaction pays at least one mesh hop; with
-  /// the optical ring, one slot (round-trip / channels) also bounds it.
-  sim::Tick pdesLookahead() const;
-
   std::int64_t numPages() const { return pt_ ? pt_->numPages() : 0; }
   vm::PageTable& pageTable() { return *pt_; }
   io::ParallelFileSystem& pfs() { return *pfs_; }

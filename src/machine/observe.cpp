@@ -157,7 +157,7 @@ void Machine::publishMetrics(obs::MetricsRegistry& reg) const {
 
   // --- simulator self-accounting -------------------------------------------
   // scheduleAt calls whose tick was silently clamped up to now(). Nonzero
-  // counts flag model code that would reorder under real lookahead.
+  // counts flag model code that schedules into the past.
   reg.counter("sim.schedule_clamped", eng_->clampedSchedules());
 
   // --- backend instruments (ring + interfaces + receivers, log disk, ...) --

@@ -71,14 +71,16 @@ class TraceBuffer {
   std::uint64_t dropped_ = 0;
 };
 
-/// Kernel reference-stream capture hook (trace-driven replay).
+/// Kernel reference-stream capture hook.
 ///
 /// Attach one to a Machine before `start()` and every kernel-visible
 /// operation is reported: region allocations, memory accesses (full
 /// virtual address, so cache/TLB behavior can be reproduced exactly),
 /// raw compute charges and barriers. The machine reports accesses and
 /// regions itself; AppContext routes compute/barrier through the same
-/// pointer. Detached cost is one pointer check per operation.
+/// pointer. Detached cost is one pointer check per operation. The
+/// repository benchmark's per-layer replay (perfbench/nwcbench.cpp)
+/// records its reference window through this hook.
 class RefRecorder {
  public:
   virtual ~RefRecorder() = default;

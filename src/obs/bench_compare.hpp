@@ -26,12 +26,11 @@ inline constexpr const char* kBenchSchema = "nwc-bench-v1";
 
 /// One measured workload from a BENCH file (medians over trials).
 struct Workload {
-  std::string name;  // e.g. "radix/nwcache" or "radix/replay-warm"
+  std::string name;  // e.g. "radix/nwcache" or "parallel-grid/nwcache"
   double wall_ms = 0.0;
   double pages_per_s = 0.0;
   double events_per_s = 0.0;
   std::uint64_t peak_rss_bytes = 0;
-  double trace_hit_rate = 0.0;   // warm trace-cache sweep; 0 elsewhere
   double pool_utilization = 0.0;  // parallel workloads; 0 elsewhere
   std::map<std::string, double> phase_wall_ms;  // per-phase medians
 };

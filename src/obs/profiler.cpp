@@ -86,7 +86,6 @@ struct GlobalState {
   std::atomic<std::uint64_t> pool_busy_ns{0};
   std::atomic<std::uint64_t> pool_tasks{0};
   std::atomic<std::uint64_t> pool_steals{0};
-  sim::PdesStats pdes;  // guarded by mu; partitions <= 1 means "none"
 };
 
 // Leaked on purpose: thread exits (merging into this) can happen after
@@ -286,7 +285,6 @@ void reset() {
   g.pool_busy_ns.store(0, std::memory_order_relaxed);
   g.pool_tasks.store(0, std::memory_order_relaxed);
   g.pool_steals.store(0, std::memory_order_relaxed);
-  g.pdes = sim::PdesStats{};
 }
 
 void enableWithReportAtExit(const std::string& path) {
@@ -373,13 +371,6 @@ void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns
   poolObserver(s);
 }
 
-void notePdes(const sim::PdesStats& stats) {
-  if (!enabled()) return;
-  GlobalState& g = global();
-  std::lock_guard<std::mutex> lk(g.mu);
-  g.pdes = stats;
-}
-
 std::uint64_t threadAllocCount() { return tls_alloc_count; }
 std::uint64_t threadAllocBytes() { return tls_alloc_bytes; }
 
@@ -410,10 +401,6 @@ Report snapshot() {
   r.pool_busy_ns = g.pool_busy_ns.load(std::memory_order_relaxed);
   r.pool_tasks = g.pool_tasks.load(std::memory_order_relaxed);
   r.pool_steals = g.pool_steals.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(g.mu);
-    r.pdes = g.pdes;
-  }
   return r;
 }
 
@@ -456,29 +443,6 @@ std::string reportJson(const Report& r) {
       .add("peak_rss_bytes", r.peak_rss_bytes)
       .add("current_rss_bytes", r.current_rss_bytes)
       .addRaw("pool", pool.str());
-  if (r.pdes.partitions > 1) {
-    util::JsonObject pdes;
-    pdes.add("partitions", r.pdes.partitions)
-        .add("lookahead_ticks", static_cast<std::uint64_t>(r.pdes.lookahead))
-        .add("windows", r.pdes.windows)
-        .add("mailbox_posts", r.pdes.mailbox_posts)
-        .add("mailbox_below_horizon", r.pdes.mailbox_below_horizon)
-        .add("lookahead_violations", r.pdes.lookahead_violations)
-        .add("clamped_schedules", r.pdes.clamped_schedules)
-        .add("events_per_partition_max", r.pdes.events_per_partition_max)
-        .add("imbalance", r.pdes.imbalance());
-    // Trailing zero buckets carry no information; trim them so the report
-    // stays readable for short runs.
-    std::size_t hi = r.pdes.window_advance_log2.size();
-    while (hi > 0 && r.pdes.window_advance_log2[hi - 1] == 0) --hi;
-    std::vector<std::string> buckets;
-    buckets.reserve(hi);
-    for (std::size_t i = 0; i < hi; ++i) {
-      buckets.push_back(std::to_string(r.pdes.window_advance_log2[i]));
-    }
-    pdes.addRaw("window_advance_log2", util::jsonArray(buckets));
-    o.addRaw("pdes", pdes.str());
-  }
   o.addRaw("phases", util::jsonArray(phases));
   return o.str();
 }

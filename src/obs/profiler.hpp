@@ -3,10 +3,10 @@
 // reports simulated behavior; this one answers "where does the host's
 // wall-clock time, allocation traffic, and memory go when we run?" — the
 // measured ground the perf-regression harness (bench/perf_suite,
-// tools/nwcperf) and the future PDES work stand on.
+// tools/nwcperf) stands on.
 //
 // Design:
-//  - RAII `prof::Scope` marks a named phase ("config-parse", "trace-load",
+//  - RAII `prof::Scope` marks a named phase ("config-parse", "setup",
 //    "event-loop", ...). Scopes nest; the nesting forms a phase tree.
 //  - Per-thread TLS buffers: scope entry/exit touch only thread-local
 //    state plus one short uncontended lock at exit, so `util::ThreadPool`
@@ -36,8 +36,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include "sim/partition.hpp"
 
 namespace nwc::obs {
 class MetricsRegistry;
@@ -87,12 +85,6 @@ void addSample(const char* rel_path, std::uint64_t wall_ns);
 void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns,
               std::uint64_t tasks, std::uint64_t steals);
 
-/// Conservative-PDES window accounting for a partitioned run (apps::runApp
-/// reports this after the event loop when sim_threads > 1). Last reported
-/// run wins; the stats land in the JSON report's "pdes" section. No-op when
-/// disabled.
-void notePdes(const sim::PdesStats& stats);
-
 /// The calling thread's allocation counters. Counted unconditionally (the
 /// operator-new hook is ~1ns), so tests can assert the disabled profiling
 /// path performs zero allocations.
@@ -118,9 +110,6 @@ struct Report {
   std::uint64_t pool_busy_ns = 0;
   std::uint64_t pool_tasks = 0;
   std::uint64_t pool_steals = 0;
-  /// From the most recent notePdes call; pdes.partitions <= 1 means no
-  /// partitioned run reported (the report omits its "pdes" section).
-  sim::PdesStats pdes;
 
   std::uint64_t poolIdleNs() const {
     return pool_lifetime_ns > pool_busy_ns ? pool_lifetime_ns - pool_busy_ns : 0;

@@ -47,15 +47,7 @@ std::string RunMeta::toJson() const {
       .add("wall_ms", wall_ms)
       .add("peak_rss_bytes", peak_rss_bytes)
       .add("exec_pcycles", exec_pcycles)
-      .add("verified", verified)
-      .add("trace_outcome", trace_outcome);
-  if (kernel_trace_hash != 0) {
-    char trace_hex[20];
-    std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
-                  static_cast<unsigned long long>(kernel_trace_hash));
-    o.add("kernel_trace_hash", std::string(trace_hex))
-        .add("trace_bytes", trace_bytes);
-  }
+      .add("verified", verified);
   if (!health_verdict.empty()) {
     o.add("health", health_verdict).add("health_trips", health_trips);
   }

@@ -1,309 +1,45 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <stdexcept>
 
 namespace nwc::sim {
 
-thread_local Partition* Engine::tls_active_ = nullptr;
-thread_local int Engine::tls_part_index_ = 0;
-
 Engine::~Engine() {
   // Drop pending resumptions first; Task destructors free the frames.
-  for (auto& p : parts_) p->cal.clear();
+  cal_.clear();
 }
 
-void Engine::configurePartitions(int partitions, Tick lookahead, WindowRunner runner) {
-  if (events_processed_ != 0 || !spawned_.empty() || pendingEvents() != 0) {
-    throw std::logic_error("Engine::configurePartitions: engine already in use");
-  }
-  if (partitions < 1) partitions = 1;
-  if (partitions > kMaxPartitions) partitions = kMaxPartitions;
-  parts_.clear();
-  parts_.reserve(static_cast<std::size_t>(partitions));
-  for (int p = 0; p < partitions; ++p) parts_.push_back(std::make_unique<Partition>());
-  part0_ = parts_[0].get();
-  lookahead_ = lookahead < 1 ? 1 : lookahead;
-  window_runner_ = std::move(runner);
-  parallel_mode_ = static_cast<bool>(window_runner_) && partitions > 1;
-  cur_part_ = 0;
-}
-
-void Engine::scheduleOn(int partition, Tick t, std::coroutine_handle<> h) {
-  if (parts_.size() == 1) {
-    // Serial fast path: no windows, no mailboxes — the same work the old
-    // single-calendar engine did per schedule.
-    Partition& p = *part0_;
-    if (t < now_) {
-      t = now_;
-      ++p.clamped;
-    }
-    p.cal.push(t, seq_++, h);
-    return;
-  }
-  Partition& dst = *parts_[static_cast<std::size_t>(partition)];
-  if (parallel_mode_) {
-    if (Partition* self = tls_active_; self != nullptr && self != &dst) {
-      parallelPost(*self, partition, t, h);
-      return;
-    }
-    // Own partition inside a window, or the engine thread between windows.
-    Partition& clock = tls_active_ != nullptr ? *tls_active_ : dst;
-    if (t < clock.now) {
-      t = clock.now;
-      ++clock.clamped;
-    }
-    dst.cal.push(t, dst.seq++, h);
-    return;
-  }
-  if (t < now_) {
-    t = now_;
-    ++parts_[static_cast<std::size_t>(cur_part_)]->clamped;
-  }
-  if (merged_running_ && partition != cur_part_) {
-    // Merged mode delivers immediately (the pop order is still globally
-    // (t, seq)-sorted); the counters record what a parallel run would have
-    // routed through mailboxes — posts below the horizon are the ones a
-    // conservative window could not have delivered in time.
-    Partition& src = *parts_[static_cast<std::size_t>(cur_part_)];
-    ++src.mail_posts;
-    if (t < window_horizon_) ++src.mail_below_horizon;
-  }
-  const std::uint64_t seq = seq_++;
-  if (merged_running_ && tracker_.beats(partition, t, seq)) {
-    tracker_.update(partition, t, seq);
-  }
-  dst.cal.push(t, seq, h);
-}
-
-void Engine::parallelPost(Partition& src, int dst_index, Tick t,
-                          std::coroutine_handle<> h) {
-  // Conservative contract: a cross-partition event must land at or beyond
-  // the window horizon — the receiver may already have executed past any
-  // earlier tick. Deliver anyway (the run aborts at the barrier) so the
-  // coroutine frame is not leaked mid-protocol.
-  ++src.mail_posts;
-  if (t < window_horizon_) {
-    ++src.mail_below_horizon;
-    ++src.violations;
-  }
-  Partition& dst = *parts_[static_cast<std::size_t>(dst_index)];
-  const std::uint32_t src_index =
-      static_cast<std::uint32_t>(tls_part_index_);
-  std::lock_guard<std::mutex> lock(dst.mail_mutex);
-  dst.mailbox.push_back(MailEntry{t, src_index, src.mail_order++, h});
-}
-
-void Engine::spawnOn(int partition, Task<> task) {
+void Engine::spawn(Task<> task) {
   if (!task.valid()) return;
-  scheduleOn(partition, now(), task.handle());
-  if (parallel_mode_ && tls_active_ != nullptr) {
-    std::lock_guard<std::mutex> lock(spawn_mutex_);
-    spawned_.push_back(std::move(task));
-    return;
-  }
+  scheduleAt(now_, task.handle());
   spawned_.push_back(std::move(task));
 }
 
 Tick Engine::run() {
   stop_requested_ = false;
-  if (parts_.size() == 1) return runSerial(kNoCap);
-  if (parallel_mode_) return runParallel(kNoCap);
-  return runMerged(kNoCap);
+  return runLoop(kNoCap);
 }
 
 Tick Engine::runUntil(Tick t) {
   stop_requested_ = false;
-  Tick end;
-  if (parts_.size() == 1) {
-    end = runSerial(t);
-  } else if (parallel_mode_) {
-    end = runParallel(t);
-  } else {
-    end = runMerged(t);
-  }
+  runLoop(t);
   now_ = std::max(now_, t);
-  for (auto& p : parts_) p->now = std::max(p->now, t);
-  return std::max(end, now_);
+  return now_;
 }
 
-Tick Engine::runSerial(Tick cap) {
-  Partition& p = *parts_[0];
+Tick Engine::runLoop(Tick cap) {
   std::uint64_t since_reap = 0;
-  while (!stop_requested_ && !p.cal.empty()) {
-    if (cap != kNoCap && p.cal.peek().t > cap) break;
-    const CalEntry e = p.cal.pop();
+  while (!stop_requested_ && !cal_.empty()) {
+    if (cap != kNoCap && cal_.peek().t > cap) break;
+    const CalEntry e = cal_.pop();
     now_ = e.t;
-    p.now = e.t;
     ++events_processed_;
-    ++p.events;
     e.h.resume();
     if (++since_reap >= 4096) {
       since_reap = 0;
       reapDone();
     }
   }
-  reapDone();
-  return now_;
-}
-
-void Engine::syncTracker(int p) {
-  Partition& part = *parts_[static_cast<std::size_t>(p)];
-  if (part.cal.empty()) {
-    tracker_.update(p, HorizonTracker::kIdle, ~std::uint64_t{0});
-  } else {
-    const CalEntry& head = part.cal.peek();
-    tracker_.update(p, head.t, head.seq);
-  }
-}
-
-void Engine::noteWindowAdvance(Tick advance) {
-  const int bucket = advance == 0 ? 0 : std::bit_width(advance);
-  ++window_advance_log2_[static_cast<std::size_t>(bucket)];
-}
-
-Tick Engine::runMerged(Tick cap) {
-  const int num_parts = static_cast<int>(parts_.size());
-  tracker_.reset(static_cast<std::size_t>(num_parts));
-  for (int p = 0; p < num_parts; ++p) syncTracker(p);
-  merged_running_ = true;
-  std::uint64_t since_reap = 0;
-  while (!stop_requested_ && !tracker_.empty()) {
-    const Tick window_start = tracker_.minTime();
-    if (cap != kNoCap && window_start > cap) break;
-    Tick horizon = window_start + lookahead_;
-    if (horizon < window_start) horizon = kNoCap;  // overflow: unbounded
-    if (cap != kNoCap && cap + 1 > cap && horizon > cap + 1) horizon = cap + 1;
-    window_horizon_ = horizon;
-    ++windows_;
-    // Drain every event strictly below the horizon in global (t, seq)
-    // order: the tracker always points at the partition holding the
-    // globally minimal head, so this is exactly the serial pop order.
-    while (!stop_requested_ && !tracker_.empty() && tracker_.minTime() < horizon) {
-      const int p = tracker_.top();
-      Partition& part = *parts_[static_cast<std::size_t>(p)];
-      const CalEntry e = part.cal.pop();
-      now_ = e.t;
-      part.now = e.t;
-      cur_part_ = p;
-      ++events_processed_;
-      ++part.events;
-      e.h.resume();
-      syncTracker(p);
-      if (++since_reap >= 4096) {
-        since_reap = 0;
-        reapDone();
-      }
-    }
-    const Tick next = tracker_.empty() ? horizon : tracker_.minTime();
-    noteWindowAdvance(next - window_start);
-  }
-  merged_running_ = false;
-  window_horizon_ = kNoCap;
-  cur_part_ = 0;
-  reapDone();
-  return now_;
-}
-
-void Engine::drainMailboxes() {
-  for (std::size_t p = 0; p < parts_.size(); ++p) {
-    Partition& part = *parts_[p];
-    part.mail_order = 0;
-    if (part.mailbox.empty()) continue;  // barrier: no concurrent writers
-    std::sort(part.mailbox.begin(), part.mailbox.end(),
-              [](const MailEntry& a, const MailEntry& b) {
-                if (a.t != b.t) return a.t < b.t;
-                if (a.src_partition != b.src_partition) {
-                  return a.src_partition < b.src_partition;
-                }
-                return a.src_order < b.src_order;
-              });
-    for (const MailEntry& e : part.mailbox) {
-      const Tick t = e.t < part.now ? part.now : e.t;
-      part.cal.push(t, part.seq++, e.h);
-    }
-    part.mailbox.clear();
-  }
-}
-
-void Engine::executeWindow(int p, Tick horizon) {
-  Partition& part = *parts_[static_cast<std::size_t>(p)];
-  tls_active_ = &part;
-  tls_part_index_ = p;
-  while (!part.cal.empty() && part.cal.peek().t < horizon) {
-    const CalEntry e = part.cal.pop();
-    part.now = e.t;
-    ++part.events;
-    e.h.resume();
-  }
-  tls_active_ = nullptr;
-  tls_part_index_ = 0;
-}
-
-Tick Engine::runParallel(Tick cap) {
-  const std::size_t num_parts = parts_.size();
-  std::vector<int> active;
-  active.reserve(num_parts);
-  for (;;) {
-    drainMailboxes();
-    // Window start: the minimum pending tick across all partitions.
-    Tick window_start = kNoCap;
-    for (const auto& p : parts_) {
-      if (!p->cal.empty() && p->cal.peek().t < window_start) {
-        window_start = p->cal.peek().t;
-      }
-    }
-    if (window_start == kNoCap) break;  // drained
-    if (cap != kNoCap && window_start > cap) break;
-    if (stop_requested_) break;  // parallel stop is window-granular
-    Tick horizon = window_start + lookahead_;
-    if (horizon < window_start) horizon = kNoCap;
-    if (cap != kNoCap && cap + 1 > cap && horizon > cap + 1) horizon = cap + 1;
-    window_horizon_ = horizon;
-    now_ = window_start;
-    ++windows_;
-    active.clear();
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (!parts_[p]->cal.empty() && parts_[p]->cal.peek().t < horizon) {
-        active.push_back(static_cast<int>(p));
-      }
-    }
-    if (active.size() == 1) {
-      executeWindow(active[0], horizon);  // skip the barrier for one LP
-    } else {
-      window_runner_(active.size(), [&](std::size_t i) {
-        executeWindow(active[i], horizon);
-      });
-    }
-    std::uint64_t violations = 0;
-    std::uint64_t events = 0;
-    for (const auto& p : parts_) {
-      violations += p->violations;
-      events += p->events;
-    }
-    events_processed_ = events;
-    if (violations != 0) {
-      window_horizon_ = kNoCap;
-      throw std::logic_error(
-          "Engine: cross-partition event below the conservative horizon "
-          "(lookahead violation)");
-    }
-    Tick next = kNoCap;
-    for (const auto& p : parts_) {
-      std::lock_guard<std::mutex> lock(p->mail_mutex);
-      for (const MailEntry& e : p->mailbox) {
-        if (e.t < next) next = e.t;
-      }
-      if (!p->cal.empty() && p->cal.peek().t < next) next = p->cal.peek().t;
-    }
-    noteWindowAdvance((next == kNoCap ? horizon : next) - window_start);
-    reapDone();
-  }
-  window_horizon_ = kNoCap;
-  Tick end = now_;
-  for (const auto& p : parts_) end = std::max(end, p->now);
-  now_ = end;
   reapDone();
   return now_;
 }
@@ -315,38 +51,6 @@ void Engine::reapDone() {
 bool Engine::allSpawnedDone() const {
   return std::all_of(spawned_.begin(), spawned_.end(),
                      [](const Task<>& t) { return t.done(); });
-}
-
-std::size_t Engine::pendingEvents() const {
-  std::size_t n = 0;
-  for (const auto& p : parts_) n += p->cal.size();
-  return n;
-}
-
-std::uint64_t Engine::clampedSchedules() const {
-  std::uint64_t n = 0;
-  for (const auto& p : parts_) n += p->clamped;
-  return n;
-}
-
-PdesStats Engine::pdesStats() const {
-  PdesStats s;
-  s.partitions = parts_.size();
-  s.windows = windows_;
-  s.lookahead = lookahead_;
-  s.clamped_schedules = clampedSchedules();
-  s.window_advance_log2 = window_advance_log2_;
-  s.partition_events.reserve(parts_.size());
-  for (const auto& p : parts_) {
-    s.mailbox_posts += p->mail_posts;
-    s.mailbox_below_horizon += p->mail_below_horizon;
-    s.lookahead_violations += p->violations;
-    s.partition_events.push_back(p->events);
-    if (p->events > s.events_per_partition_max) {
-      s.events_per_partition_max = p->events;
-    }
-  }
-  return s;
 }
 
 }  // namespace nwc::sim

@@ -1,44 +1,17 @@
-// Discrete-event simulation engine with conservative-PDES partitioning.
+// Discrete-event simulation engine.
 //
 // The engine keeps a calendar of (tick, sequence, coroutine handle)
 // entries; equal-time events fire in schedule order, which makes every run
 // deterministic for a given seed. All simulated processes are coroutines
 // (`Task<>`); root processes are registered with `spawn()` and owned by the
 // engine.
-//
-// The calendar can be partitioned into logical processes (LPs) with
-// `configurePartitions()`, synchronized by conservative time windows: the
-// safe horizon is the minimum pending tick across partitions plus the
-// cross-partition lookahead. Three execution modes share the same API:
-//
-//  - serial (1 partition): the classic loop over one CalendarQueue.
-//  - merged windows (N partitions, no window runner): per-partition
-//    calendars and window/horizon/mailbox accounting, but events still pop
-//    in exact global (tick, seq) order with immediate cross-partition
-//    delivery — provably byte-identical to a serial run. This is the mode
-//    machine simulations use: the shared-fabric model performs same-tick
-//    remote coherence work, so its effective lookahead is zero and windows
-//    cannot execute concurrently without changing results.
-//  - parallel windows (N partitions + a window runner): each window, every
-//    partition with events below the horizon drains them on the caller's
-//    window runner (util::ThreadPool::runWindow). Cross-partition events go
-//    through mailboxes drained at the barrier in deterministic
-//    (t, src_partition, src_order) order; a post below the horizon is a
-//    lookahead violation and throws. Requires a model with real lookahead
-//    (every cross-partition event at least `lookahead` ticks in the
-//    future).
 #pragma once
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "sim/horizon.hpp"
-#include "sim/partition.hpp"
+#include "sim/calendar.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
 
@@ -46,73 +19,29 @@ namespace nwc::sim {
 
 class Engine {
  public:
-  /// Directory sharer masks and the horizon tracker bound the LP count.
-  static constexpr int kMaxPartitions = 64;
-
-  /// Executes `body(0) .. body(n-1)`, returning when all have finished.
-  /// util::ThreadPool::runWindow matches; the indirection keeps sim free of
-  /// a util dependency.
-  using WindowRunner =
-      std::function<void(std::size_t n, const std::function<void(std::size_t)>& body)>;
-
-  Engine() {
-    parts_.push_back(std::make_unique<Partition>());
-    part0_ = parts_[0].get();
-  }
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Splits the calendar into `partitions` logical processes with the given
-  /// cross-partition lookahead (ticks, >= 1). With a `runner`, windows
-  /// execute in parallel; without one they run merged (byte-identical to
-  /// serial). Must be called before any event is scheduled.
-  void configurePartitions(int partitions, Tick lookahead, WindowRunner runner = {});
-
-  int partitionCount() const { return static_cast<int>(parts_.size()); }
-
-  /// Partition whose event is currently executing (0 outside events).
-  /// Schedules without an explicit partition inherit it.
-  int currentPartition() const {
-    if (parallel_mode_ && tlsPartition() != nullptr) return tls_part_index_;
-    return cur_part_;
-  }
-
-  Tick lookahead() const { return lookahead_; }
-
-  /// Current simulated time in pcycles (partition-local inside a parallel
-  /// window).
-  Tick now() const {
-    if (parallel_mode_) {
-      if (const Partition* p = tlsPartition()) return p->now;
-    }
-    return now_;
-  }
+  /// Current simulated time in pcycles.
+  Tick now() const { return now_; }
 
   /// Schedules `h` to resume at absolute time `t` (clamped to `now()`;
-  /// clamps are counted — see clampedSchedules()) on the current partition.
+  /// clamps are counted — see clampedSchedules()).
   void scheduleAt(Tick t, std::coroutine_handle<> h) {
-    scheduleOn(currentPartition(), t, h);
+    if (t < now_) {
+      t = now_;
+      ++clamped_;
+    }
+    cal_.push(t, seq_++, h);
   }
 
   /// Schedules `h` to resume `dt` pcycles from now.
-  void scheduleIn(Tick dt, std::coroutine_handle<> h) { scheduleAt(now() + dt, h); }
+  void scheduleIn(Tick dt, std::coroutine_handle<> h) { scheduleAt(now_ + dt, h); }
 
-  /// Schedules `h` on an explicit partition. Posts to a foreign partition
-  /// count as mailbox traffic; in parallel mode they must land at or beyond
-  /// the window horizon (conservative lookahead), or the run throws.
-  void scheduleOn(int partition, Tick t, std::coroutine_handle<> h);
-
-  /// Registers a detached root process and schedules its start at `now()`
-  /// on the current partition.
-  void spawn(Task<> task) { spawnOn(currentPartition(), std::move(task)); }
-
-  /// As spawn(), pinning the process to `partition`.
-  void spawnOn(int partition, Task<> task);
-
-  /// Sets the partition inherited by schedules and spawns made outside any
-  /// event (setup code between runs). Merged runs reset it to 0.
-  void setAmbientPartition(int partition) { cur_part_ = partition; }
+  /// Registers a detached root process and schedules its start at `now()`.
+  void spawn(Task<> task);
 
   /// Runs until the calendar drains or `stop()` is called.
   /// Returns the final simulated time.
@@ -121,8 +50,7 @@ class Engine {
   /// Runs until simulated time reaches `t` (events at exactly `t` fire).
   Tick runUntil(Tick t);
 
-  /// Requests that `run()` return after the current event (serial/merged)
-  /// or the current window (parallel).
+  /// Requests that `run()` return after the current event.
   void stop() { stop_requested_ = true; }
 
   /// Number of events processed so far.
@@ -131,17 +59,12 @@ class Engine {
   /// True if all spawned root processes have finished.
   bool allSpawnedDone() const;
 
-  /// Number of calendar entries currently pending (all partitions).
-  std::size_t pendingEvents() const;
+  /// Number of calendar entries currently pending.
+  std::size_t pendingEvents() const { return cal_.size(); }
 
-  /// scheduleAt calls whose tick was silently clamped up to now(). A
-  /// nonzero count on a model that claims lookahead means events would have
-  /// been reordered — surfaced as the `sim.schedule_clamped` metric.
-  std::uint64_t clampedSchedules() const;
-
-  /// Conservative-window statistics (windows, mailbox traffic, horizon
-  /// advance histogram, per-partition balance). Zeros for serial runs.
-  PdesStats pdesStats() const;
+  /// scheduleAt calls whose tick was silently clamped up to now() —
+  /// surfaced as the `sim.schedule_clamped` metric.
+  std::uint64_t clampedSchedules() const { return clamped_; }
 
   // --- awaitables -----------------------------------------------------
 
@@ -163,40 +86,16 @@ class Engine {
  private:
   static constexpr Tick kNoCap = ~Tick{0};
 
-  // The partition the calling thread is executing inside a parallel window,
-  // set by executeWindow. Null on the engine thread outside windows and in
-  // serial/merged modes.
-  static const Partition* tlsPartition() { return tls_active_; }
-  static thread_local Partition* tls_active_;
-  static thread_local int tls_part_index_;
-
   void reapDone();  // free finished detached tasks
-  Tick runSerial(Tick cap);
-  Tick runMerged(Tick cap);
-  Tick runParallel(Tick cap);
-  void executeWindow(int p, Tick horizon);
-  void drainMailboxes();
-  void syncTracker(int p);
-  void noteWindowAdvance(Tick advance);
-  void parallelPost(Partition& src, int dst, Tick t, std::coroutine_handle<> h);
+  Tick runLoop(Tick cap);
 
-  std::vector<std::unique_ptr<Partition>> parts_;
-  Partition* part0_ = nullptr;  // hot-path shortcut for the serial case
-  HorizonTracker tracker_;
+  CalendarQueue cal_;
   std::vector<Task<>> spawned_;
-  std::mutex spawn_mutex_;  // parallel-window spawns only
-  WindowRunner window_runner_;
   Tick now_ = 0;
-  Tick lookahead_ = 1;
-  Tick window_horizon_ = kNoCap;  // active window's horizon (merged/parallel)
-  std::uint64_t seq_ = 0;         // global schedule counter (serial/merged)
+  std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::uint64_t windows_ = 0;
-  std::array<std::uint64_t, 65> window_advance_log2_{};
+  std::uint64_t clamped_ = 0;
   bool stop_requested_ = false;
-  bool merged_running_ = false;  // inside runMerged (tracker is live)
-  bool parallel_mode_ = false;   // configured with a window runner
-  int cur_part_ = 0;
 };
 
 }  // namespace nwc::sim

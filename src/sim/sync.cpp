@@ -8,25 +8,23 @@ void CoMutex::unlock() {
     return;
   }
   // Hand the lock to the oldest waiter; `locked_` stays true.
-  const detail::SyncWaiter w = waiters_.front();
+  const std::coroutine_handle<> h = waiters_.front();
   waiters_.pop_front();
-  eng_->scheduleOn(w.part, eng_->now(), w.h);
+  eng_->scheduleAt(eng_->now(), h);
 }
 
 void CoSemaphore::release(std::int64_t n) {
   while (n > 0 && !waiters_.empty()) {
-    const detail::SyncWaiter w = waiters_.front();
+    const std::coroutine_handle<> h = waiters_.front();
     waiters_.pop_front();
-    eng_->scheduleOn(w.part, eng_->now(), w.h);
+    eng_->scheduleAt(eng_->now(), h);
     --n;
   }
   count_ += n;
 }
 
 void CoBarrier::releaseAll() {
-  for (const detail::SyncWaiter& w : waiters_) {
-    eng_->scheduleOn(w.part, eng_->now(), w.h);
-  }
+  for (const std::coroutine_handle<> h : waiters_) eng_->scheduleAt(eng_->now(), h);
   waiters_.clear();
   arrived_ = 0;
   ++generation_;

@@ -13,15 +13,6 @@
 
 namespace nwc::sim {
 
-namespace detail {
-/// A suspended coroutine plus its home partition — wake-ups are scheduled
-/// back onto the partition where the waiter suspended.
-struct SyncWaiter {
-  std::coroutine_handle<> h;
-  int part;
-};
-}  // namespace detail
-
 /// FIFO mutex. Ownership is handed directly to the oldest waiter on unlock.
 class CoMutex {
  public:
@@ -37,7 +28,7 @@ class CoMutex {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      m.waiters_.push_back({h, m.eng_->currentPartition()});
+      m.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -103,7 +94,7 @@ class CoMutex {
  private:
   friend struct LockAwaiter;
   Engine* eng_;
-  std::deque<detail::SyncWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
   bool locked_ = false;
 };
 
@@ -122,7 +113,7 @@ class CoSemaphore {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      s.waiters_.push_back({h, s.eng_->currentPartition()});
+      s.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -137,7 +128,7 @@ class CoSemaphore {
   friend struct AcquireAwaiter;
   Engine* eng_;
   std::int64_t count_;
-  std::deque<detail::SyncWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 /// Cyclic barrier for `n` parties. The last arriving party releases all.
@@ -156,7 +147,7 @@ class CoBarrier {
     }
     void await_suspend(std::coroutine_handle<> h) {
       ++b.arrived_;
-      b.waiters_.push_back({h, b.eng_->currentPartition()});
+      b.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -176,7 +167,7 @@ class CoBarrier {
   int parties_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
-  std::deque<detail::SyncWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nwc::sim

@@ -4,20 +4,20 @@ namespace nwc::sim {
 
 void Trigger::fire() {
   fired_ = true;
-  for (const Waiter& w : waiters_) eng_->scheduleOn(w.part, eng_->now(), w.h);
+  for (const std::coroutine_handle<> h : waiters_) eng_->scheduleAt(eng_->now(), h);
   waiters_.clear();
 }
 
 void Signal::notifyAll() {
-  for (const Waiter& w : waiters_) eng_->scheduleOn(w.part, eng_->now(), w.h);
+  for (const std::coroutine_handle<> h : waiters_) eng_->scheduleAt(eng_->now(), h);
   waiters_.clear();
 }
 
 bool Signal::notifyOne() {
   if (waiters_.empty()) return false;
-  const Waiter w = waiters_.front();
+  const std::coroutine_handle<> h = waiters_.front();
   waiters_.erase(waiters_.begin());
-  eng_->scheduleOn(w.part, eng_->now(), w.h);
+  eng_->scheduleAt(eng_->now(), h);
   return true;
 }
 

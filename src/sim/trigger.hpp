@@ -26,9 +26,7 @@ class Trigger {
     Trigger& t;
     bool await_ready() const { return t.fired_; }
     void await_suspend(std::coroutine_handle<> h) {
-      // Remember the waiter's home partition: fire() may run on another
-      // partition, and the waiter must resume where it suspended.
-      t.waiters_.push_back({h, t.eng_->currentPartition()});
+      t.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -38,12 +36,8 @@ class Trigger {
 
  private:
   friend struct Awaiter;
-  struct Waiter {
-    std::coroutine_handle<> h;
-    int part;
-  };
   Engine* eng_;
-  std::vector<Waiter> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
   bool fired_ = false;
 };
 
@@ -65,7 +59,7 @@ class Signal {
     Signal& s;
     bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      s.waiters_.push_back({h, s.eng_->currentPartition()});
+      s.waiters_.push_back(h);
     }
     void await_resume() const {}
   };
@@ -81,12 +75,8 @@ class Signal {
   }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> h;
-    int part;
-  };
   Engine* eng_;
-  std::vector<Waiter> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nwc::sim

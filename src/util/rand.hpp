@@ -2,9 +2,8 @@
 // and a zipfian popularity sampler.
 //
 // Header-only and free of global state: every consumer owns its generator,
-// so draws are byte-identical for a given seed regardless of --jobs= or
-// --sim-threads=. `sim::Rng` delegates here; workload generators use these
-// types directly.
+// so draws are byte-identical for a given seed regardless of --jobs=.
+// `sim::Rng` delegates here; workload generators use these types directly.
 #pragma once
 
 #include <algorithm>

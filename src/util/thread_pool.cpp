@@ -1,7 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-
 namespace nwc::util {
 
 namespace {
@@ -76,49 +74,6 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   }
   idle_cv_.notify_one();
   return fut;
-}
-
-void ThreadPool::runWindow(std::size_t n,
-                           const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (n == 1) {
-    body(0);
-    return;
-  }
-  struct WindowState {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<WindowState>();
-  auto drain = [state, n, &body] {
-    for (;;) {
-      const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(state->mutex);
-        if (!state->error) state->error = std::current_exception();
-      }
-      if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        std::lock_guard<std::mutex> lk(state->mutex);
-        state->cv.notify_all();
-      }
-    }
-  };
-  // One helper per worker is enough: each drains indices until none remain.
-  // `body` stays valid because the caller blocks on the barrier below.
-  const std::size_t helpers = std::min<std::size_t>(workers_.size(), n - 1);
-  for (std::size_t h = 0; h < helpers; ++h) submit(drain);
-  drain();  // caller participates — essential when the pool is small
-  std::unique_lock<std::mutex> lk(state->mutex);
-  state->cv.wait(lk, [&] {
-    return state->done.load(std::memory_order_acquire) == n;
-  });
-  if (state->error) std::rethrow_exception(state->error);
 }
 
 bool ThreadPool::runOneTask(std::size_t self) {

@@ -62,14 +62,6 @@ class ThreadPool {
   /// Tasks submitted but not yet finished.
   std::size_t pending() const { return pending_.load(std::memory_order_acquire); }
 
-  /// Executes `body(0) .. body(n-1)` across the pool and the calling thread,
-  /// returning only when all have finished (a window barrier). The caller
-  /// participates, so a window makes progress even on a single-core host and
-  /// `runWindow` may be invoked from a thread outside the pool. If any body
-  /// throws, the first exception is rethrown here after the barrier.
-  /// Matches sim::Engine::WindowRunner.
-  void runWindow(std::size_t n, const std::function<void(std::size_t)>& body);
-
   /// Totals so far (busy_ns/tasks/steals are live; lifetime_ns is
   /// construction-to-now). The destructor reports the final values to the
   /// observer installed via setThreadPoolObserver().

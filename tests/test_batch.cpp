@@ -51,6 +51,19 @@ TEST(BatchSpec, RejectsBadInput) {
                std::runtime_error);
 }
 
+TEST(BatchSpec, RejectsUnknownKeysByName) {
+  // A typo and keys of options that no longer exist must not be silently
+  // ignored: the error names the offending key.
+  for (const std::string key : {"sim_treads", "sim_threads", "trace_dir", "trace_mode"}) {
+    try {
+      BatchSpec::fromIni(util::IniFile::parse("[batch]\napps = sor\n" + key + " = 4\n"));
+      ADD_FAILURE() << "accepted [batch] " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "unknown [batch] key: " + key);
+    }
+  }
+}
+
 TEST(BatchRun, ExecutesGridAndWritesOutputs) {
   const std::string csv = "/tmp/nwc_batch_test.csv";
   const std::string jsonl = "/tmp/nwc_batch_test.jsonl";

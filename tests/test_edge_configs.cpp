@@ -215,5 +215,41 @@ TEST(EdgeConfig, RejectsNodeCountBeyondMaskWidth) {
   expectRejected(c, "num_nodes");
 }
 
+TEST(EdgeConfig, RejectsZeroFramesPerNode) {
+  for (const SystemKind sys : {SystemKind::kStandard, SystemKind::kNWCache,
+                               SystemKind::kDCD, SystemKind::kRemoteMemory}) {
+    MachineConfig c;
+    c.withSystem(sys, Prefetch::kOptimal);
+    c.memory_per_node = 0;
+    expectRejected(c, "memory_per_node");
+    c.memory_per_node = c.page_bytes - 1;  // rounds down to zero frames
+    expectRejected(c, "memory_per_node");
+  }
+}
+
+TEST(EdgeConfig, RejectsZeroSlotDiskCache) {
+  for (const SystemKind sys : {SystemKind::kStandard, SystemKind::kNWCache,
+                               SystemKind::kDCD, SystemKind::kRemoteMemory}) {
+    MachineConfig c;
+    c.withSystem(sys, Prefetch::kOptimal);
+    c.disk_cache_bytes = 0;
+    expectRejected(c, "disk_cache_bytes");
+  }
+}
+
+TEST(EdgeConfig, RejectsEmptyRingOnlyWithRing) {
+  MachineConfig c;
+  c.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
+  c.ring_channels = 0;
+  expectRejected(c, "ring_channels");
+  c.ring_channels = 8;
+  c.ring_channel_bytes = 100;  // less than one page per channel
+  expectRejected(c, "ring_channel_bytes");
+  // The ring keys mean nothing without a ring.
+  c.withSystem(SystemKind::kStandard, Prefetch::kOptimal);
+  c.ring_channels = 0;
+  EXPECT_NO_THROW(Machine{c});
+}
+
 }  // namespace
 }  // namespace nwc::machine

@@ -1,5 +1,5 @@
-// Engine: calendar ordering, determinism, task lifecycle, and the
-// conservative-PDES partition boundaries (merged-window mode).
+// Engine: calendar ordering, determinism, task lifecycle, past-schedule
+// clamping, and the equal-time wake order the sync primitives rely on.
 #include <gtest/gtest.h>
 
 #include <queue>
@@ -9,6 +9,7 @@
 #include "sim/calendar.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace nwc::sim {
@@ -254,38 +255,6 @@ TEST(CalendarQueue, SameTickAppendsWhileDraining) {
   EXPECT_TRUE(q.empty());
 }
 
-// --- conservative PDES (merged windows) --------------------------------
-
-// Suspends the coroutine and resumes it on partition `dst` at absolute
-// time `t` — the only way model code crosses partitions.
-struct HopAwaiter {
-  Engine& e;
-  int dst;
-  Tick t;
-  bool await_ready() const { return false; }
-  void await_suspend(std::coroutine_handle<> h) const { e.scheduleOn(dst, t, h); }
-  void await_resume() const {}
-};
-
-// Ping-pongs around `parts` partitions, hopping exactly `hop` ticks ahead
-// each round, logging (time, round). With hop == lookahead every event
-// lands exactly ON the next window's horizon — the boundary case: it must
-// be excluded from the current window (horizon is exclusive) and fire
-// first in the next one.
-Task<> hopper(Engine& e, int parts, Tick hop, int rounds, std::vector<std::pair<Tick, int>>* log) {
-  for (int r = 0; r < rounds; ++r) {
-    co_await HopAwaiter{e, (r + 1) % parts, e.now() + hop};
-    log->push_back({e.now(), r});
-  }
-}
-
-TEST(Engine, ConfigurePartitionsRejectsUsedEngine) {
-  Engine e;
-  std::vector<Tick> log;
-  e.spawn(delayer(e, 5, &log));
-  EXPECT_THROW(e.configurePartitions(4, 10), std::logic_error);
-}
-
 TEST(Engine, PastScheduleClampsAndCounts) {
   Engine e;
   struct PastAwaiter {
@@ -308,100 +277,31 @@ TEST(Engine, PastScheduleClampsAndCounts) {
   EXPECT_EQ(e.clampedSchedules(), 1u);
 }
 
-TEST(Engine, MergedEventExactlyAtHorizonMatchesSerial) {
-  const Tick kLookahead = 10;
-  auto run_once = [&](int partitions) {
-    Engine e;
-    if (partitions > 1) e.configurePartitions(partitions, kLookahead);
-    std::vector<std::pair<Tick, int>> log;
-    e.spawnOn(0, hopper(e, partitions > 1 ? partitions : 4, kLookahead, 40, &log));
-    e.run();
-    return std::make_pair(log, e.eventsProcessed());
-  };
-  const auto serial = run_once(1);
-  const auto merged = run_once(4);
-  EXPECT_EQ(serial.first, merged.first);
-  EXPECT_EQ(serial.second, merged.second);
-}
-
-TEST(Engine, MergedCrossPartitionAtNowMatchesSerial) {
-  // hop == 0: every cross-partition event lands at the *current* tick —
-  // zero effective lookahead, the regime machine simulations live in.
-  // Merged mode must deliver immediately and stay byte-identical, while
-  // counting the would-be mailbox violations.
-  auto run_once = [&](int partitions) {
-    Engine e;
-    if (partitions > 1) e.configurePartitions(partitions, 10);
-    std::vector<std::pair<Tick, int>> log;
-    auto driver = [&e, &log, partitions]() -> Task<> {
-      for (int r = 0; r < 30; ++r) {
-        // Advance time a little, then hop at now() exactly.
-        co_await e.delay(static_cast<Tick>(r % 3));
-        co_await HopAwaiter{e, (r + 1) % (partitions > 1 ? partitions : 4),
-                            e.now()};
-        log.push_back({e.now(), r});
-      }
-    };
-    e.spawnOn(0, driver());
-    e.run();
-    return std::make_pair(log, e.pdesStats());
-  };
-  const auto serial = run_once(1);
-  const auto merged = run_once(4);
-  EXPECT_EQ(serial.first, merged.first);
-  EXPECT_GT(merged.second.mailbox_posts, 0u);
-  EXPECT_GT(merged.second.mailbox_below_horizon, 0u);
-  EXPECT_EQ(merged.second.lookahead_violations, 0u);  // merged never violates
-}
-
-TEST(Engine, StopMidWindowHaltsMergedRun) {
+TEST(Engine, CoMutexReleasesEqualTimeWaitersInFifoOrder) {
+  // Every waiter queues at tick 0 and is woken at tick 50 by a hand-off
+  // scheduled at now(): the wake order must be the queueing order, not the
+  // waiter ids.
   Engine e;
-  e.configurePartitions(2, 100);  // wide window: both lanes share one
-  int count = 0;
-  auto ticker = [&]() -> Task<> {
-    for (int i = 0; i < 10; ++i) {
-      co_await e.delay(10);
-      if (++count == 5) e.stop();
-    }
+  CoMutex m(e);
+  std::vector<std::pair<int, Tick>> log;
+  auto holder = [&]() -> Task<> {
+    co_await m.lock();
+    co_await e.delay(50);
+    m.unlock();
   };
-  std::vector<Tick> other;
-  e.spawnOn(0, ticker());
-  e.spawnOn(1, delayer(e, 1000, &other));
+  auto waiter = [&](int id) -> Task<> {
+    co_await m.lock();
+    log.push_back({id, e.now()});
+    m.unlock();
+  };
+  e.spawn(holder());
+  for (const int id : {3, 1, 4, 2, 5}) e.spawn(waiter(id));
   e.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(e.now(), 50u);
-  EXPECT_GT(e.pendingEvents(), 0u);  // the stopped run left events behind
-  e.run();                           // and can resume cleanly
-  EXPECT_EQ(other.size(), 1u);
-}
-
-TEST(Engine, EmptyPartitionsAreHarmless) {
-  Engine e;
-  e.configurePartitions(4, 10);
-  std::vector<Tick> log;
-  // Everything on partition 0; partitions 1-3 never see an event.
-  for (int i = 0; i < 10; ++i) e.spawnOn(0, delayer(e, static_cast<Tick>(7 * i), &log));
-  e.run();
-  EXPECT_EQ(log.size(), 10u);
-  const PdesStats s = e.pdesStats();
-  EXPECT_EQ(s.partitions, 4u);
-  ASSERT_EQ(s.partition_events.size(), 4u);
-  EXPECT_GT(s.partition_events[0], 0u);
-  EXPECT_EQ(s.partition_events[1] + s.partition_events[2] + s.partition_events[3], 0u);
-  EXPECT_DOUBLE_EQ(s.imbalance(), 4.0);  // fully serialized on one LP
-}
-
-TEST(Engine, MergedRunUntilStopsAtBoundary) {
-  Engine e;
-  e.configurePartitions(2, 5);
-  std::vector<Tick> log;
-  e.spawnOn(0, delayer(e, 100, &log));
-  e.spawnOn(1, delayer(e, 200, &log));
-  e.runUntil(150);
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(e.now(), 150u);
-  e.run();
-  EXPECT_EQ(log.size(), 2u);
+  const std::vector<std::pair<int, Tick>> want = {
+      {3, 50}, {1, 50}, {4, 50}, {2, 50}, {5, 50}};
+  EXPECT_EQ(log, want);
+  EXPECT_FALSE(m.locked());
+  EXPECT_EQ(m.waiterCount(), 0u);
 }
 
 }  // namespace

@@ -236,12 +236,9 @@ TEST(BlockTraceFormat, RejectsCorruptFiles) {
 
 // --- end-to-end serving ---------------------------------------------------
 
-std::string runSpec(const machine::MachineConfig& cfg, const std::string& spec,
-                    int sim_threads = 1) {
-  ObsSinks sinks;
-  sinks.sim_threads = sim_threads;
+std::string runSpec(const machine::MachineConfig& cfg, const std::string& spec) {
   auto src = makeWorkload(spec, 1.0);
-  const RunSummary s = runWorkload(cfg, *src, sinks);
+  const RunSummary s = runWorkload(cfg, *src, ObsSinks{});
   EXPECT_TRUE(s.verified) << spec << " on " << cfg.describe();
   return summaryJson(s, 1.0);
 }
@@ -255,12 +252,11 @@ TEST(BlockServe, RunsVerifiedOnAllSystems) {
   }
 }
 
-TEST(BlockServe, DeterministicAcrossSimThreads) {
+TEST(BlockServe, DeterministicAcrossRepeatRuns) {
   const std::string spec = "synth:clients=4;objects=512;ops=200;seed=7";
   const auto cfg = smallConfig(machine::SystemKind::kNWCache);
-  const std::string serial = runSpec(cfg, spec);
-  EXPECT_EQ(runSpec(cfg, spec, 4), serial);
-  EXPECT_EQ(runSpec(cfg, spec), serial);  // and across repeat runs
+  const std::string first = runSpec(cfg, spec);
+  EXPECT_EQ(runSpec(cfg, spec), first);
 }
 
 TEST(BlockServe, FileServeMatchesLiveGeneration) {

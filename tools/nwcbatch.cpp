@@ -1,7 +1,6 @@
 // nwcbatch: run an experiment grid described by an INI file.
 //
 //   nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume]
-//            [--trace-dir=DIR] [--trace-mode=off|auto|record|replay]
 //            [--sample-interval=N] [--sample-dir=DIR] [--status=FILE]
 //            experiments.ini
 //
@@ -30,7 +29,6 @@
 #include <string>
 
 #include "apps/batch.hpp"
-#include "apps/trace_cache.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_meta.hpp"
 #include "util/host.hpp"
@@ -42,17 +40,13 @@ int main(int argc, char** argv) {
   std::string ini_path;
   std::string meta_dir;
   long jobs = -1;       // -1 = use the INI's jobs key (default auto)
-  long sim_threads = -1;  // -1 = use the INI's sim_threads key (default 1)
   long heartbeat = -1;  // -1 = use the INI's heartbeat_secs key
   bool resume = false;
-  std::string trace_dir;
-  std::string trace_mode;
   long sample_interval = -1;  // -1 = use the INI's sample_interval key
   std::string sample_dir;
   std::string status_path;
   const char* usage =
-      "usage: nwcbatch [--jobs=N] [--sim-threads=N] [--meta-dir=DIR] [--heartbeat=SECS] "
-      "[--resume] [--trace-dir=DIR] [--trace-mode=MODE] "
+      "usage: nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume] "
       "[--sample-interval=N] [--sample-dir=DIR] [--status=FILE] "
       "[--profile=FILE] <experiments.ini>\n";
   for (int i = 1; i < argc; ++i) {
@@ -61,12 +55,6 @@ int main(int argc, char** argv) {
       jobs = std::strtol(a.c_str() + 7, nullptr, 10);
       if (jobs < 0) {
         std::fprintf(stderr, "nwcbatch: --jobs must be >= 0\n");
-        return 2;
-      }
-    } else if (a.rfind("--sim-threads=", 0) == 0) {
-      sim_threads = std::strtol(a.c_str() + 14, nullptr, 10);
-      if (sim_threads < 1) {
-        std::fprintf(stderr, "nwcbatch: --sim-threads must be >= 1\n");
         return 2;
       }
     } else if (a.rfind("--meta-dir=", 0) == 0) {
@@ -79,10 +67,6 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--resume") {
       resume = true;
-    } else if (a.rfind("--trace-dir=", 0) == 0) {
-      trace_dir = a.substr(std::strlen("--trace-dir="));
-    } else if (a.rfind("--trace-mode=", 0) == 0) {
-      trace_mode = a.substr(std::strlen("--trace-mode="));
     } else if (a.rfind("--sample-interval=", 0) == 0) {
       sample_interval = std::strtol(a.c_str() + 18, nullptr, 10);
       if (sample_interval < 0) {
@@ -99,16 +83,10 @@ int main(int argc, char** argv) {
       std::printf("%s"
                   "  --jobs=N          worker threads (0 = all cores, 1 = serial;\n"
                   "                    overrides the INI's batch.jobs key)\n"
-                  "  --sim-threads=N   engine partitions per run (conservative\n"
-                  "                    PDES; results are byte-identical at any\n"
-                  "                    value; overrides batch.sim_threads)\n"
                   "  --meta-dir=DIR    write one run_meta.json per grid cell\n"
                   "  --heartbeat=SECS  parallel status cadence on stderr (0 = off)\n"
                   "  --resume          skip grid cells already checkpointed in the\n"
                   "                    batch.jsonl file; rerun only the rest\n"
-                  "  --trace-dir=DIR   kernel trace cache: replay hits, record misses\n"
-                  "                    (overrides the INI's batch.trace_dir key)\n"
-                  "  --trace-mode=M    off, auto (default), record, or replay\n"
                   "  --sample-interval=N  pcycles between telemetry samples\n"
                   "                    (0 = off; overrides batch.sample_interval)\n"
                   "  --sample-dir=DIR  one nwc-timeseries-v1 JSON + CSV per cell\n"
@@ -119,6 +97,9 @@ int main(int argc, char** argv) {
                   "                    at exit; grid results are unchanged\n",
                   usage);
       return 0;
+    } else if (a.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "nwcbatch: unknown flag %s\n%s", a.c_str(), usage);
+      return 2;
     } else if (ini_path.empty()) {
       ini_path = a;
     } else {
@@ -133,29 +114,14 @@ int main(int argc, char** argv) {
   try {
     auto spec = apps::BatchSpec::fromIni(util::IniFile::load(ini_path));
     if (jobs >= 0) spec.jobs = static_cast<unsigned>(jobs);
-    if (sim_threads >= 1) spec.sim_threads = static_cast<int>(sim_threads);
     if (!meta_dir.empty()) spec.meta_dir = meta_dir;
     if (heartbeat >= 0) spec.heartbeat_secs = static_cast<unsigned>(heartbeat);
     if (resume) spec.resume = true;
-    if (!trace_dir.empty()) spec.trace_dir = trace_dir;
-    if (!trace_mode.empty() && !apps::parseTraceMode(trace_mode, spec.trace_mode)) {
-      std::fprintf(stderr,
-                   "nwcbatch: --trace-mode must be off/auto/record/replay, got %s\n",
-                   trace_mode.c_str());
-      return 2;
-    }
     if (sample_interval >= 0) spec.sample_interval = static_cast<sim::Tick>(sample_interval);
     if (!sample_dir.empty()) spec.sample_dir = sample_dir;
     if (!status_path.empty()) spec.status_path = status_path;
     if (!spec.sample_dir.empty() && spec.sample_interval == 0) {
       std::fprintf(stderr, "nwcbatch: --sample-dir requires --sample-interval > 0\n");
-      return 2;
-    }
-    if (spec.trace_dir.empty() && (spec.trace_mode == apps::TraceMode::kRecord ||
-                                   spec.trace_mode == apps::TraceMode::kReplay)) {
-      std::fprintf(stderr, "nwcbatch: trace mode '%s' requires a trace dir "
-                           "(--trace-dir=DIR or batch.trace_dir)\n",
-                   apps::toString(spec.trace_mode));
       return 2;
     }
     std::printf("running %zu configurations at scale %.2f on %u threads\n",
@@ -177,17 +143,6 @@ int main(int argc, char** argv) {
     if (!spec.meta_dir.empty()) std::printf("meta: %s\n", spec.meta_dir.c_str());
     if (!spec.sample_dir.empty()) std::printf("samples: %s\n", spec.sample_dir.c_str());
     if (!spec.status_path.empty()) std::printf("status: %s\n", spec.status_path.c_str());
-    if (!spec.trace_dir.empty() && spec.trace_mode != apps::TraceMode::kOff) {
-      const auto& st = apps::traceCacheStats();
-      std::printf("trace cache: %llu replayed, %llu recorded, %llu executed, "
-                  "%llu fallbacks (%s written, %s read)\n",
-                  static_cast<unsigned long long>(st.replays.load()),
-                  static_cast<unsigned long long>(st.records.load()),
-                  static_cast<unsigned long long>(st.executes.load()),
-                  static_cast<unsigned long long>(st.fallbacks.load()),
-                  util::formatBytes(st.bytes_written.load()).c_str(),
-                  util::formatBytes(st.bytes_read.load()).c_str());
-    }
     return res.all_ok ? 0 : 1;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "nwcbatch: %s\n", ex.what());

@@ -62,15 +62,6 @@ namespace {
       "                        sibling .csv; single app\n"
       "  --sample-interval=N   pcycles between samples (default 50000)\n"
       "  --jobs=N              threads for multi-app runs (0 = all cores)\n"
-      "  --sim-threads=N       partition each simulation into N logical\n"
-      "                        processes (conservative PDES; clamped to the\n"
-      "                        node count). Simulated results are\n"
-      "                        byte-identical for any value; window stats go\n"
-      "                        to stderr and the --profile= report\n"
-      "  --trace-dir=DIR       kernel trace cache: replay hits, record misses\n"
-      "  --record              with --trace-dir: always execute + (re)write\n"
-      "  --replay              with --trace-dir: strict replay, never fall back\n"
-      "  --no-trace            ignore the trace cache even with --trace-dir\n"
       "  --json                emit the run summary as JSON\n"
       "  --profile=FILE        profile the simulator itself: write an\n"
       "                        nwc-profile-v1 JSON report (+ FILE.folded\n"
@@ -107,7 +98,6 @@ int main(int argc, char** argv) {
   std::string app;
   double scale = 1.0;
   unsigned jobs = 0;
-  int sim_threads = 1;
   std::string trace_path;
   std::size_t trace_cap = 0;
   std::string metrics_path;
@@ -116,7 +106,6 @@ int main(int argc, char** argv) {
   std::size_t timeline_cap = 0;
   std::string sample_path;
   sim::Tick sample_interval = 50'000;
-  apps::TraceCacheConfig tcfg;
   bool as_json = false;
   bool dump_config = false;
   bool minfree_overridden = false;
@@ -183,20 +172,6 @@ int main(int argc, char** argv) {
               std::strtoull(val("--sample-interval=").c_str(), nullptr, 10));
         } else if (a.rfind("--jobs=", 0) == 0) {
           jobs = static_cast<unsigned>(std::strtoul(val("--jobs=").c_str(), nullptr, 10));
-        } else if (a.rfind("--sim-threads=", 0) == 0) {
-          sim_threads = std::atoi(val("--sim-threads=").c_str());
-          if (sim_threads < 1) {
-            std::fprintf(stderr, "nwcsim: --sim-threads must be >= 1\n");
-            return 2;
-          }
-        } else if (a.rfind("--trace-dir=", 0) == 0) {
-          tcfg.dir = val("--trace-dir=");
-        } else if (a == "--record") {
-          tcfg.mode = apps::TraceMode::kRecord;
-        } else if (a == "--replay") {
-          tcfg.mode = apps::TraceMode::kReplay;
-        } else if (a == "--no-trace") {
-          tcfg.mode = apps::TraceMode::kOff;
         } else if (a == "--json") {
           as_json = true;
         } else if (a.rfind("--profile=", 0) == 0) {
@@ -262,25 +237,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "nwcsim: --sample-interval must be > 0\n");
       return 2;
     }
-    if (tcfg.dir.empty() && (tcfg.mode == apps::TraceMode::kRecord ||
-                             tcfg.mode == apps::TraceMode::kReplay)) {
-      std::fprintf(stderr, "nwcsim: --record/--replay require --trace-dir=DIR\n");
-      return 2;
-    }
-
-    // PDES window accounting goes to stderr so stdout (table or JSON) stays
-    // byte-identical to a serial run.
-    auto printPdes = [&](const apps::RunSummary& s) {
-      if (s.sim_partitions <= 1) return;
-      std::fprintf(stderr,
-                   "[pdes] %s: partitions=%d lookahead=%llu windows=%llu "
-                   "mailbox_posts=%llu imbalance=%.2f\n",
-                   s.app.c_str(), s.sim_partitions,
-                   static_cast<unsigned long long>(s.pdes.lookahead),
-                   static_cast<unsigned long long>(s.pdes.windows),
-                   static_cast<unsigned long long>(s.pdes.mailbox_posts),
-                   s.pdes.imbalance());
-    };
 
     auto printSummary = [&](const apps::RunSummary& s) {
       const auto& m = s.metrics;
@@ -329,17 +285,11 @@ int main(int argc, char** argv) {
       sinks.timeline = timeline_path.empty() ? nullptr : &timeline;
       sinks.registry = metrics_path.empty() ? nullptr : &registry;
       sinks.sampler = sample_path.empty() ? nullptr : &sampler;
-      sinks.sim_threads = sim_threads;
-      apps::TraceCacheResult tres;
-      const apps::RunSummary s =
-          apps::runAppCached(cfg, app_names[0], scale, tcfg, sinks, &tres);
+      const apps::RunSummary s = apps::runApp(cfg, app_names[0], scale, sinks);
       {
         obs::prof::Scope export_scope("export");
         if (!trace_path.empty()) trace.dumpCsv(trace_path);
         if (!metrics_path.empty()) {
-          // Only when the cache was in play, so cache-less metric exports stay
-          // byte-identical to previous releases.
-          if (tcfg.enabled()) apps::publishTraceCacheMetrics(registry);
           registry.writeJson(metrics_path);
           // Sibling flat CSV: out.json -> out.csv (or path + ".csv").
           std::string csv_path = metrics_path;
@@ -372,7 +322,6 @@ int main(int argc, char** argv) {
           sampler.writeCsv(csv_path);
         }
       }
-      printPdes(s);
       printSummary(s);
       if (!as_json && !trace_path.empty()) {
         std::printf("trace written to %s (%zu events, %llu dropped)\n",
@@ -405,10 +354,6 @@ int main(int argc, char** argv) {
                     sample_path.c_str(), sampler.samples(),
                     sampler.health().verdict());
       }
-      if (!as_json && tcfg.enabled()) {
-        std::printf("trace cache: %s (%s)\n", apps::toString(tres.outcome),
-                    tres.trace_path.empty() ? "no trace file" : tres.trace_path.c_str());
-      }
       return s.ok() ? 0 : 1;
     }
 
@@ -421,26 +366,15 @@ int main(int argc, char** argv) {
       thread_local machine::MachineArena arena;
       apps::ObsSinks sinks;
       sinks.arena = &arena;
-      sinks.sim_threads = sim_threads;
-      apps::RunSummary s = apps::runAppCached(cfg, app_names[i], scale, tcfg, sinks);
+      apps::RunSummary s = apps::runApp(cfg, app_names[i], scale, sinks);
       meter.completed(app_names[i], s.ok());
       summaries[i] = std::move(s);
     });
     bool all_ok = true;
     for (std::size_t i = 0; i < summaries.size(); ++i) {
       if (!as_json && i > 0) std::printf("\n");
-      printPdes(summaries[i]);
       printSummary(summaries[i]);
       all_ok = all_ok && summaries[i].ok();
-    }
-    if (!as_json && tcfg.enabled()) {
-      const auto& st = apps::traceCacheStats();
-      std::printf("trace cache: %llu replayed, %llu recorded, %llu executed, "
-                  "%llu fallbacks\n",
-                  static_cast<unsigned long long>(st.replays.load()),
-                  static_cast<unsigned long long>(st.records.load()),
-                  static_cast<unsigned long long>(st.executes.load()),
-                  static_cast<unsigned long long>(st.fallbacks.load()));
     }
     return all_ok ? 0 : 1;
   } catch (const std::exception& ex) {

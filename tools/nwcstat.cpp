@@ -95,20 +95,6 @@ int cmdShow(const std::vector<std::string>& args) {
   std::printf("%s: %zu instruments across %zu components\n", args[0].c_str(),
               m.size(), components.size());
 
-  // One-line trace-cache summary when the run used one (nwcsim --trace-dir=).
-  if (components.count("trace_cache") != 0) {
-    const auto val = [&m](const char* name) {
-      const auto it = m.find(name);
-      return it == m.end() ? 0.0 : it->second.value;
-    };
-    std::printf(
-        "trace cache: %.0f replayed, %.0f recorded, %.0f executed, "
-        "%.0f fallbacks (%.0f B written, %.0f B read)\n",
-        val("trace_cache.replays"), val("trace_cache.records"),
-        val("trace_cache.executes"), val("trace_cache.fallbacks"),
-        val("trace_cache.bytes_written"), val("trace_cache.bytes_read"));
-  }
-
   std::string current;
   for (const auto& [name, inst] : m) {
     const std::string comp = component(name);
