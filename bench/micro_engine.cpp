@@ -8,7 +8,6 @@
 #include "mem/tlb.hpp"
 #include "net/mesh.hpp"
 #include "sim/calendar.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo_server.hpp"
 #include "sim/random.hpp"
@@ -22,6 +21,8 @@ sim::Task<> pingTask(sim::Engine& e, int hops) {
   for (int i = 0; i < hops; ++i) co_await e.delay(1);
 }
 
+// A lone coroutine: every delay targets a tick before any pending event,
+// so each one is an inline wake-up (no calendar round trip).
 void BM_EngineEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine e;
@@ -33,6 +34,7 @@ void BM_EngineEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
 
+// Many interleaved coroutines: most delays go through the calendar.
 void BM_EngineManyTasks(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine e;
@@ -43,31 +45,53 @@ void BM_EngineManyTasks(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineManyTasks)->Arg(1000);
 
-// Calendar-queue hold model: pop the minimum, reinsert at a bounded random
-// offset — the classic queue benchmark, shaped like the engine's steady
-// state. range(0) is the fraction (in 1/8ths) of reinserts that land on the
-// *current* tick, exercising the same-tick batch path.
-void BM_CalendarQueueHold(benchmark::State& state) {
-  constexpr int kLive = 4096;
-  const std::uint64_t same_tick_eighths =
-      static_cast<std::uint64_t>(state.range(0));
+// Hold model shared by the calendar and its std::priority_queue baseline:
+// pop the minimum, reinsert at a random offset — the classic queue
+// benchmark, shaped like the engine's steady state. Arguments:
+//   range(0)  live entries;
+//   range(1)  share of reinserts, in 1/8ths, on the *current* tick (the
+//             wheel's same-slot FIFO path);
+//   range(2)  1 to send 1 in 256 reinserts 300,000 ticks out, beyond the
+//             wheel's window, so the far-event heap is timed too.
+// The remaining reinserts land 1..255 ticks out, inside the window.
+template <typename Queue>
+void holdModel(benchmark::State& state, Queue& q) {
+  const int live = static_cast<int>(state.range(0));
+  const std::uint64_t same_tick_eighths = static_cast<std::uint64_t>(state.range(1));
+  const bool far = state.range(2) != 0;
+  constexpr int kOps = 100000;
   for (auto _ : state) {
-    sim::CalendarQueue q;
     sim::Rng rng(11);
     std::uint64_t seq = 0;
-    for (int i = 0; i < kLive; ++i) {
-      q.push(static_cast<sim::Tick>(rng.below(256)), seq++, {});
+    for (int i = 0; i < live; ++i) {
+      q.push(static_cast<sim::Tick>(rng.below(256)), seq++);
     }
-    for (int i = 0; i < 100000; ++i) {
-      const sim::CalEntry e = q.pop();
-      const bool same = rng.below(8) < same_tick_eighths;
-      q.push(e.t + (same ? 0 : 1 + rng.below(255)), seq++, {});
+    for (int i = 0; i < kOps; ++i) {
+      const sim::Tick t = q.pop();
+      sim::Tick dt = 1 + rng.below(255);
+      if (rng.below(8) < same_tick_eighths) dt = 0;
+      if (far && rng.below(256) == 0) dt = 300000;
+      q.push(t + dt, seq++);
     }
     q.clear();
   }
-  state.SetItemsProcessed(state.iterations() * 100000);
+  state.SetItemsProcessed(state.iterations() * kOps);
 }
-BENCHMARK(BM_CalendarQueueHold)->Arg(0)->Arg(4);
+
+void BM_CalendarQueueHold(benchmark::State& state) {
+  struct Adapter {
+    sim::CalendarQueue q;
+    void push(sim::Tick t, std::uint64_t seq) { q.push(t, seq, {}); }
+    sim::Tick pop() { return q.pop().t; }
+    void clear() { q.clear(); }
+  } q;
+  holdModel(state, q);
+}
+BENCHMARK(BM_CalendarQueueHold)
+    ->Args({4096, 0, 0})
+    ->Args({4096, 4, 0})
+    ->Args({32, 0, 1})
+    ->Args({128, 0, 1});
 
 // The std::priority_queue the calendar replaced, under the identical hold
 // model — the baseline the CalendarQueue speedup is measured against.
@@ -81,26 +105,23 @@ void BM_PriorityQueueHold(benchmark::State& state) {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
-  constexpr int kLive = 4096;
-  const std::uint64_t same_tick_eighths =
-      static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
+  struct Adapter {
     std::priority_queue<Entry, std::vector<Entry>, Greater> q;
-    sim::Rng rng(11);
-    std::uint64_t seq = 0;
-    for (int i = 0; i < kLive; ++i) {
-      q.push(Entry{static_cast<sim::Tick>(rng.below(256)), seq++});
-    }
-    for (int i = 0; i < 100000; ++i) {
-      const Entry e = q.top();
+    void push(sim::Tick t, std::uint64_t seq) { q.push(Entry{t, seq}); }
+    sim::Tick pop() {
+      const sim::Tick t = q.top().t;
       q.pop();
-      const bool same = rng.below(8) < same_tick_eighths;
-      q.push(Entry{e.t + (same ? 0 : 1 + rng.below(255)), seq++});
+      return t;
     }
-  }
-  state.SetItemsProcessed(state.iterations() * 100000);
+    void clear() { q = {}; }
+  } q;
+  holdModel(state, q);
 }
-BENCHMARK(BM_PriorityQueueHold)->Arg(0)->Arg(4);
+BENCHMARK(BM_PriorityQueueHold)
+    ->Args({4096, 0, 0})
+    ->Args({4096, 4, 0})
+    ->Args({32, 0, 1})
+    ->Args({128, 0, 1});
 
 sim::Task<> mutexLoop(sim::Engine& e, sim::CoMutex& m, int n) {
   for (int i = 0; i < n; ++i) {
@@ -132,17 +153,24 @@ void BM_FifoServerRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_FifoServerRequest);
 
+// A 32-node mesh (8x4) with random (src, dst) pairs: range(0) is the
+// message size (16 B control, 64 B cache line, 4096 B page).
 void BM_MeshTransfer(benchmark::State& state) {
   net::MeshParams p;
+  p.num_nodes = 32;
   net::MeshNetwork m(p);
+  const std::uint64_t bytes = static_cast<std::uint64_t>(state.range(0));
+  sim::Rng rng(4);
   sim::Tick now = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.transfer(now, 0, 7, 4096, net::TrafficClass::kPageRead));
-    now += 100;
+    const auto src = static_cast<sim::NodeId>(rng.below(32));
+    const auto dst = static_cast<sim::NodeId>(rng.below(32));
+    benchmark::DoNotOptimize(m.transfer(now, src, dst, bytes, net::TrafficClass::kCoherence));
+    now += 10;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MeshTransfer);
+BENCHMARK(BM_MeshTransfer)->Arg(16)->Arg(64)->Arg(4096);
 
 void BM_CacheAccess(benchmark::State& state) {
   mem::SetAssocCache c(mem::CacheParams{64 * 1024, 32, 4});
@@ -171,25 +199,6 @@ void BM_RngNext(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNext);
-
-sim::Task<> chanProducer(sim::Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) co_await ch.send(i);
-}
-sim::Task<> chanConsumer(sim::Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) (void)co_await ch.recv();
-}
-
-void BM_ChannelPingPong(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine e;
-    sim::Channel<int> ch(e, 16);
-    e.spawn(chanProducer(ch, 2000));
-    e.spawn(chanConsumer(ch, 2000));
-    e.run();
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ChannelPingPong);
 
 }  // namespace
 

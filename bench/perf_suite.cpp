@@ -163,9 +163,10 @@ MeasuredWorkload measure(const std::string& name, const SuiteOptions& opt,
   return out;
 }
 
-// Pure engine churn for the micro/engine-calendar workload: deterministic
-// mixed-stride delays so the calendar sees both same-tick batches and
-// singleton pops (the two CalendarQueue fast paths).
+// Pure engine churn for the micro/engine-calendar workload: 64 lanes of
+// deterministic mixed-stride delays, so timing-wheel slots hold both
+// several same-tick events and single ones, and a lane whose next tick is
+// strictly before every pending event wakes inline.
 sim::Task<> churnTask(sim::Engine& e, int lane) {
   for (int i = 0; i < 20000; ++i) co_await e.delay(1 + ((i + lane) & 7));
 }
@@ -311,7 +312,7 @@ int main(int argc, char** argv) {
     }
 
     // 5) Engine/calendar micro: event-loop churn with no machine model on
-    // top, isolating CalendarQueue push/pop and coroutine frame recycling.
+    // top, isolating CalendarQueue push/pop and inline wake-ups.
     // The summary is fabricated (there is no app to verify); exec_time pins
     // determinism across trials like every other workload.
     workloads.push_back(measure("micro/engine-calendar", opt, [&] {

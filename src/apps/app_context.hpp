@@ -41,7 +41,10 @@ class MappedFile {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
       return inner.await_suspend(h);
     }
-    T await_resume() const { return *slot; }
+    T await_resume() const {
+      inner.await_resume();
+      return *slot;
+    }
   };
 
   struct SetAwaiter {
@@ -50,7 +53,7 @@ class MappedFile {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
       return inner.await_suspend(h);
     }
-    void await_resume() const {}
+    void await_resume() const { inner.await_resume(); }
   };
 
   /// `T v = co_await a.get(cpu, i);`

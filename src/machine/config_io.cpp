@@ -3,6 +3,8 @@
 #include <functional>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "util/enum_names.hpp"
 
@@ -41,6 +43,18 @@ std::string num(const MachineConfig& c, Getter g) {
   }
 }
 
+// Reads an integer key; an unsigned field rejects a negative value, which
+// would otherwise wrap to a huge one.
+template <typename T>
+std::int64_t getCount(const util::IniFile& ini, const std::string& key) {
+  const std::int64_t v = *ini.getInt(key);
+  if (std::is_unsigned_v<T> && v < 0) {
+    throw std::invalid_argument("[machine] " + key.substr(key.find('.') + 1) +
+                                " must be >= 0, got " + std::to_string(v));
+  }
+  return v;
+}
+
 const std::map<std::string, Field>& fieldTable() {
   static const std::map<std::string, Field> kFields = [] {
     std::map<std::string, Field> f;
@@ -48,7 +62,8 @@ const std::map<std::string, Field>& fieldTable() {
     auto add_int = [&f](const std::string& name, auto member) {
       f[name] = Field{
           [member](MachineConfig& c, const util::IniFile& ini, const std::string& key) {
-            c.*member = static_cast<std::decay_t<decltype(c.*member)>>(*ini.getInt(key));
+            using T = std::decay_t<decltype(c.*member)>;
+            c.*member = static_cast<T>(getCount<T>(ini, key));
           },
           [member](const MachineConfig& c) { return std::to_string(c.*member); }};
     };
@@ -133,12 +148,12 @@ const std::map<std::string, Field>& fieldTable() {
         [](const MachineConfig& c) { return toString(c.destage_policy); }};
     f["l1_bytes"] = Field{
         [](MachineConfig& c, const util::IniFile& ini, const std::string& key) {
-          c.l1.size_bytes = static_cast<std::uint64_t>(*ini.getInt(key));
+          c.l1.size_bytes = static_cast<std::uint64_t>(getCount<std::uint64_t>(ini, key));
         },
         [](const MachineConfig& c) { return std::to_string(c.l1.size_bytes); }};
     f["l2_bytes"] = Field{
         [](MachineConfig& c, const util::IniFile& ini, const std::string& key) {
-          c.l2.size_bytes = static_cast<std::uint64_t>(*ini.getInt(key));
+          c.l2.size_bytes = static_cast<std::uint64_t>(getCount<std::uint64_t>(ini, key));
         },
         [](const MachineConfig& c) { return std::to_string(c.l2.size_bytes); }};
     return f;

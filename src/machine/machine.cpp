@@ -63,6 +63,14 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
   if (cfg_.tlb_entries < 1) {
     throw std::invalid_argument("MachineConfig.tlb_entries must be >= 1");
   }
+  if (cfg_.write_buffer_entries < 1) {
+    throw std::invalid_argument("MachineConfig.write_buffer_entries must be >= 1");
+  }
+  if (cfg_.pages_per_group < 1) {
+    throw std::invalid_argument(
+        "MachineConfig.pages_per_group must be >= 1: pages stripe over the "
+        "disks in groups of this many");
+  }
   if (!(cfg_.pcycle_ns > 0.0)) {
     throw std::invalid_argument("MachineConfig.pcycle_ns must be > 0");
   }
@@ -94,6 +102,7 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
         *eng_, cfg_,
         arena_ ? arena_->takeFramePool(cfg_.framesPerNode(), cfg_.min_free_frames)
                : vm::FramePool(cfg_.framesPerNode(), cfg_.min_free_frames)));
+    nodes_.back()->access_loop = accessLoop(n);
   }
 
   net::MeshParams mp;
@@ -131,9 +140,12 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
 }
 
 Machine::~Machine() {
-  // Destroy the engine (and every coroutine frame it owns) while the
-  // machine's signals/mutexes those frames reference — and the backend the
-  // frames run in — are still alive.
+  // Destroy the access coroutines, then the engine (and every coroutine
+  // frame it owns), while the machine's signals/mutexes those frames
+  // reference — and the backend the frames run in — are still alive. An
+  // access coroutine parked mid-fault may release a mutex on the way out,
+  // which schedules on the engine.
+  for (auto& node : nodes_) node->access_loop = {};
   eng_.reset();
   // Only now is it safe to park the big allocations: frame destruction
   // above may have released Guard objects pointing into the page table.

@@ -13,9 +13,11 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/disk.hpp"
@@ -116,21 +118,29 @@ class Machine {
   sim::Engine::DelayAwaiter fence(int cpu);
 
   /// One memory reference. Fast path (resident + cache hit + quantum not
-  /// exceeded) completes synchronously; everything else suspends.
+  /// exceeded) completes synchronously; everything else parks the caller
+  /// and transfers to the CPU's persistent access coroutine, which hands
+  /// control back when the reference completes. A CPU has at most one
+  /// reference outstanding: a second concurrent access() on the same CPU
+  /// throws std::logic_error. An exception in the slow path is rethrown to
+  /// the awaiting coroutine.
   struct AccessAwaiter {
     Machine& m;
     int cpu;
     std::uint64_t vaddr;
     bool write;
-    sim::Task<> slow{};
+    bool slow = false;
 
     bool await_ready() { return m.tryFastAccess(cpu, vaddr, write); }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      slow = m.slowAccess(cpu, vaddr, write);
-      slow.handle().promise().continuation = h;
-      return slow.handle();
+      slow = true;
+      NodeCtx& nc = *m.nodes_[static_cast<std::size_t>(cpu)];
+      nc.access = AccessRequest{vaddr, write, h};
+      return nc.access_loop.handle();
     }
-    void await_resume() const {}
+    void await_resume() const {
+      if (slow) m.rethrowAccessError(cpu);
+    }
   };
 
   AccessAwaiter access(int cpu, std::uint64_t vaddr, bool write) {
@@ -212,6 +222,14 @@ class Machine {
   std::string checkInvariants() const;
 
   // --- shared fabric contexts (used by the I/O backends) ---------------------
+  /// The reference a CPU's access coroutine is serving; `caller` is null
+  /// while none is outstanding.
+  struct AccessRequest {
+    std::uint64_t vaddr = 0;
+    bool write = false;
+    std::coroutine_handle<> caller{};
+  };
+
   struct NodeCtx {
     NodeCtx(sim::Engine& eng, const MachineConfig& cfg, vm::FramePool&& fp);
 
@@ -227,6 +245,9 @@ class Machine {
     sim::Tick pending = 0;     // local cycles not yet on the global clock
     sim::Tick tlb_penalty = 0; // shootdown/interrupt cycles to charge
     int swaps_in_flight = 0;   // dirty write-outs whose frame is not yet free
+    AccessRequest access;            // slow-path request slot (access.cpp)
+    std::exception_ptr access_error; // thrown by the slow path, not yet rethrown
+    sim::Task<> access_loop;         // this CPU's persistent access coroutine
   };
 
   struct NackWaiter {
@@ -250,7 +271,13 @@ class Machine {
 
   // -- fast path helpers ----------------------------------------------------
   bool tryFastAccess(int cpu, std::uint64_t vaddr, bool write);
-  sim::Task<> slowAccess(int cpu, std::uint64_t vaddr, bool write);
+  /// Serves `nodes_[cpu]->access` forever: the slow path of every reference
+  /// this CPU makes, without a coroutine frame per reference.
+  sim::Task<> accessLoop(int cpu);
+  void rethrowAccessError(int cpu) {
+    NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
+    if (nc.access_error) std::rethrow_exception(std::exchange(nc.access_error, nullptr));
+  }
   void commitResidentTouch(int cpu, sim::PageId page, bool write);
 
   // -- fault path (fault.cpp) -------------------------------------------------

@@ -18,6 +18,38 @@ const char* toString(TrafficClass c) {
   }
 }
 
+struct MeshRoutes {
+  int nodes = 0;
+  std::vector<std::uint32_t> off;    // nodes * nodes + 1 offsets into links
+  std::vector<std::uint32_t> links;  // link indices, route after route
+};
+
+namespace {
+
+// XY dimension-order routes: all X hops, then all Y hops. A hop is the
+// outgoing slot (E, W, S, N) of the router it leaves.
+std::shared_ptr<const MeshRoutes> buildRoutes(int nodes, int width) {
+  auto r = std::make_shared<MeshRoutes>();
+  r->nodes = nodes;
+  r->off.reserve(static_cast<std::size_t>(nodes) * nodes + 1);
+  r->off.push_back(0);
+  for (int src = 0; src < nodes; ++src) {
+    for (int dst = 0; dst < nodes; ++dst) {
+      int x = src % width, y = src / width;
+      const int dx = dst % width, dy = dst / width;
+      auto hop = [&](int dir) {
+        r->links.push_back(static_cast<std::uint32_t>((y * width + x) * 4 + dir));
+      };
+      for (; x != dx; x += dx > x ? 1 : -1) hop(dx > x ? 0 : 1);
+      for (; y != dy; y += dy > y ? 1 : -1) hop(dy > y ? 2 : 3);
+      r->off.push_back(static_cast<std::uint32_t>(r->links.size()));
+    }
+  }
+  return r;
+}
+
+}  // namespace
+
 MeshNetwork::MeshNetwork(const MeshParams& p) : params_(p) {
   // Pick the most square factorization, wider than tall.
   width_ = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(p.num_nodes))));
@@ -25,13 +57,15 @@ MeshNetwork::MeshNetwork(const MeshParams& p) : params_(p) {
   height_ = p.num_nodes / width_;
   assert(width_ * height_ == p.num_nodes);
   links_.resize(static_cast<std::size_t>(p.num_nodes) * 4);
-}
 
-sim::FifoServer& MeshNetwork::link(int fx, int fy, int tx, int ty) {
-  // Direction of the single-hop move (fx,fy) -> (tx,ty).
-  const int dir = tx > fx ? 0 : tx < fx ? 1 : ty > fy ? 2 : 3;
-  return links_[static_cast<std::size_t>(fy * width_ + fx) * 4 +
-                static_cast<std::size_t>(dir)];
+  // Routes depend only on the node count, so machines built one after
+  // another on a thread (benchmark repetitions, a batch worker's grid cells)
+  // share one immutable table instead of rebuilding it each time.
+  thread_local std::shared_ptr<const MeshRoutes> last;
+  if (!last || last->nodes != p.num_nodes) last = buildRoutes(p.num_nodes, width_);
+  routes_ = last;
+  route_off_ = routes_->off.data();
+  route_links_ = routes_->links.data();
 }
 
 sim::Tick MeshNetwork::serializationTicks(std::uint64_t bytes) const {
@@ -50,9 +84,9 @@ sim::Tick MeshNetwork::serializationTicks(std::uint64_t bytes) const {
 }
 
 int MeshNetwork::hops(sim::NodeId src, sim::NodeId dst) const {
-  const int sx = src % width_, sy = src / width_;
-  const int dx = dst % width_, dy = dst / width_;
-  return std::abs(sx - dx) + std::abs(sy - dy);
+  const std::size_t pair = static_cast<std::size_t>(src) * params_.num_nodes +
+                           static_cast<std::size_t>(dst);
+  return static_cast<int>(route_off_[pair + 1] - route_off_[pair]);
 }
 
 sim::Tick MeshNetwork::transfer(sim::Tick now, sim::NodeId src, sim::NodeId dst,
@@ -65,22 +99,20 @@ sim::Tick MeshNetwork::transfer(sim::Tick now, sim::NodeId src, sim::NodeId dst,
   if (src == dst) return now;
 
   const sim::Tick ser = serializationTicks(bytes);
-  int x = src % width_, y = src / width_;
-  const int dx = dst % width_, dy = dst / width_;
+  const std::size_t pair = static_cast<std::size_t>(src) * params_.num_nodes +
+                           static_cast<std::size_t>(dst);
+  const std::uint32_t* it = route_links_ + route_off_[pair];
+  const std::uint32_t* const end = route_links_ + route_off_[pair + 1];
 
   // Head flit arrival at each successive link; each link is held for the
   // full serialization time (wormhole: body follows the head).
   sim::Tick t = now;
-  auto traverse = [&](int nx, int ny) {
+  for (; it != end; ++it) {
     t += params_.hop_latency;
     const sim::Tick arrival = t;
-    t = link(x, y, nx, ny).request(t, ser) - ser;  // grant time of this link
+    t = links_[*it].request(t, ser) - ser;  // grant time of this link
     if (queued_out != nullptr) *queued_out += t - arrival;
-    x = nx;
-    y = ny;
-  };
-  while (x != dx) traverse(x + (dx > x ? 1 : -1), y);
-  while (y != dy) traverse(x, y + (dy > y ? 1 : -1));
+  }
   const sim::Tick done = t + ser;  // delivered once the last link drains
   if (timeline_ != nullptr && timeline_->enabled(obs::Layer::kMesh)) {
     timeline_->asyncSpan(obs::Layer::kMesh, toString(cls), now, done - now, src,

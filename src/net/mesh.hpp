@@ -4,10 +4,12 @@
 // `FifoServer`. A message entering the route at `now` reaches link i after
 // i hop (router+wire) delays; each link is then held for the message's
 // serialization time. This captures FIFO link contention and pipelining
-// without per-flit events.
+// without per-flit events. Every (src, dst) route is precomputed once as a
+// flat list of link indices, so a transfer is one pass over that list.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,8 @@ enum class TrafficClass : int {
 };
 
 const char* toString(TrafficClass c);
+
+struct MeshRoutes;  // precomputed XY routes of one node count (mesh.cpp)
 
 struct MeshParams {
   int num_nodes = 8;
@@ -86,15 +90,18 @@ class MeshNetwork {
     std::uint64_t bytes = 0;
   };
 
-  // Directed links between grid-adjacent routers, stored densely: four
-  // outgoing slots per node (E, W, S, N), indexed in O(1) on the transfer
-  // path (the lazily-filled hash map this replaced was a per-hop hotspot).
-  sim::FifoServer& link(int fx, int fy, int tx, int ty);
-
   MeshParams params_;
   int width_;
   int height_;
-  std::vector<sim::FifoServer> links_;  // (fy*width+fx)*4 + direction
+  // Directed links between grid-adjacent routers, stored densely: four
+  // outgoing slots per node (E, W, S, N) at (fy*width+fx)*4 + direction.
+  std::vector<sim::FifoServer> links_;
+  // Route of (src, dst): route_links_[route_off_[src*n+dst] ..
+  // route_off_[src*n+dst+1]), X hops first, then Y. Both point into
+  // `routes_`, which meshes of one node count built on a thread share.
+  std::shared_ptr<const MeshRoutes> routes_;
+  const std::uint32_t* route_off_ = nullptr;
+  const std::uint32_t* route_links_ = nullptr;
   ClassStats stats_[static_cast<int>(TrafficClass::kNumClasses)];
   obs::EventTimeline* timeline_ = nullptr;
   // serializationTicks memo (see mesh.cpp); ~0 = empty slot.

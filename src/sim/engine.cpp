@@ -4,6 +4,11 @@
 
 namespace nwc::sim {
 
+// Defined here, not defaulted in the class, so that value-initialization
+// (`std::make_unique<Engine>()`) does not zero the calendar's 32 KB of slot
+// heads and tails first: the calendar never reads a slot it has not filled.
+Engine::Engine() = default;
+
 Engine::~Engine() {
   // Drop pending resumptions first; Task destructors free the frames.
   cal_.clear();
@@ -29,8 +34,9 @@ Tick Engine::runUntil(Tick t) {
 
 Tick Engine::runLoop(Tick cap) {
   std::uint64_t since_reap = 0;
+  inline_cap_ = stop_requested_ ? 0 : cap;
   while (!stop_requested_ && !cal_.empty()) {
-    if (cap != kNoCap && cal_.peek().t > cap) break;
+    if (cal_.nextTick() > cap) break;
     const CalEntry e = cal_.pop();
     now_ = e.t;
     ++events_processed_;
@@ -40,6 +46,7 @@ Tick Engine::runLoop(Tick cap) {
       reapDone();
     }
   }
+  inline_cap_ = 0;
   reapDone();
   return now_;
 }

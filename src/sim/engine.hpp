@@ -4,7 +4,14 @@
 // entries; equal-time events fire in schedule order, which makes every run
 // deterministic for a given seed. All simulated processes are coroutines
 // (`Task<>`); root processes are registered with `spawn()` and owned by the
-// engine.
+// engine. Only runLoop() resumes a scheduled coroutine.
+//
+// Inline wake-up: a delay whose target tick is strictly before every
+// pending event (and within the runUntil cap, with no stop() requested)
+// would be popped and resumed next anyway, so the awaiting coroutine goes
+// on without suspending. The clock, the sequence counter and
+// eventsProcessed() advance exactly as the calendar round trip would have
+// advanced them.
 #pragma once
 
 #include <coroutine>
@@ -19,7 +26,7 @@ namespace nwc::sim {
 
 class Engine {
  public:
-  Engine() = default;
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -51,9 +58,12 @@ class Engine {
   Tick runUntil(Tick t);
 
   /// Requests that `run()` return after the current event.
-  void stop() { stop_requested_ = true; }
+  void stop() {
+    stop_requested_ = true;
+    inline_cap_ = 0;
+  }
 
-  /// Number of events processed so far.
+  /// Number of events processed so far, inline wake-ups included.
   std::uint64_t eventsProcessed() const { return events_processed_; }
 
   /// True if all spawned root processes have finished.
@@ -71,7 +81,7 @@ class Engine {
   struct DelayAwaiter {
     Engine& eng;
     Tick at;
-    bool await_ready() const { return at <= eng.now(); }
+    bool await_ready() const { return at <= eng.now() || eng.wakeInline(at); }
     void await_suspend(std::coroutine_handle<> h) const { eng.scheduleAt(at, h); }
     void await_resume() const {}
   };
@@ -89,6 +99,16 @@ class Engine {
   void reapDone();  // free finished detached tasks
   Tick runLoop(Tick cap);
 
+  /// Advances the clock to `at` as if its event had been popped, when
+  /// runLoop() would resume the caller next. Pre: at > now().
+  bool wakeInline(Tick at) {
+    if (at > inline_cap_ || at >= cal_.nextTick()) return false;
+    now_ = at;
+    ++seq_;
+    ++events_processed_;
+    return true;
+  }
+
   CalendarQueue cal_;
   std::vector<Task<>> spawned_;
   Tick now_ = 0;
@@ -96,6 +116,10 @@ class Engine {
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_ = 0;
   bool stop_requested_ = false;
+  // Latest tick an inline wake-up may reach: the runUntil cap inside
+  // runLoop(), 0 outside it or once stop() is requested (every wake-up
+  // target is past now() >= 0, so 0 disables them).
+  Tick inline_cap_ = 0;
 };
 
 }  // namespace nwc::sim

@@ -1,18 +1,8 @@
 #include "sim/fifo_server.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace nwc::sim {
-
-Tick FifoServer::request(Tick now, Tick service) {
-  const Tick start = std::max(now, busy_until_);
-  queued_ticks_ += start - now;
-  busy_ticks_ += service;
-  ++jobs_;
-  busy_until_ = start + service;
-  return busy_until_;
-}
 
 Tick transferTicks(std::uint64_t bytes, double bytes_per_sec, double pcycle_ns) {
   if (bytes == 0 || bytes_per_sec <= 0.0) return 0;

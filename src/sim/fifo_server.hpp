@@ -20,7 +20,14 @@ class FifoServer {
 
   /// Reserves the server for `service` ticks starting no earlier than `now`.
   /// Returns the completion time of this request.
-  Tick request(Tick now, Tick service);
+  Tick request(Tick now, Tick service) {
+    const Tick start = now > busy_until_ ? now : busy_until_;
+    queued_ticks_ += start - now;
+    busy_ticks_ += service;
+    ++jobs_;
+    busy_until_ = start + service;
+    return busy_until_;
+  }
 
   /// Completion time of the last accepted request (0 if none yet).
   Tick busyUntil() const { return busy_until_; }

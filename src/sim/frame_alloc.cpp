@@ -2,9 +2,31 @@
 
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define NWC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define NWC_ASAN 1
+#endif
+#endif
+
+#ifdef NWC_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace nwc::sim::detail {
 
 namespace {
+
+// A parked frame is poisoned under AddressSanitizer, so a use after free
+// of a recycled frame is reported like one of a freed allocation.
+#ifdef NWC_ASAN
+inline void poison(void* p, std::size_t n) { ASAN_POISON_MEMORY_REGION(p, n); }
+inline void unpoison(void* p, std::size_t n) { ASAN_UNPOISON_MEMORY_REGION(p, n); }
+#else
+inline void poison(void*, std::size_t) {}
+inline void unpoison(void*, std::size_t) {}
+#endif
 
 constexpr std::size_t kGranule = 64;   // size-class width
 constexpr std::size_t kBins = 17;      // classes up to 1 KiB (bin 1..16)
@@ -21,6 +43,7 @@ struct FreeLists {
     for (std::size_t b = 0; b < kBins; ++b) {
       void* p = head[b];
       while (p != nullptr) {
+        unpoison(p, b * kGranule);
         void* next = *static_cast<void**>(p);
         ::operator delete(p);
         p = next;
@@ -38,6 +61,7 @@ void* allocFrame(std::size_t n) {
   if (b < kBins) {
     FreeLists& fl = tls_lists;
     if (void* p = fl.head[b]) {
+      unpoison(p, b * kGranule);
       fl.head[b] = *static_cast<void**>(p);
       --fl.count[b];
       return p;
@@ -53,6 +77,7 @@ void freeFrame(void* p, std::size_t n) noexcept {
     FreeLists& fl = tls_lists;
     if (fl.count[b] < kMaxPerBin) {
       *static_cast<void**>(p) = fl.head[b];
+      poison(p, b * kGranule);
       fl.head[b] = p;
       ++fl.count[b];
       return;

@@ -1,8 +1,9 @@
 // Coroutine-frame recycler.
 //
-// Every simulated process is a Task<> coroutine; hot paths (Machine's
-// slowAccess, fault/swap flows) create and destroy millions of identical
-// small frames per run. The promise-level operator new/delete below route
+// Every simulated process is a Task<> coroutine; hot paths (fault/swap
+// flows, the I/O daemons' helpers) create and destroy many identical small
+// frames per run. (Memory references reuse one persistent access coroutine
+// per CPU and allocate none.) The promise-level operator new/delete below route
 // those frames through per-thread size-class freelists, avoiding a
 // malloc/free round trip (and the profiler's allocation-counting hook) per
 // event.
@@ -12,6 +13,8 @@
 // simply parks in the freeing thread's list — blocks migrate between
 // threads only through a full free/alloc cycle, so no synchronization is
 // needed beyond what already ordered the coroutine's destruction.
+//
+// Under AddressSanitizer a parked frame is poisoned until it is reused.
 #pragma once
 
 #include <cstddef>

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "apps/runner.hpp"
+#include "machine/config_io.hpp"
 #include "machine/machine.hpp"
 #include "nwcache/interface.hpp"
 #include "nwcache/optical_ring.hpp"
@@ -248,6 +249,52 @@ TEST(EdgeConfig, RejectsEmptyRingOnlyWithRing) {
   // The ring keys mean nothing without a ring.
   c.withSystem(SystemKind::kStandard, Prefetch::kOptimal);
   c.ring_channels = 0;
+  EXPECT_NO_THROW(Machine{c});
+}
+
+TEST(EdgeConfig, RejectsEmptyWriteBuffer) {
+  MachineConfig c;
+  c.write_buffer_entries = 0;
+  expectRejected(c, "write_buffer_entries");
+  c.write_buffer_entries = -3;
+  expectRejected(c, "write_buffer_entries");
+}
+
+TEST(EdgeConfig, RejectsEmptyStripeGroup) {
+  for (const SystemKind sys : {SystemKind::kStandard, SystemKind::kNWCache,
+                               SystemKind::kDCD, SystemKind::kRemoteMemory}) {
+    MachineConfig c;
+    c.withSystem(sys, Prefetch::kOptimal);
+    c.pages_per_group = 0;
+    expectRejected(c, "pages_per_group");
+  }
+}
+
+TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
+  // hop_latency is a tick count: -5 must not wrap to a huge latency.
+  for (const std::string key : {"hop_latency", "memory_per_node", "l2_bytes"}) {
+    const auto ini = util::IniFile::parse("[machine]\n" + key + " = -5\n");
+    MachineConfig c;
+    try {
+      applyIni(ini, c);
+      ADD_FAILURE() << "accepted " << key << " = -5";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // Signed keys keep their own checks; zero stays a legal unsigned value.
+  MachineConfig c;
+  applyIni(util::IniFile::parse("[machine]\nhop_latency = 0\n"), c);
+  EXPECT_EQ(c.hop_latency, 0u);
+}
+
+TEST(EdgeConfig, FourFramesPerNodeStaysLegal) {
+  // The eviction goldens and the paging benchmark run with 4 frames per
+  // node, fewer than the default free-frame reserve.
+  MachineConfig c;
+  c.memory_per_node = 16384;
+  EXPECT_NO_THROW(Machine{c});
+  applyIni(util::IniFile::parse("[machine]\nmemory_per_node = 16384\n"), c);
   EXPECT_NO_THROW(Machine{c});
 }
 

@@ -101,13 +101,30 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(e.now(), 150u);
   e.run();
   EXPECT_EQ(log.size(), 2u);
+
+  // A lone coroutine wakes inline, but never past the cap: the delay that
+  // would land at 40 suspends and waits for the next run.
+  std::vector<Tick> ticks;
+  auto lone = [&]() -> Task<> {
+    for (int i = 0; i < 4; ++i) {
+      co_await e.delay(10);
+      ticks.push_back(e.now());
+    }
+  };
+  e.spawn(lone());
+  e.runUntil(e.now() + 35);
+  EXPECT_EQ(ticks, (std::vector<Tick>{210, 220, 230}));
+  EXPECT_EQ(e.now(), 235u);
+  EXPECT_EQ(e.pendingEvents(), 1u);
+  e.run();
+  EXPECT_EQ(ticks, (std::vector<Tick>{210, 220, 230, 240}));
 }
 
 TEST(Engine, StopHaltsProcessing) {
   Engine e;
   int count = 0;
   auto t = [&]() -> Task<> {
-    for (;;) {
+    for (int i = 0; i < 1000; ++i) {  // bounded: a missed stop fails, not hangs
       co_await e.delay(10);
       if (++count == 5) e.stop();
     }
@@ -116,6 +133,42 @@ TEST(Engine, StopHaltsProcessing) {
   e.run();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(e.now(), 50u);
+  // The delay awaited after stop() was not woken inline: it is pending.
+  EXPECT_EQ(e.pendingEvents(), 1u);
+}
+
+TEST(Engine, InlineWakeKeepsSameTickFifoOrder) {
+  // `first` wants tick 20 after `second` already holds an event there: it
+  // must not wake inline ahead of `second`.
+  Engine e;
+  std::vector<int> order;
+  auto first = [&]() -> Task<> {
+    co_await e.delay(10);
+    co_await e.delay(10);
+    order.push_back(1);
+  };
+  auto second = [&]() -> Task<> {
+    co_await e.delay(20);
+    order.push_back(2);
+  };
+  e.spawn(first());
+  e.spawn(second());
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(e.now(), 20u);
+}
+
+TEST(Engine, EventsProcessedCountsInlineWakes) {
+  // A lone coroutine: its start plus one event per delay, all of them
+  // inline wake-ups, exactly as many as the calendar round trips would be.
+  constexpr int kDelays = 1000;
+  Engine e;
+  auto lone = [&]() -> Task<> {
+    for (int i = 0; i < kDelays; ++i) co_await e.delay(1 + static_cast<Tick>(i % 5000));
+  };
+  e.spawn(lone());
+  e.run();
+  EXPECT_EQ(e.eventsProcessed(), static_cast<std::uint64_t>(kDelays) + 1);
 }
 
 TEST(Engine, TaskReturnsValue) {
@@ -169,7 +222,8 @@ TEST(Engine, ExceptionPropagatesToAwaiter) {
 
 TEST(Engine, AllSpawnedDoneTracksCompletion) {
   Engine e;
-  e.spawn(delayer(e, 10, new std::vector<Tick>()));  // deliberately leaked log
+  std::vector<Tick> log;
+  e.spawn(delayer(e, 10, &log));
   EXPECT_FALSE(e.allSpawnedDone());
   e.run();
   EXPECT_TRUE(e.allSpawnedDone());
@@ -199,10 +253,11 @@ TEST(Engine, DeterministicAcrossRuns) {
 
 TEST(CalendarQueue, TortureMatchesReferenceHeap) {
   // Random push/pop interleaving against the std::priority_queue the
-  // calendar replaced. Pushes never go below the tick being drained (the
-  // engine clamps to now()), matching the queue's documented contract;
-  // offset 0 pushes land on the draining tick, hitting the batch-append
-  // path mid-drain.
+  // calendar replaced. Pushes never go below the last popped tick (the
+  // engine clamps to now()), matching the queue's documented contract.
+  // Offsets cover both tiers and their boundary: the current tick (the
+  // slot being drained), small and large offsets inside the wheel's window,
+  // the first ticks at and past kWindow, and far beyond it.
   CalendarQueue q;
   using Ref = std::pair<Tick, std::uint64_t>;
   auto greater = [](const Ref& a, const Ref& b) { return a > b; };
@@ -210,23 +265,37 @@ TEST(CalendarQueue, TortureMatchesReferenceHeap) {
   Rng rng(0xca1);
   std::uint64_t seq = 0;
   Tick cur = 0;
-  for (int step = 0; step < 100000; ++step) {
-    if (ref.empty() || rng.below(8) < 5) {
-      const Tick t = cur + static_cast<Tick>(rng.below(16));
+  constexpr Tick kW = CalendarQueue::kWindow;
+  auto offset = [&]() -> Tick {
+    switch (rng.below(16)) {
+      case 0: case 1: return 0;
+      case 2: case 3: case 4: case 5: case 6: case 7: return rng.below(16);
+      case 8: case 9: case 10: case 11: return rng.below(kW);
+      case 12: return kW - 1;
+      case 13: return kW;
+      case 14: return kW + 1 + rng.below(kW);
+      default: return rng.below(64) == 0 ? 1000000 + rng.below(1000) : rng.below(4 * kW);
+    }
+  };
+  for (int step = 0; step < 400000; ++step) {
+    if (ref.empty() || rng.below(8) < 4) {
+      const Tick t = cur + offset();
       q.push(t, seq, {});
       ref.push({t, seq});
       ++seq;
     } else {
       ASSERT_FALSE(q.empty());
-      EXPECT_EQ(q.peek().t, ref.top().first);
+      EXPECT_EQ(q.nextTick(), ref.top().first);
       const CalEntry e = q.pop();
       ASSERT_EQ(e.t, ref.top().first);
       ASSERT_EQ(e.seq, ref.top().second);
       ref.pop();
       cur = e.t;
     }
-    EXPECT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.size(), ref.size());
   }
+  // The popped ticks swept the wheel's window many times over.
+  EXPECT_GT(cur, 20 * kW);
   while (!ref.empty()) {
     const CalEntry e = q.pop();
     ASSERT_EQ(e.t, ref.top().first);
@@ -234,21 +303,22 @@ TEST(CalendarQueue, TortureMatchesReferenceHeap) {
     ref.pop();
   }
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.nextTick(), kTickMax);
 }
 
 TEST(CalendarQueue, SameTickAppendsWhileDraining) {
-  // A batch can grow *while* it drains (Signal::notifyAll storms do this):
-  // once tick 5 starts popping, new tick-5 pushes must append to the batch
-  // and still pop before tick 6 — including after the batch momentarily
+  // A tick's slot can grow *while* it drains (Signal::notifyAll storms do
+  // this): once tick 5 starts popping, new tick-5 pushes must append to its
+  // FIFO and still pop before tick 6 — including after the slot momentarily
   // empties.
   CalendarQueue q;
   q.push(5, 0, {});
   q.push(6, 1, {});
-  EXPECT_EQ(q.pop().seq, 0u);   // tick 5 is now draining (batch empty)
+  EXPECT_EQ(q.pop().seq, 0u);   // tick 5 is now draining (slot empty)
   q.push(5, 2, {});             // late same-tick arrival
   q.push(5, 3, {});
   EXPECT_EQ(q.pop().seq, 2u);
-  q.push(5, 4, {});             // batch drained once already; still tick 5
+  q.push(5, 4, {});             // slot drained once already; still tick 5
   EXPECT_EQ(q.pop().seq, 3u);
   EXPECT_EQ(q.pop().seq, 4u);
   EXPECT_EQ(q.pop().seq, 1u);   // only now does tick 6 fire

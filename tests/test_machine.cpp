@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,39 @@ TEST(Machine, FirstAccessFaultsPageIn) {
   EXPECT_EQ(m.pageTable().entry(0).home, 0);
   EXPECT_TRUE(m.framePool(0).isResident(0));
   EXPECT_GT(m.metrics().cpu(0).fault, 0u);
+  EXPECT_TRUE(m.checkInvariants().empty());
+}
+
+TEST(Machine, SecondConcurrentAccessOnOneCpuIsRejected) {
+  // A CPU has one reference outstanding at a time: while cpu 0's first
+  // access is faulting its page in, a second access from cpu 0 throws into
+  // its own caller and leaves the first one to complete normally.
+  Machine m(tinyConfig(SystemKind::kStandard, Prefetch::kOptimal));
+  m.allocRegion(64 * 4096);
+  m.start();
+  bool first_done = false;
+  std::string rejected;
+  auto first = [&]() -> Task<> {
+    co_await m.access(0, 0, false);
+    first_done = true;
+  };
+  auto second = [&]() -> Task<> {
+    try {
+      co_await m.access(0, 4096, false);
+    } catch (const std::logic_error& e) {
+      rejected = e.what();
+    }
+  };
+  m.engine().spawn(first());
+  m.engine().spawn(second());
+  m.engine().run();
+  EXPECT_TRUE(first_done);
+  EXPECT_NE(rejected.find("cpu 0"), std::string::npos) << rejected;
+  EXPECT_EQ(m.metrics().faults, 1u);
+  // The CPU is free again afterwards.
+  m.engine().spawn(touchPages(m, 0, {1}, false));
+  m.engine().run();
+  EXPECT_EQ(m.metrics().faults, 2u);
   EXPECT_TRUE(m.checkInvariants().empty());
 }
 

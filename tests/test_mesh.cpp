@@ -1,6 +1,8 @@
 // MeshNetwork: topology, routing, contention, per-class accounting.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "net/mesh.hpp"
 
 namespace nwc::net {
@@ -47,6 +49,28 @@ TEST(Mesh, MultiHopIsPipelined) {
   const int h = m.hops(0, 7);
   const sim::Tick t = m.transfer(0, 0, 7, 4096, TrafficClass::kPageRead);
   EXPECT_EQ(t, static_cast<sim::Tick>(h) * 8u + 4096u);
+
+  // Every route of an idle 8x4 and 3x2 mesh: a Manhattan number of hops,
+  // each over its own link.
+  for (const int n : {32, 6}) {
+    MeshParams p = params8();
+    p.num_nodes = n;
+    for (sim::NodeId src = 0; src < n; ++src) {
+      for (sim::NodeId dst = 0; dst < n; ++dst) {
+        MeshNetwork idle(p);
+        const int w = idle.width();
+        const int hops = std::abs(src % w - dst % w) + std::abs(src / w - dst / w);
+        const sim::Tick ser = idle.serializationTicks(64);
+        EXPECT_EQ(idle.hops(src, dst), hops);
+        const sim::Tick done = idle.transfer(1000, src, dst, 64, TrafficClass::kCoherence);
+        const sim::Tick want =
+            src == dst ? 1000u : 1000u + static_cast<sim::Tick>(hops) * 8u + ser;
+        EXPECT_EQ(done, want) << n << " nodes, " << src << " -> " << dst;
+        EXPECT_EQ(idle.linkCount(), static_cast<std::size_t>(hops));
+        EXPECT_EQ(idle.totalLinkBusyTicks(), static_cast<sim::Tick>(hops) * ser);
+      }
+    }
+  }
 }
 
 TEST(Mesh, ContentionQueuesOnSharedLink) {
