@@ -1,6 +1,5 @@
 #include "common.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,12 +54,8 @@ void printRunWarnings(const apps::RunSummary& s, const std::string& app) {
 // overwrite each other.
 apps::RunSummary simulate(const machine::MachineConfig& cfg, const std::string& app,
                           const Options& opt) {
-  // One arena per simulation thread: page tables are recycled between runs
-  // instead of reallocated per Machine.
-  thread_local machine::MachineArena arena;
+  if (opt.metrics_dir.empty()) return apps::runApp(cfg, app, opt.scale);
   apps::ObsSinks sinks;
-  sinks.arena = &arena;
-  if (opt.metrics_dir.empty()) return apps::runApp(cfg, app, opt.scale, sinks);
   obs::MetricsRegistry reg;
   sinks.registry = &reg;
   apps::RunSummary s = apps::runApp(cfg, app, opt.scale, sinks);
@@ -227,14 +222,6 @@ void emit(const Options& opt, const util::AsciiTable& table,
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "csv write failed: %s\n", ex.what());
   }
-}
-
-std::string bar(double fraction, int width) {
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  const int filled = static_cast<int>(fraction * width + 0.5);
-  std::string s(static_cast<std::size_t>(filled), '#');
-  s.resize(static_cast<std::size_t>(width), ' ');
-  return s;
 }
 
 }  // namespace nwc::bench

@@ -1,6 +1,6 @@
 // Shared benchmark harness: CLI options, run helpers, table/CSV emission.
 //
-// Every table/figure bench accepts:
+// Every bench accepts:
 //   --scale=<f>   input scale factor (1.0 = the paper's Table 2 inputs)
 //   --apps=a,b,c  restrict to a comma-separated subset of applications
 //   --csv=<path>  where to mirror the rows as CSV (default: ./<bench>.csv)
@@ -73,8 +73,5 @@ apps::RunSummary run(const machine::MachineConfig& cfg, const std::string& app,
 void emit(const Options& opt, const util::AsciiTable& table,
           const std::vector<std::string>& headers,
           const std::vector<std::vector<std::string>>& rows);
-
-/// Renders fraction in [0,1] as a crude ASCII bar (for the figure benches).
-std::string bar(double fraction, int width = 40);
 
 }  // namespace nwc::bench

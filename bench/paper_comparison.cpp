@@ -1,7 +1,8 @@
 // Paper-vs-measured comparison: runs each application once per
-// (system, prefetch) combination and prints every table of the paper's
-// evaluation side by side with the 1999 numbers. This is the harness that
-// generates the record in EXPERIMENTS.md.
+// (system, prefetch) combination and prints every table and figure of the
+// paper's evaluation (Tables 3-8, Figures 3/4) side by side with the 1999
+// numbers. This is the one home of the paper's tables: the record in
+// EXPERIMENTS.md and the CI golden both come from here.
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -206,6 +207,74 @@ int main(int argc, char** argv) {
     long_rows.push_back({"attr", app, "nwc ring hits", rh});
   }
   at.print(std::cout);
+
+  // Figures 3/4: per-category execution-time breakdown. Each category's
+  // cpu-sum is normalized by (#cpus x standard exec time), so the standard
+  // bar totals 1.000 as in the paper's figures.
+  auto breakdown = [&](const char* key, const char* title,
+                       apps::RunSummary Measured::*std_run,
+                       apps::RunSummary Measured::*nwc_run) {
+    static const char* kCategories[] = {"nofree", "transit", "fault", "tlb", "other",
+                                        "total"};
+    std::printf("\n%s\n", title);
+    util::AsciiTable bt({"App", "System", "NoFree", "Transit", "Fault", "TLB", "Other",
+                         "Total"});
+    for (const auto& [app, m] : runs) {
+      const apps::RunSummary& base = m.*std_run;
+      const double base_ticks = static_cast<double>(base.exec_time);
+      const double cpu_ticks = static_cast<double>(base.metrics.numCpus()) * base_ticks;
+      auto addBar = [&](const char* sys, const apps::RunSummary& s) {
+        const machine::Metrics& mt = s.metrics;
+        const double parts[] = {static_cast<double>(mt.totalNoFree()) / cpu_ticks,
+                                static_cast<double>(mt.totalTransit()) / cpu_ticks,
+                                static_cast<double>(mt.totalFault()) / cpu_ticks,
+                                static_cast<double>(mt.totalTlb()) / cpu_ticks,
+                                static_cast<double>(mt.totalOther()) / cpu_ticks,
+                                static_cast<double>(s.exec_time) / base_ticks};
+        std::vector<std::string> row = {app, sys};
+        for (std::size_t c = 0; c < std::size(parts); ++c) {
+          row.push_back(util::AsciiTable::fmt(parts[c], 3));
+          long_rows.push_back({key, app, std::string(sys) + " " + kCategories[c], row.back()});
+        }
+        bt.addRow(row);
+      };
+      addBar("standard", base);
+      addBar("nwcache", m.*nwc_run);
+    }
+    bt.print(std::cout);
+  };
+  breakdown("figure3", "Figure 3: execution-time breakdown, optimal prefetch "
+                       "(normalized to the standard machine)",
+            &Measured::std_opt, &Measured::nwc_opt);
+  breakdown("figure4", "Figure 4: execution-time breakdown, naive prefetch "
+                       "(normalized to the standard machine)",
+            &Measured::std_naive, &Measured::nwc_naive);
+
+  // Table 8's contention proxy: stage-attributed queue ticks as a share of
+  // the end-to-end latency of controller-cache-hit faults. It should fall
+  // with the NWCache, since the ring drains the mesh and I/O-bus traffic.
+  auto ctrlHitQueueShare = [](const apps::RunSummary& s) {
+    const obs::AttrGroup& g =
+        s.metrics.attr.group(obs::AttrOp::kFault, obs::AttrOutcome::kCtrlCache);
+    std::uint64_t queue = 0;
+    for (const auto& st : g.stages) queue += static_cast<std::uint64_t>(st.queue);
+    const double pct = g.end_to_end_ticks > 0
+                           ? 100.0 * static_cast<double>(queue) /
+                                 static_cast<double>(g.end_to_end_ticks)
+                           : 0.0;
+    return util::AsciiTable::fmt(pct, 1) + "%";
+  };
+  std::printf("\nTable 8 (queue share): controller-cache-hit fault queue wait, "
+              "naive prefetch\n");
+  util::AsciiTable qt({"App", "std ctrl-hit queue", "nwc ctrl-hit queue"});
+  for (const auto& [app, m] : runs) {
+    const std::string sq = ctrlHitQueueShare(m.std_naive);
+    const std::string nq = ctrlHitQueueShare(m.nwc_naive);
+    qt.addRow({app, sq, nq});
+    long_rows.push_back({"table8", app, "std ctrl-hit queue", sq});
+    long_rows.push_back({"table8", app, "nwc ctrl-hit queue", nq});
+  }
+  qt.print(std::cout);
 
   if (!opt.csv_path.empty()) {
     util::CsvWriter csv(opt.csv_path, {"table", "app", "metric", "value"});

@@ -27,7 +27,6 @@
 
 #include "apps/runner.hpp"
 #include "sim/engine.hpp"
-#include "machine/arena.hpp"
 #include "machine/config.hpp"
 #include "obs/bench_compare.hpp"
 #include "obs/profiler.hpp"
@@ -258,7 +257,7 @@ int main(int argc, char** argv) {
     }
 
     // 2) Parallel grid: independent simulations on a work-stealing pool —
-    // the thread-pool utilization + arena-reuse path nwcbatch exercises.
+    // the thread-pool utilization path nwcbatch exercises.
     {
       static const char* kApps[] = {"radix", "sor", "mg", "gauss"};
       const machine::MachineConfig cfg = pinnedConfig(machine::SystemKind::kNWCache);
@@ -267,10 +266,7 @@ int main(int argc, char** argv) {
             std::vector<apps::RunSummary> results(std::size(kApps));
             util::ParallelExecutor exec(opt.jobs);
             exec.forEachIndex(std::size(kApps), [&](std::size_t i) {
-              thread_local machine::MachineArena arena;
-              apps::ObsSinks sinks;
-              sinks.arena = &arena;
-              results[i] = apps::runApp(cfg, kApps[i], opt.scale, sinks);
+              results[i] = apps::runApp(cfg, kApps[i], opt.scale);
             });
             // Reduce to one summary: verification and the work totals the
             // throughput numbers are derived from.

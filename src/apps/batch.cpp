@@ -15,7 +15,6 @@
 
 #include "apps/registry.hpp"
 #include "apps/workload.hpp"
-#include "machine/arena.hpp"
 #include "machine/config_io.hpp"
 #include "obs/run_meta.hpp"
 #include "obs/sampler.hpp"
@@ -469,18 +468,13 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     meta.write(spec.meta_dir + "/" + cellStem(i) + ".json");
   };
 
-  // Largest RSS observed right after a cell finished — with the per-worker
-  // arena this is close to the steady per-cell footprint (process-wide, so
+  // Largest RSS observed right after a cell finished (process-wide, so
   // parallel runs see the sum of concurrent workers).
   std::atomic<std::uint64_t> cell_rss_peak{0};
 
   auto runCell = [&](std::size_t i) {
     const auto w0 = std::chrono::steady_clock::now();
-    // One arena per worker thread: the page table survives from cell to
-    // cell instead of being reallocated per Machine.
-    thread_local machine::MachineArena arena;
     ObsSinks sinks;
-    sinks.arena = &arena;
     // Per-cell telemetry: samples are taken at simulated ticks, so the
     // exported series are byte-identical at any jobs= setting.
     std::unique_ptr<obs::Sampler> sampler;
@@ -542,10 +536,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
                           " peak=" + util::formatBytes(util::peakRssBytes()) +
                           " cell_peak=" +
                           util::formatBytes(
-                              cell_rss_peak.load(std::memory_order_relaxed)) +
-                          " pooled=" +
-                          util::formatBytes(
-                              machine::MachineArena::totalPooledBytes()));
+                              cell_rss_peak.load(std::memory_order_relaxed)));
           if (status.is_open()) {
             util::JsonObject o;
             o.add("type", "hb")

@@ -52,9 +52,6 @@ struct ObsSinks {
   /// Periodic in-run sampler (obs/sampler.hpp). When `timeline` is also
   /// attached, health onsets/clears land there as `health.*` instants.
   obs::Sampler* sampler = nullptr;
-  /// Allocation pool shared by runs on one worker thread (not thread-safe);
-  /// the machine draws its page table from here and parks it on teardown.
-  machine::MachineArena* arena = nullptr;
 };
 
 /// Runs `app_name` at input `scale` on a machine built from `cfg`.

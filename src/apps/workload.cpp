@@ -29,7 +29,7 @@ RunSummary runWorkload(const machine::MachineConfig& cfg, WorkloadSource& src,
   std::optional<machine::Machine> m;
   {
     obs::prof::Scope scope("setup");
-    m.emplace(cfg, sinks.arena);
+    m.emplace(cfg);
     if (sinks.trace != nullptr) m->attachTrace(sinks.trace);
     if (sinks.timeline != nullptr) m->attachEventTimeline(sinks.timeline);
     if (sinks.attr_records != nullptr) m->attachAttrRecords(sinks.attr_records);

@@ -1,5 +1,6 @@
 #include "machine/config_io.hpp"
 
+#include <cmath>
 #include <functional>
 #include <map>
 #include <stdexcept>
@@ -33,16 +34,6 @@ struct Field {
   std::function<std::string(const MachineConfig&)> render;
 };
 
-template <typename T, typename Getter>
-std::string num(const MachineConfig& c, Getter g) {
-  if constexpr (std::is_floating_point_v<T>) {
-    std::string s = std::to_string(g(c));
-    return s;
-  } else {
-    return std::to_string(g(c));
-  }
-}
-
 // Reads an integer key; an unsigned field rejects a negative value, which
 // would otherwise wrap to a huge one.
 template <typename T>
@@ -51,6 +42,20 @@ std::int64_t getCount(const util::IniFile& ini, const std::string& key) {
   if (std::is_unsigned_v<T> && v < 0) {
     throw std::invalid_argument("[machine] " + key.substr(key.find('.') + 1) +
                                 " must be >= 0, got " + std::to_string(v));
+  }
+  return v;
+}
+
+// Reads a real-valued key. Every one is a rate, a time or a scale factor,
+// so a negative or non-finite value is rejected; a probability must also
+// stay at or below 1.
+double getReal(const util::IniFile& ini, const std::string& key, bool probability) {
+  const double v = *ini.getDouble(key);
+  if (!std::isfinite(v) || v < 0.0 || (probability && v > 1.0)) {
+    throw std::invalid_argument("[machine] " + key.substr(key.find('.') + 1) +
+                                (probability ? " must be in [0, 1]"
+                                             : " must be finite and >= 0") +
+                                ", got " + *ini.get(key));
   }
   return v;
 }
@@ -67,10 +72,12 @@ const std::map<std::string, Field>& fieldTable() {
           },
           [member](const MachineConfig& c) { return std::to_string(c.*member); }};
     };
-    auto add_double = [&f](const std::string& name, auto member) {
+    auto add_double = [&f](const std::string& name, auto member,
+                           bool probability = false) {
       f[name] = Field{
-          [member](MachineConfig& c, const util::IniFile& ini, const std::string& key) {
-            c.*member = *ini.getDouble(key);
+          [member, probability](MachineConfig& c, const util::IniFile& ini,
+                                const std::string& key) {
+            c.*member = getReal(ini, key, probability);
           },
           [member](const MachineConfig& c) { return std::to_string(c.*member); }};
     };
@@ -121,7 +128,7 @@ const std::map<std::string, Field>& fieldTable() {
     add_bool("ring_victim_reads", &MachineConfig::ring_victim_reads);
     add_bool("ring_bypass_network", &MachineConfig::ring_bypass_network);
     add_double("log_disk_bps", &MachineConfig::log_disk_bps);
-    add_double("hint_accuracy", &MachineConfig::hint_accuracy);
+    add_double("hint_accuracy", &MachineConfig::hint_accuracy, /*probability=*/true);
     add_int("sieve_threshold", &MachineConfig::sieve_threshold);
     add_int("policy_ghost_pages", &MachineConfig::policy_ghost_pages);
     add_int("policy_lru_pages", &MachineConfig::policy_lru_pages);

@@ -43,12 +43,10 @@ Machine::DiskCtx::DiskCtx(sim::Engine& eng, const MachineConfig& cfg, sim::NodeI
       cache(cfg.diskCacheSlots()),
       work(eng) {}
 
-Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
+Machine::Machine(const MachineConfig& cfg)
     : cfg_(cfg),
       eng_(std::make_unique<sim::Engine>()),
-      arena_(arena),
-      metrics_(arena ? arena->takeMetrics(cfg.num_nodes)
-                     : std::make_unique<Metrics>(cfg.num_nodes)),
+      metrics_(std::make_unique<Metrics>(cfg.num_nodes)),
       rng_(cfg.seed) {
   if (cfg_.num_nodes < 1 || cfg_.num_nodes > 64) {
     throw std::invalid_argument(
@@ -80,6 +78,11 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
         "MachineConfig.page_bytes must be a positive multiple of the L1 and "
         "L2 line sizes: eviction invalidates a page line by line");
   }
+  if (cfg_.min_free_frames < 1) {
+    throw std::invalid_argument(
+        "MachineConfig.min_free_frames must be >= 1: with no free-frame "
+        "reserve the replacement daemon never swaps a page out");
+  }
   if (cfg_.framesPerNode() < 1) {
     throw std::invalid_argument(
         "MachineConfig.memory_per_node must hold at least one page frame");
@@ -99,9 +102,7 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
   }
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<NodeCtx>(
-        *eng_, cfg_,
-        arena_ ? arena_->takeFramePool(cfg_.framesPerNode(), cfg_.min_free_frames)
-               : vm::FramePool(cfg_.framesPerNode(), cfg_.min_free_frames)));
+        *eng_, cfg_, vm::FramePool(cfg_.framesPerNode(), cfg_.min_free_frames)));
     nodes_.back()->access_loop = accessLoop(n);
   }
 
@@ -113,7 +114,7 @@ Machine::Machine(const MachineConfig& cfg, MachineArena* arena)
   mesh_ = std::make_unique<net::MeshNetwork>(mp);
 
   dir_ = std::make_unique<mem::Directory>(cfg_.num_nodes);
-  pt_ = arena_ ? arena_->takePageTable(*eng_) : std::make_unique<vm::PageTable>(*eng_, 0);
+  pt_ = std::make_unique<vm::PageTable>(*eng_, 0);
 
   pfs_ = std::make_unique<io::ParallelFileSystem>(cfg_.ioNodes(), cfg_.pages_per_group);
   int d = 0;
@@ -147,13 +148,6 @@ Machine::~Machine() {
   // which schedules on the engine.
   for (auto& node : nodes_) node->access_loop = {};
   eng_.reset();
-  // Only now is it safe to park the big allocations: frame destruction
-  // above may have released Guard objects pointing into the page table.
-  if (arena_) {
-    if (pt_) arena_->returnPageTable(std::move(pt_));
-    for (auto& node : nodes_) arena_->returnFramePool(std::move(node->frames));
-    if (metrics_) arena_->returnMetrics(std::move(metrics_));
-  }
 }
 
 std::uint64_t Machine::allocRegion(std::uint64_t bytes, std::string name) {

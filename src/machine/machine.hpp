@@ -23,7 +23,6 @@
 #include "io/disk.hpp"
 #include "io/disk_cache.hpp"
 #include "io/pfs.hpp"
-#include "machine/arena.hpp"
 #include "machine/config.hpp"
 #include "machine/metrics.hpp"
 #include "machine/trace.hpp"
@@ -61,7 +60,7 @@ class IoBackend;
 
 class Machine {
  public:
-  explicit Machine(const MachineConfig& cfg, MachineArena* arena = nullptr);
+  explicit Machine(const MachineConfig& cfg);
   ~Machine();
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -345,7 +344,6 @@ class Machine {
 
   MachineConfig cfg_;
   std::unique_ptr<sim::Engine> eng_;
-  MachineArena* arena_ = nullptr;
   std::unique_ptr<Metrics> metrics_;
   std::vector<std::unique_ptr<NodeCtx>> nodes_;
   std::unique_ptr<net::MeshNetwork> mesh_;

@@ -4,40 +4,6 @@
 
 namespace nwc::machine {
 
-void Metrics::reset(int num_cpus) {
-  cpu_.assign(static_cast<std::size_t>(num_cpus), CpuBreakdown{});
-  swap_out_ticks.reset();
-  write_combining.reset();
-  ring_read_hits.reset();
-  disk_cache_hit_fault_ticks.reset();
-  fault_ticks.reset();
-  fault_hist.reset();
-  swap_out_hist.reset();
-  destage_batch_size.reset();
-  attr.reset();
-  faults = 0;
-  transit_waits = 0;
-  swap_outs = 0;
-  clean_evictions = 0;
-  nacks = 0;
-  shootdowns = 0;
-  disk_cache_hits = 0;
-  disk_cache_misses = 0;
-  ring_aborted_requests = 0;
-  destage_writes = 0;
-  destage_pages = 0;
-  destage_stall_ticks = 0;
-  policy_admits = 0;
-  policy_rejects = 0;
-  policy_ghost_hits = 0;
-  block_reads = 0;
-  block_writes = 0;
-  remote_stores = 0;
-  remote_fetches = 0;
-  remote_evictions = 0;
-  remote_fallbacks = 0;
-}
-
 sim::Tick Metrics::totalNoFree() const {
   sim::Tick t = 0;
   for (const auto& c : cpu_) t += c.nofree;

@@ -31,17 +31,6 @@ class Metrics {
  public:
   explicit Metrics(int num_cpus) : cpu_(static_cast<std::size_t>(num_cpus)) {}
 
-  /// Restores the freshly-constructed state for `num_cpus` processors,
-  /// reusing the per-cpu vector's allocation (MachineArena recycles whole
-  /// Metrics objects — including the fixed histogram arrays — across grid
-  /// cells).
-  void reset(int num_cpus);
-
-  /// Bytes parked when this object sits in the arena pool.
-  std::size_t capacityBytes() const {
-    return sizeof(Metrics) + cpu_.capacity() * sizeof(CpuBreakdown);
-  }
-
   CpuBreakdown& cpu(int c) { return cpu_[static_cast<std::size_t>(c)]; }
   const CpuBreakdown& cpu(int c) const { return cpu_[static_cast<std::size_t>(c)]; }
   int numCpus() const { return static_cast<int>(cpu_.size()); }

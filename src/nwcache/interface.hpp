@@ -72,12 +72,6 @@ class TunableReceiverBank {
   }
   std::uint64_t retunes() const { return retunes_; }
 
-  /// Heap bytes held by the bank (arena pool accounting).
-  std::size_t capacityBytes() const {
-    return rx_.capacity() * sizeof(sim::FifoServer) +
-           tuned_.capacity() * sizeof(int);
-  }
-
  private:
   ReceiverParams params_;
   std::vector<sim::FifoServer> rx_;

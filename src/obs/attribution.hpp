@@ -167,14 +167,6 @@ class AttrAccountant {
   /// `...<stage>.{queue_ticks,service_ticks,ticks_pcycles}`.
   void publish(MetricsRegistry& reg, const std::string& prefix = "attr.") const;
 
-  /// Restores the freshly-constructed state (arena reuse across runs).
-  void reset() {
-    for (auto& g : groups_) g = AttrGroup{};
-    records_ = 0;
-    violations_ = 0;
-    first_violation_.clear();
-  }
-
  private:
   static std::size_t index(AttrOp op, AttrOutcome outcome) {
     return static_cast<std::size_t>(op) * kNumAttrOutcomes +

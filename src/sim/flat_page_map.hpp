@@ -29,16 +29,8 @@ class FlatPageMap {
     size_ = 0;
   }
 
-  void clear() {
-    for (auto& s : slots_) s.key = sim::kNoPage;
-    size_ = 0;
-  }
-
   std::size_t size() const { return size_; }
   bool contains(PageId key) const { return findSlot(key) != kNotFound; }
-
-  /// Heap bytes held by the slot array (arena pool accounting).
-  std::size_t capacityBytes() const { return slots_.capacity() * sizeof(Slot); }
 
   /// Pointer to the mapped value, or nullptr when absent. Valid until the
   /// next insert/erase.

@@ -35,13 +35,6 @@ class PageLruList {
 
   int size() const { return static_cast<int>(index_.size()); }
   int capacity() const { return static_cast<int>(nodes_.size()); }
-
-  /// Heap bytes held by the node array, free list and index (arena pool
-  /// accounting; `reset()` reuses these allocations).
-  std::size_t capacityBytes() const {
-    return nodes_.capacity() * sizeof(Node) + free_.capacity() * sizeof(int) +
-           index_.capacityBytes();
-  }
   bool empty() const { return head_ == kNil; }
   bool contains(PageId page) const { return index_.contains(page); }
 

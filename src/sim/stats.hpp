@@ -27,8 +27,6 @@ class Accumulator {
   double max() const { return count_ ? max_ : 0.0; }
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
 
-  void reset() { *this = Accumulator{}; }
-
   Accumulator& operator+=(const Accumulator& o) {
     count_ += o.count_;
     sum_ += o.sum_;
@@ -54,11 +52,6 @@ class Log2Histogram {
   std::uint64_t bucket(int i) const { return buckets_[static_cast<std::size_t>(i)]; }
   static constexpr int kBuckets = 64;
 
-  void reset() {
-    buckets_.fill(0);
-    total_ = 0;
-  }
-
   /// Value below which `q` (0..1) of samples fall (bucket upper bound).
   std::uint64_t quantileUpperBound(double q) const;
 
@@ -79,7 +72,6 @@ class RatioCounter {
   std::uint64_t misses() const { return total_ - hits_; }
   std::uint64_t total() const { return total_; }
   double rate() const { return total_ ? static_cast<double>(hits_) / static_cast<double>(total_) : 0.0; }
-  void reset() { hits_ = total_ = 0; }
 
  private:
   std::uint64_t hits_ = 0;

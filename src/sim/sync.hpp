@@ -82,15 +82,6 @@ class CoMutex {
 
   ScopedAwaiter scoped() { return ScopedAwaiter{*this}; }
 
-  /// Re-targets a drained mutex at another engine (pooled page-table
-  /// entries are reused across Machine lifetimes). Precondition: unlocked,
-  /// no waiters.
-  void rebind(Engine& eng) {
-    eng_ = &eng;
-    locked_ = false;
-    waiters_.clear();
-  }
-
  private:
   friend struct LockAwaiter;
   Engine* eng_;

@@ -67,13 +67,6 @@ class Signal {
   /// `co_await signal.wait()` — always suspends until the next notify.
   Awaiter wait() { return Awaiter{*this}; }
 
-  /// Re-targets a drained signal at another engine (pooled page-table
-  /// entries are reused across Machine lifetimes). Precondition: no waiters.
-  void rebind(Engine& eng) {
-    eng_ = &eng;
-    waiters_.clear();
-  }
-
  private:
   Engine* eng_;
   std::vector<std::coroutine_handle<>> waiters_;

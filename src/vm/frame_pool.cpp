@@ -10,16 +10,6 @@ FramePool::FramePool(int total_frames, int min_free)
   assert(min_free_ >= 0 && min_free_ <= total_);
 }
 
-void FramePool::reset(int total_frames, int min_free) {
-  total_ = total_frames;
-  min_free_ = min_free;
-  free_ = total_frames;
-  lru_.reset(total_frames);
-  allocations_ = 0;
-  evictions_ = 0;
-  assert(min_free_ >= 0 && min_free_ <= total_);
-}
-
 void FramePool::allocate(sim::PageId page) {
   consumeFrame();
   addResident(page);

@@ -17,14 +17,6 @@ class FramePool {
  public:
   FramePool(int total_frames, int min_free);
 
-  /// Restores the freshly-constructed state for new geometry, reusing the
-  /// LRU list's backing allocations (MachineArena recycles FramePools
-  /// across grid cells).
-  void reset(int total_frames, int min_free);
-
-  /// Heap bytes held by the LRU backing stores (arena pool accounting).
-  std::size_t capacityBytes() const { return lru_.capacityBytes(); }
-
   int totalFrames() const { return total_; }
   int freeFrames() const { return free_; }
   int minFree() const { return min_free_; }

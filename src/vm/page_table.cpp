@@ -19,18 +19,9 @@ PageTable::PageTable(sim::Engine& eng, std::int64_t num_pages) {
 }
 
 void PageTable::addPages(sim::Engine& eng, std::int64_t count) {
-  entries_.reserve(live_ + static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    if (live_ < entries_.size()) {
-      entries_[live_].reset(eng);  // recycled slot from a previous run
-    } else {
-      entries_.emplace_back(eng);
-    }
-    ++live_;
-  }
+  entries_.reserve(entries_.size() + static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i) entries_.emplace_back(eng);
 }
-
-void PageTable::recycle() { live_ = 0; }
 
 void PageTable::setState(sim::PageId p, PageState s) {
   PageEntry& e = entry(p);
@@ -40,7 +31,7 @@ void PageTable::setState(sim::PageId p, PageState s) {
 
 std::int64_t PageTable::countInState(PageState s) const {
   std::int64_t n = 0;
-  for (std::size_t i = 0; i < live_; ++i) n += entries_[i].state == s ? 1 : 0;
+  for (const PageEntry& e : entries_) n += e.state == s ? 1 : 0;
   return n;
 }
 

@@ -48,28 +48,12 @@ struct alignas(32) PageEntry {
 
   sim::CoMutex mutex;   // serializes fault/swap transitions on this entry
   sim::Signal changed;  // pulsed on every state transition
-
-  /// Returns a used entry to its pristine post-construction state, bound to
-  /// `eng` (page-table pooling across Machine lifetimes). Precondition: the
-  /// previous run drained (mutex unlocked, no waiters).
-  void reset(sim::Engine& eng) {
-    state = PageState::kDisk;
-    home = sim::kNoNode;
-    last_translation = sim::kNoNode;
-    ring_channel = -1;
-    dirty = false;
-    referenced = false;
-    cached_on = 0;
-    mutex.rebind(eng);
-    changed.rebind(eng);
-  }
 };
 
 /// Entries live in one contiguous vector: one indirection on the access
-/// fast path and one big allocation (instead of one per page) that
-/// `MachineArena` can recycle across grid cells. Growth only happens before
-/// the simulation starts, so entry references taken by running coroutines
-/// are never invalidated.
+/// fast path and one allocation instead of one per page. Growth only
+/// happens before the simulation starts, so entry references taken by
+/// running coroutines are never invalidated.
 class PageTable {
  public:
   PageTable(sim::Engine& eng, std::int64_t num_pages);
@@ -77,17 +61,10 @@ class PageTable {
   /// Appends `count` fresh entries (used while regions are being mapped).
   void addPages(sim::Engine& eng, std::int64_t count);
 
-  /// Empties the table for reuse, keeping the underlying capacity (entries
-  /// are re-initialized and rebound on the next addPages).
-  void recycle();
-
   PageEntry& entry(sim::PageId p) { return entries_[static_cast<std::size_t>(p)]; }
   const PageEntry& entry(sim::PageId p) const { return entries_[static_cast<std::size_t>(p)]; }
 
-  std::int64_t numPages() const { return static_cast<std::int64_t>(live_); }
-
-  /// Heap bytes retained by the entry storage (arena reporting).
-  std::uint64_t capacityBytes() const { return entries_.capacity() * sizeof(PageEntry); }
+  std::int64_t numPages() const { return static_cast<std::int64_t>(entries_.size()); }
 
   /// Transitions `p` to `s` and pulses the entry's change signal.
   void setState(sim::PageId p, PageState s);
@@ -96,10 +73,7 @@ class PageTable {
   std::int64_t countInState(PageState s) const;
 
  private:
-  // entries_.size() can exceed live_ after recycle(): stale tail entries
-  // keep their heap allocations and are reset() when re-used.
   std::vector<PageEntry> entries_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace nwc::vm

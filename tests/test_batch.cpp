@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "apps/batch.hpp"
 
@@ -134,6 +137,37 @@ TEST(BatchRun, ParallelMatchesSerialByteForByte) {
   EXPECT_EQ(slurp(jsonl1), slurp(jsonl4));
   EXPECT_FALSE(slurp(csv1).empty());
   for (const auto& p : {csv1, jsonl1, csv4, jsonl4}) std::remove(p.c_str());
+}
+
+// Runs a one-cell radix grid with jobs = 1, so the cell executes on the
+// calling thread; returns the cell's CSV row.
+std::vector<std::string> serialRadixRow(const std::string& machine_keys) {
+  const auto spec = BatchSpec::fromIni(util::IniFile::parse(
+      "[machine]\n" + machine_keys +
+      "[batch]\napps = radix\nsystems = nwcache\nprefetch = optimal\n"
+      "scale = 0.1\njobs = 1\n"));
+  const BatchResult res = runBatch(spec);
+  EXPECT_EQ(res.runs.size(), 1u);
+  EXPECT_TRUE(res.all_ok);
+  return res.runs.empty() ? std::vector<std::string>{}
+                          : summaryCsvRow(res.runs[0], spec.scale);
+}
+
+TEST(BatchRun, NoStateLeaksBetweenMachinesOnOneWorker) {
+  // Cells run back to back on a worker share its thread-local state: the
+  // coroutine-frame freelist and the mesh route-table cache. A paging-bound
+  // 8-node cell, a 32-node cell, then the first cell again: the repeat must
+  // match the first run, and a run alone on a fresh thread.
+  const std::string paging = "nodes = 8\nmemory_per_node = 16384\n";
+  const std::vector<std::string> first = serialRadixRow(paging);
+  const std::vector<std::string> wide = serialRadixRow("nodes = 32\n");
+  const std::vector<std::string> repeat = serialRadixRow(paging);
+  std::vector<std::string> alone;
+  std::thread([&] { alone = serialRadixRow(paging); }).join();
+  ASSERT_FALSE(first.empty());
+  EXPECT_NE(first, wide);
+  EXPECT_EQ(repeat, first);
+  EXPECT_EQ(repeat, alone);
 }
 
 TEST(BatchRun, ResumeMatchesFreshRunByteForByte) {

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/runner.hpp"
 #include "machine/config_io.hpp"
@@ -119,6 +120,22 @@ TEST(EdgeConfig, MinimalFreeReserve) {
   c.min_free_frames = 1;
   Machine m(c);
   runAll(m, 64, true);
+}
+
+TEST(EdgeConfig, RejectsFreeReserveBelowOne) {
+  // With no reserve the replacement daemon never swaps a page out, so a
+  // fault on a full node would wait forever.
+  for (const int reserve : {0, -1}) {
+    MachineConfig c;
+    c.min_free_frames = reserve;
+    try {
+      Machine m(c);
+      ADD_FAILURE() << "accepted min_free_frames = " << reserve;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("min_free_frames"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(EdgeConfig, ReserveNearlyWholeMemory) {
@@ -271,13 +288,23 @@ TEST(EdgeConfig, RejectsEmptyStripeGroup) {
 }
 
 TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
-  // hop_latency is a tick count: -5 must not wrap to a huge latency.
-  for (const std::string key : {"hop_latency", "memory_per_node", "l2_bytes"}) {
-    const auto ini = util::IniFile::parse("[machine]\n" + key + " = -5\n");
+  // hop_latency is a tick count: -5 must not wrap to a huge latency. Real
+  // keys are rates, times and scale factors, so a negative or non-finite
+  // value is rejected too, and a probability stays inside [0, 1].
+  const std::pair<std::string, std::string> kBad[] = {
+      {"hop_latency", "-5"},        {"memory_per_node", "-5"},
+      {"l2_bytes", "-5"},           {"rot_ms", "-1"},
+      {"min_seek_ms", "-0.5"},      {"disk_bps", "inf"},
+      {"memory_bus_bps", "nan"},    {"pcycle_ns", "-5"},
+      {"ring_retune_us", "-inf"},   {"compute_cycle_scale", "-2"},
+      {"hint_accuracy", "-0.1"},    {"hint_accuracy", "1.5"},
+  };
+  for (const auto& [key, value] : kBad) {
+    const auto ini = util::IniFile::parse("[machine]\n" + key + " = " + value + "\n");
     MachineConfig c;
     try {
       applyIni(ini, c);
-      ADD_FAILURE() << "accepted " << key << " = -5";
+      ADD_FAILURE() << "accepted " << key << " = " << value;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
@@ -286,6 +313,9 @@ TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
   MachineConfig c;
   applyIni(util::IniFile::parse("[machine]\nhop_latency = 0\n"), c);
   EXPECT_EQ(c.hop_latency, 0u);
+  applyIni(util::IniFile::parse("[machine]\nring_retune_us = 0\nhint_accuracy = 1\n"), c);
+  EXPECT_EQ(c.ring_retune_us, 0.0);
+  EXPECT_EQ(c.hint_accuracy, 1.0);
 }
 
 TEST(EdgeConfig, FourFramesPerNodeStaysLegal) {

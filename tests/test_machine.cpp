@@ -513,13 +513,5 @@ TEST(Machine, BlockServingLeavesResidencyMasksEmpty) {
   EXPECT_GT(s.metrics.swap_outs + s.metrics.clean_evictions, 0u);
 }
 
-TEST(Machine, PageEntryResetClearsResidencyMask) {
-  sim::Engine eng;
-  vm::PageEntry e(eng);
-  e.cached_on = 0b1011;
-  e.reset(eng);
-  EXPECT_EQ(e.cached_on, 0u);
-}
-
 }  // namespace
 }  // namespace nwc::machine

@@ -35,9 +35,11 @@ for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md \
     } || fail=1
 done
 
-# 2. Source/tool paths referenced in backticks by the new docs must exist
-#    (wildcard mentions like `src/util/thread_pool.*` are skipped).
-for doc in docs/ARCHITECTURE.md docs/EXPERIMENTS.md docs/OBSERVABILITY.md \
+# 2. Source/tool paths referenced in backticks by the docs must exist, so a
+#    doc cannot name a deleted binary (wildcard mentions like
+#    `src/util/thread_pool.*` are skipped).
+for doc in README.md DESIGN.md EXPERIMENTS.md \
+           docs/ARCHITECTURE.md docs/EXPERIMENTS.md docs/OBSERVABILITY.md \
            docs/POLICIES.md docs/WORKLOADS.md; do
   grep -o '`[A-Za-z0-9_./*-]*`' "$doc" | tr -d '\`' |
     grep -E '^(src|tools|tests|bench|examples|docs)/[A-Za-z0-9_./-]+$' |

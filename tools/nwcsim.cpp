@@ -363,10 +363,7 @@ int main(int argc, char** argv) {
     util::ProgressMeter meter(app_names.size(), &std::cerr);
     util::ParallelExecutor exec(jobs);
     exec.forEachIndex(app_names.size(), [&](std::size_t i) {
-      thread_local machine::MachineArena arena;
-      apps::ObsSinks sinks;
-      sinks.arena = &arena;
-      apps::RunSummary s = apps::runApp(cfg, app_names[i], scale, sinks);
+      apps::RunSummary s = apps::runApp(cfg, app_names[i], scale);
       meter.completed(app_names[i], s.ok());
       summaries[i] = std::move(s);
     });
