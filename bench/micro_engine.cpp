@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "mem/cache.hpp"
+#include "mem/directory.hpp"
 #include "mem/tlb.hpp"
 #include "net/mesh.hpp"
 #include "sim/calendar.hpp"
@@ -181,6 +182,54 @@ void BM_CacheAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+// The directory at paper-sor's footprint: about 32K tracked lines over 512
+// pages of 64 lines (4 KB pages, 64 B lines), pages spread over a wider
+// address range, shared by 8 nodes.
+constexpr std::uint64_t kDirPages = 512;
+constexpr std::uint64_t kLinesPerPage = 64;
+
+std::uint64_t dirFirstLine(std::uint64_t page) { return page * 3 * kLinesPerPage; }
+
+void trackPage(mem::Directory& d, std::uint64_t page) {
+  for (std::uint64_t l = 0; l < kLinesPerPage; ++l) {
+    d.onRead(static_cast<sim::NodeId>(page % 8), dirFirstLine(page) + l);
+  }
+}
+
+// Reads in page order over the tracked lines, from a node that already
+// shares each one (the steady state of a sweep over resident pages).
+void BM_DirectoryOnRead(benchmark::State& state) {
+  mem::Directory d(8);
+  for (std::uint64_t p = 0; p < kDirPages; ++p) trackPage(d, p);
+  std::uint64_t page = 0;
+  std::uint64_t line = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        d.onRead(static_cast<sim::NodeId>(page % 8), dirFirstLine(page) + line));
+    if (++line == kLinesPerPage) {
+      line = 0;
+      if (++page == kDirPages) page = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryOnRead);
+
+// Evicts every tracked page (timed), then re-tracks them (untimed).
+void BM_DirectoryDropPage(benchmark::State& state) {
+  mem::Directory d(8);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::uint64_t p = 0; p < kDirPages; ++p) trackPage(d, p);
+    state.ResumeTiming();
+    for (std::uint64_t p = 0; p < kDirPages; ++p) {
+      benchmark::DoNotOptimize(d.dropPage(dirFirstLine(p), kLinesPerPage));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kDirPages));
+}
+BENCHMARK(BM_DirectoryDropPage);
 
 void BM_TlbLookup(benchmark::State& state) {
   mem::Tlb t(64);

@@ -9,6 +9,21 @@
 
 namespace nwc::machine {
 
+inline void Machine::commitResidentTouch(int cpu, sim::PageId page, vm::PageEntry& e,
+                                         bool write) {
+  NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
+
+  if (!nc.tlb.lookup(page)) {
+    nc.tlb_penalty += cfg_.tlb_miss_latency;
+    nc.tlb.insert(page);
+  }
+  if (e.home != sim::kNoNode) {
+    nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
+  }
+  if (write) e.dirty = true;
+  e.referenced = true;
+}
+
 bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
   if (nc.access.caller) [[unlikely]] {
@@ -23,25 +38,25 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   if (e.state != vm::PageState::kResident) return false;
 
   if (!write) {
-    // Fused gate+access: an L1 hit costs one set probe. Cache bookkeeping
-    // is independent of the TLB/frame touch, so committing after the cache
-    // access is observationally identical to the old gate-first order.
+    // One set probe per level: an L1 hit costs one, an L1 miss that hits
+    // L2 costs two (the L2 hit, then the L1 fill). L1, L2, the TLB and the
+    // frame LRU are independent structures, so the order of these updates
+    // is not observable.
     if (nc.l1.accessIfHit(vaddr, false)) {
-      commitResidentTouch(cpu, page, false);
+      commitResidentTouch(cpu, page, e, false);
       nc.pending += cfg_.l1_hit_latency;
       return true;
     }
-    if (!nc.l2.contains(vaddr)) return false;  // L1 state untouched above
-    commitResidentTouch(cpu, page, false);
-    (void)nc.l1.access(vaddr, false);  // counts the miss and fills the line
-    (void)nc.l2.access(vaddr, false);  // guaranteed hit: containment checked
+    if (!nc.l2.accessIfHit(vaddr, false)) return false;  // nothing touched yet
+    commitResidentTouch(cpu, page, e, false);
+    (void)nc.l1.fill(vaddr, false);  // counts the L1 miss; L2 still holds the line
     nc.pending += cfg_.l1_hit_latency + cfg_.l2_hit_latency;
     return true;
   }
 
   if (nc.wb.full(eng_->now())) return false;
 
-  commitResidentTouch(cpu, page, true);
+  commitResidentTouch(cpu, page, e, true);
 
   const std::uint64_t line = lineNumOf(vaddr);
   auto o1 = nc.l1.access(vaddr, true);
@@ -82,21 +97,6 @@ bool Machine::tryFastAccess(int cpu, std::uint64_t vaddr, bool write) {
   }
   nc.pending += cfg_.l1_hit_latency;
   return true;
-}
-
-void Machine::commitResidentTouch(int cpu, sim::PageId page, bool write) {
-  NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
-  vm::PageEntry& e = pt_->entry(page);
-
-  if (!nc.tlb.lookup(page)) {
-    nc.tlb_penalty += cfg_.tlb_miss_latency;
-    nc.tlb.insert(page);
-  }
-  if (e.home != sim::kNoNode) {
-    nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
-  }
-  if (write) e.dirty = true;
-  e.referenced = true;
 }
 
 sim::Task<> Machine::accessLoop(int cpu) {

@@ -72,6 +72,16 @@ Machine::Machine(const MachineConfig& cfg)
   if (!(cfg_.pcycle_ns > 0.0)) {
     throw std::invalid_argument("MachineConfig.pcycle_ns must be > 0");
   }
+  for (const auto& [key, cache] :
+       {std::pair{"l1_bytes", cfg_.l1}, std::pair{"l2_bytes", cfg_.l2}}) {
+    const std::uint64_t set_bytes = std::uint64_t{cache.line_bytes} * cache.assoc;
+    if (set_bytes == 0 || cache.size_bytes == 0 || cache.size_bytes % set_bytes != 0) {
+      throw std::invalid_argument(std::string("MachineConfig.") + key +
+                                  " must be a positive multiple of line_bytes x assoc (" +
+                                  std::to_string(set_bytes) +
+                                  " bytes): a cache holds whole sets");
+    }
+  }
   if (cfg_.page_bytes == 0 || cfg_.page_bytes % cfg_.l1.line_bytes != 0 ||
       cfg_.page_bytes % cfg_.l2.line_bytes != 0) {
     throw std::invalid_argument(

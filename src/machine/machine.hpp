@@ -277,7 +277,9 @@ class Machine {
     NodeCtx& nc = *nodes_[static_cast<std::size_t>(cpu)];
     if (nc.access_error) std::rethrow_exception(std::exchange(nc.access_error, nullptr));
   }
-  void commitResidentTouch(int cpu, sim::PageId page, bool write);
+  /// TLB, frame-LRU and page-entry bookkeeping of a resident reference
+  /// (defined in access.cpp, the only caller).
+  inline void commitResidentTouch(int cpu, sim::PageId page, vm::PageEntry& e, bool write);
 
   // -- fault path (fault.cpp) -------------------------------------------------
   sim::Task<> pageFault(int cpu, sim::PageId page, bool write);

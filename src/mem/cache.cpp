@@ -21,84 +21,17 @@ SetAssocCache::SetAssocCache(const CacheParams& p) : params_(p) {
 }
 
 CacheOutcome SetAssocCache::access(std::uint64_t addr, bool write) {
-  const std::uint64_t line = lineOf(addr);
-  const std::uint64_t set = setOf(line);
-  const std::uint64_t tag = tagOf(line);
-  Way* base = &ways_[set * params_.assoc];
-
-  CacheOutcome out;
-  Way* victim = base;
-  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      way.dirty = way.dirty || write;
-      out.hit = true;
-      hits_.hit();
-      return out;
-    }
-    if (!way.valid) {
-      victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-
-  hits_.miss();
-  if (victim->valid) {
-    out.evicted = true;
-    out.evicted_dirty = victim->dirty;
-    out.evicted_line = victim->tag * num_sets_ + set;
-  }
-  victim->valid = true;
-  victim->dirty = write;
-  victim->tag = tag;
-  victim->lru = ++tick_;
-  return out;
-}
-
-bool SetAssocCache::accessIfHit(std::uint64_t addr, bool write) {
-  const std::uint64_t line = lineOf(addr);
-  const std::uint64_t set = setOf(line);
-  const std::uint64_t tag = tagOf(line);
-  Way* base = &ways_[set * params_.assoc];
-  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      way.dirty = way.dirty || write;
-      hits_.hit();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SetAssocCache::contains(std::uint64_t addr) const {
-  const std::uint64_t line = lineOf(addr);
-  const std::uint64_t set = setOf(line);
-  const std::uint64_t tag = tagOf(line);
-  const Way* base = &ways_[set * params_.assoc];
-  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
+  if (accessIfHit(addr, write)) return CacheOutcome{.hit = true};
+  return fill(addr, write);
 }
 
 bool SetAssocCache::invalidateLine(std::uint64_t line_addr) {
-  const std::uint64_t set = setOf(line_addr);
-  const std::uint64_t tag = tagOf(line_addr);
-  Way* base = &ways_[set * params_.assoc];
-  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      const bool dirty = way.dirty;
-      way.valid = false;
-      way.dirty = false;
-      return dirty;
-    }
-  }
-  return false;
+  Way* way = find(line_addr);
+  if (!way) return false;
+  const bool dirty = way->dirty;
+  way->valid = false;
+  way->dirty = false;
+  return dirty;
 }
 
 int SetAssocCache::invalidatePage(std::uint64_t page_base, std::uint64_t page_bytes) {

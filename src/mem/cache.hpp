@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hpp"
@@ -43,6 +44,12 @@ class SetAssocCache {
   /// containment gate with the actual access (one set probe, not two).
   bool accessIfHit(std::uint64_t addr, bool write);
 
+  /// `access()` restricted to the miss case, for a line the caller knows is
+  /// absent (a preceding `accessIfHit` or `contains` said so): counts the
+  /// miss and fills the line over the same victim `access()` would pick,
+  /// the last invalid way in index order, else the least recently used.
+  CacheOutcome fill(std::uint64_t addr, bool write);
+
   /// Invalidates one line; returns true if the line was present and dirty.
   bool invalidateLine(std::uint64_t line_addr);
 
@@ -76,6 +83,18 @@ class SetAssocCache {
   std::uint64_t tagOf(std::uint64_t line) const {
     return set_shift_ >= 0 ? line >> set_shift_ : line / num_sets_;
   }
+  /// The valid way holding `line`, or nullptr.
+  const Way* find(std::uint64_t line) const {
+    const Way* base = &ways_[setOf(line) * params_.assoc];
+    const std::uint64_t tag = tagOf(line);
+    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+      if (base[w].valid && base[w].tag == tag) return &base[w];
+    }
+    return nullptr;
+  }
+  Way* find(std::uint64_t line) {
+    return const_cast<Way*>(std::as_const(*this).find(line));
+  }
 
   CacheParams params_;
   std::uint64_t num_sets_;
@@ -86,5 +105,48 @@ class SetAssocCache {
   std::uint64_t tick_ = 0;
   sim::RatioCounter hits_;
 };
+
+// Defined here so the resident-reference fast path (Machine::tryFastAccess,
+// tens of millions of calls in a paging run) inlines its probes and fills.
+inline bool SetAssocCache::contains(std::uint64_t addr) const {
+  return find(lineOf(addr)) != nullptr;
+}
+
+inline bool SetAssocCache::accessIfHit(std::uint64_t addr, bool write) {
+  Way* way = find(lineOf(addr));
+  if (!way) return false;
+  way->lru = ++tick_;
+  way->dirty = way->dirty || write;
+  hits_.hit();
+  return true;
+}
+
+inline CacheOutcome SetAssocCache::fill(std::uint64_t addr, bool write) {
+  const std::uint64_t line = lineOf(addr);
+  const std::uint64_t set = setOf(line);
+  Way* base = &ways_[set * params_.assoc];
+  Way* victim = base;
+  for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+    Way& way = base[w];
+    if (!way.valid) {
+      victim = &way;
+    } else if (victim->valid && way.lru < victim->lru) {
+      victim = &way;
+    }
+  }
+
+  hits_.miss();
+  CacheOutcome out;
+  if (victim->valid) {
+    out.evicted = true;
+    out.evicted_dirty = victim->dirty;
+    out.evicted_line = victim->tag * num_sets_ + set;
+  }
+  victim->valid = true;
+  victim->dirty = write;
+  victim->tag = tagOf(line);
+  victim->lru = ++tick_;
+  return out;
+}
 
 }  // namespace nwc::mem

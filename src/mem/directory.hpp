@@ -4,8 +4,16 @@
 // The directory is a synchronous bookkeeping structure: `onRead`/`onWrite`
 // return the protocol actions required, and the machine model charges the
 // corresponding bus/network latencies.
+//
+// Layout: entries live in dense chunks of 64 consecutive lines (one page at
+// the default geometry), found through a small hash keyed by `line >> 6`.
+// The lines of a page share one chunk, so a page's references stay in a few
+// host cache lines and dropping a page walks one chunk. An entry with no
+// sharers is untracked; a chunk returns to the free list when its last
+// tracked line goes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,17 +50,33 @@ class Directory {
   /// Returns the union mask of nodes that held any of the lines.
   std::uint64_t dropPage(std::uint64_t first_line, std::uint64_t lines);
 
-  std::size_t trackedLines() const { return map_.size(); }
+  std::size_t trackedLines() const { return tracked_; }
   const sim::RatioCounter& remoteDirtyStats() const { return remote_dirty_; }
 
  private:
   struct Entry {
-    std::uint64_t sharers = 0;      // bitmask of nodes with a copy
+    std::uint64_t sharers = 0;      // bitmask of nodes with a copy; 0 = untracked
     sim::NodeId owner = sim::kNoNode;  // kNoNode unless modified
   };
 
+  static constexpr int kChunkShift = 6;
+  static constexpr std::uint64_t kChunkMask = (std::uint64_t{1} << kChunkShift) - 1;
+
+  struct Chunk {
+    std::array<Entry, kChunkMask + 1> lines;
+    std::uint32_t live = 0;  // tracked lines in this chunk
+  };
+
+  /// Entry for `line`, counted as tracked (its chunk allocated) if it was not.
+  Entry& track(std::uint64_t line);
+  /// Clears a tracked entry; frees its chunk when that was its last line.
+  void untrack(Entry& e, std::uint32_t chunk, std::uint64_t key);
+
   int num_nodes_;
-  sim::FlatHashU64<Entry> map_;
+  sim::FlatHashU64<std::uint32_t> index_;  // line >> kChunkShift -> chunks_ slot
+  std::vector<Chunk> chunks_;
+  std::vector<std::uint32_t> free_chunks_;
+  std::size_t tracked_ = 0;
   sim::RatioCounter remote_dirty_;  // hit = read found remote-dirty line
 };
 

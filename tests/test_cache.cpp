@@ -1,7 +1,10 @@
 // SetAssocCache: hits, LRU eviction, dirty tracking, invalidation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hpp"
+#include "sim/random.hpp"
 
 namespace nwc::mem {
 namespace {
@@ -113,6 +116,131 @@ TEST(Cache, DegenerateSingleSet) {
   c.access(32, false);
   auto out = c.access(64, false);
   EXPECT_TRUE(out.evicted);
+}
+
+// Reference model: the single-loop lookup-and-fill that `access()` has
+// always performed. The victim is the last invalid way in index order,
+// else the least recently used valid way.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheParams& p)
+      : line_bytes_(p.line_bytes),
+        assoc_(p.assoc),
+        sets_(p.size_bytes / p.line_bytes / p.assoc),
+        ways_(sets_ * assoc_) {}
+
+  CacheOutcome access(std::uint64_t addr, bool write) {
+    const std::uint64_t line = addr / line_bytes_;
+    const std::uint64_t set = line % sets_;
+    const std::uint64_t tag = line / sets_;
+    Way* base = &ways_[set * assoc_];
+    CacheOutcome out;
+    Way* victim = base;
+    for (std::uint64_t w = 0; w < assoc_; ++w) {
+      Way& way = base[w];
+      if (way.valid && way.tag == tag) {
+        way.lru = ++tick_;
+        way.dirty = way.dirty || write;
+        out.hit = true;
+        return out;
+      }
+      if (!way.valid) {
+        victim = &way;
+      } else if (victim->valid && way.lru < victim->lru) {
+        victim = &way;
+      }
+    }
+    if (victim->valid) {
+      out.evicted = true;
+      out.evicted_dirty = victim->dirty;
+      out.evicted_line = victim->tag * sets_ + set;
+    }
+    *victim = Way{tag, ++tick_, true, write};
+    return out;
+  }
+
+  bool invalidateLine(std::uint64_t line) {
+    Way* base = &ways_[(line % sets_) * assoc_];
+    for (std::uint64_t w = 0; w < assoc_; ++w) {
+      if (base[w].valid && base[w].tag == line / sets_) {
+        const bool dirty = base[w].dirty;
+        base[w] = Way{};
+        return dirty;
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  std::uint64_t line_bytes_, assoc_, sets_;
+  std::vector<Way> ways_;
+  std::uint64_t tick_ = 0;
+};
+
+void expectSameOutcome(const CacheOutcome& got, const CacheOutcome& want, int step) {
+  EXPECT_EQ(got.hit, want.hit) << "step " << step;
+  EXPECT_EQ(got.evicted, want.evicted) << "step " << step;
+  EXPECT_EQ(got.evicted_dirty, want.evicted_dirty) << "step " << step;
+  EXPECT_EQ(got.evicted_line, want.evicted_line) << "step " << step;
+}
+
+// One cache driven through access(), its twin through accessIfHit() plus
+// fill() on a miss, both against the reference model. Invalidations leave
+// holes in full sets, so a fill must take a hole over the LRU line. (Which
+// hole it takes is not observable: the LRU stamps, not way order, pick
+// every later victim.)
+TEST(Cache, ProbeAndFillMatchAccess) {
+  struct Geometry {
+    std::uint64_t size_bytes;
+    std::uint32_t assoc;
+  };
+  const Geometry kGeometries[] = {
+      {32 * 16, 1},      // direct mapped, 16 sets
+      {32 * 2 * 8, 2},   // 8 sets
+      {32 * 4 * 16, 4},  // 16 sets
+      {32 * 4 * 6, 4},   // 6 sets: the divide path
+  };
+  for (const Geometry& g : kGeometries) {
+    const CacheParams p{g.size_bytes, 32, g.assoc};
+    SetAssocCache direct(p);
+    SetAssocCache twin(p);
+    ReferenceCache ref(p);
+    const std::uint64_t lines = 3 * g.size_bytes / 32;  // three lines per slot
+    sim::Rng rng(g.size_bytes + g.assoc);
+    int hits = 0;
+    int fills_into_holes = 0;
+    for (int step = 0; step < 50000; ++step) {
+      const std::uint64_t addr = rng.below(lines * 32);
+      if (rng.below(8) == 0) {
+        const std::uint64_t line = direct.lineOf(addr);
+        const bool dirty = ref.invalidateLine(line);
+        ASSERT_EQ(direct.invalidateLine(line), dirty) << "step " << step;
+        ASSERT_EQ(twin.invalidateLine(line), dirty) << "step " << step;
+        continue;
+      }
+      const bool write = rng.below(3) == 0;
+      const CacheOutcome want = ref.access(addr, write);
+      expectSameOutcome(direct.access(addr, write), want, step);
+      if (twin.accessIfHit(addr, write)) {
+        EXPECT_TRUE(want.hit) << "step " << step;
+        ++hits;
+      } else {
+        ASSERT_FALSE(want.hit) << "step " << step;
+        expectSameOutcome(twin.fill(addr, write), want, step);
+        if (!want.evicted && step > 1000) ++fills_into_holes;
+      }
+      ASSERT_EQ(direct.hitStats().hits(), twin.hitStats().hits()) << "step " << step;
+      ASSERT_EQ(direct.hitStats().total(), twin.hitStats().total()) << "step " << step;
+    }
+    EXPECT_GT(hits, 1000) << g.size_bytes << "/" << g.assoc;
+    EXPECT_GT(fills_into_holes, 1000) << g.size_bytes << "/" << g.assoc;
+  }
 }
 
 }  // namespace

@@ -290,7 +290,9 @@ TEST(EdgeConfig, RejectsEmptyStripeGroup) {
 TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
   // hop_latency is a tick count: -5 must not wrap to a huge latency. Real
   // keys are rates, times and scale factors, so a negative or non-finite
-  // value is rejected too, and a probability stays inside [0, 1].
+  // value is rejected too, and a probability stays inside [0, 1]. Values
+  // that parse but make no sense for the machine (a cache that is not a
+  // whole number of sets) are rejected when the machine is built.
   const std::pair<std::string, std::string> kBad[] = {
       {"hop_latency", "-5"},        {"memory_per_node", "-5"},
       {"l2_bytes", "-5"},           {"rot_ms", "-1"},
@@ -298,12 +300,15 @@ TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
       {"memory_bus_bps", "nan"},    {"pcycle_ns", "-5"},
       {"ring_retune_us", "-inf"},   {"compute_cycle_scale", "-2"},
       {"hint_accuracy", "-0.1"},    {"hint_accuracy", "1.5"},
+      {"l1_bytes", "0"},            {"l2_bytes", "0"},
+      {"l1_bytes", "100"},          {"l2_bytes", "65600"},
   };
   for (const auto& [key, value] : kBad) {
     const auto ini = util::IniFile::parse("[machine]\n" + key + " = " + value + "\n");
     MachineConfig c;
     try {
       applyIni(ini, c);
+      Machine m(c);
       ADD_FAILURE() << "accepted " << key << " = " << value;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
