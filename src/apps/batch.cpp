@@ -458,6 +458,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     meta.scale = spec.scale;
     meta.config_hash = obs::fnv1aHash(machine::toIni(grid[i].cfg).serialize());
     meta.git_sha = obs::buildGitSha();
+    meta.dirty = obs::buildGitDirty();
     meta.wall_ms = wall_ms;
     meta.peak_rss_bytes = util::peakRssBytes();
     meta.exec_pcycles = static_cast<std::uint64_t>(s.exec_time);

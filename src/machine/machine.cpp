@@ -72,6 +72,23 @@ Machine::Machine(const MachineConfig& cfg)
   if (!(cfg_.pcycle_ns > 0.0)) {
     throw std::invalid_argument("MachineConfig.pcycle_ns must be > 0");
   }
+  for (const auto& [key, bps] :
+       {std::pair{"memory_bus_bps", cfg_.memory_bus_bps},
+        std::pair{"io_bus_bps", cfg_.io_bus_bps},
+        std::pair{"net_link_bps", cfg_.net_link_bps},
+        std::pair{"ring_bps", cfg_.ring_bps}, std::pair{"disk_bps", cfg_.disk_bps},
+        std::pair{"log_disk_bps", cfg_.log_disk_bps}}) {
+    if (!(bps > 0.0)) {
+      throw std::invalid_argument(std::string("MachineConfig.") + key +
+                                  " must be > 0: a zero rate makes every transfer free");
+    }
+  }
+  if (cfg_.min_seek_ms > cfg_.max_seek_ms) {
+    throw std::invalid_argument("MachineConfig.min_seek_ms must be <= max_seek_ms");
+  }
+  if (cfg_.ring_receivers < 1) {
+    throw std::invalid_argument("MachineConfig.ring_receivers must be >= 1");
+  }
   for (const auto& [key, cache] :
        {std::pair{"l1_bytes", cfg_.l1}, std::pair{"l2_bytes", cfg_.l2}}) {
     const std::uint64_t set_bytes = std::uint64_t{cache.line_bytes} * cache.assoc;

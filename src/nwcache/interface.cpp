@@ -9,9 +9,9 @@ namespace nwc::ring {
 
 TunableReceiverBank::TunableReceiverBank(const ReceiverParams& p,
                                          const std::string& name)
-    : params_(p), tuned_(static_cast<std::size_t>(std::max(1, p.receivers)), -1) {
+    : params_(p), tuned_(static_cast<std::size_t>(p.receivers), -1) {
   assert(p.receivers >= 1);
-  for (int i = 0; i < std::max(1, p.receivers); ++i) {
+  for (int i = 0; i < p.receivers; ++i) {
     rx_.emplace_back(name + "_rx" + std::to_string(i));
   }
 }

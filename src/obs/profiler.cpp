@@ -438,6 +438,7 @@ std::string reportJson(const Report& r) {
   util::JsonObject o;
   o.add("schema", "nwc-profile-v1")
       .add("git_sha", buildGitSha())
+      .add("dirty", buildGitDirty())
       .addRaw("host", util::hostInfoJson())
       .add("total_wall_ms", static_cast<double>(r.root.wall_ns) / 1e6)
       .add("peak_rss_bytes", r.peak_rss_bytes)

@@ -1,9 +1,8 @@
 // Host-side self-profiler: watches the *simulator*, not the simulated
 // machine. Every other observability layer (metrics, timeline, sampler)
 // reports simulated behavior; this one answers "where does the host's
-// wall-clock time, allocation traffic, and memory go when we run?" — the
-// measured ground the perf-regression harness (bench/perf_suite,
-// tools/nwcperf) stands on.
+// wall-clock time, allocation traffic, and memory go when we run?" inside
+// one run (the repository benchmark, perfbench/, times runs end to end).
 //
 // Design:
 //  - RAII `prof::Scope` marks a named phase ("config-parse", "setup",

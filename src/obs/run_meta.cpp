@@ -7,9 +7,7 @@
 #include "util/host.hpp"
 #include "util/json.hpp"
 
-#ifndef NWC_GIT_SHA
-#define NWC_GIT_SHA "unknown"
-#endif
+#include "nwc_git_stamp.h"
 
 namespace nwc::obs {
 
@@ -23,6 +21,8 @@ std::uint64_t fnv1aHash(const std::string& s) {
 }
 
 std::string buildGitSha() { return NWC_GIT_SHA; }
+
+bool buildGitDirty() { return NWC_GIT_DIRTY != 0; }
 
 void RunMeta::fillHostFields() {
   const util::HostInfo& h = util::hostInfo();
@@ -44,6 +44,7 @@ std::string RunMeta::toJson() const {
       .add("scale", scale)
       .add("config_hash", std::string(hash_hex))
       .add("git_sha", git_sha)
+      .add("dirty", dirty)
       .add("wall_ms", wall_ms)
       .add("peak_rss_bytes", peak_rss_bytes)
       .add("exec_pcycles", exec_pcycles)

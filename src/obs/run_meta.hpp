@@ -11,13 +11,18 @@ namespace nwc::obs {
 /// FNV-1a 64-bit hash (stable across platforms; used for config hashes).
 std::uint64_t fnv1aHash(const std::string& s);
 
-/// Git sha the binary was built from (CMake bakes it in; "unknown" when the
-/// build did not run inside a checkout).
+/// Git sha the binary was built from, stamped on every build
+/// (obs/git_stamp.cmake; "unknown" when the build did not run inside a
+/// checkout of this tree).
 std::string buildGitSha();
+
+/// True when tracked files differed from that sha at build time, or when
+/// the sha is unknown: the binary is then not known to match a commit.
+bool buildGitDirty();
 
 // RSS and byte-formatting helpers live in util/host.hpp (util::currentRssBytes,
 // util::peakRssBytes, util::formatBytes) so host facts are read one way
-// everywhere — run_meta, the nwcbatch heartbeat, perf_suite, the profiler.
+// everywhere — run_meta, the nwcbatch heartbeat, the profiler.
 
 struct RunMeta {
   std::string app;
@@ -27,6 +32,7 @@ struct RunMeta {
   double scale = 1.0;
   std::uint64_t config_hash = 0;  // fnv1aHash of the serialized machine INI
   std::string git_sha;
+  bool dirty = false;  // see buildGitDirty()
   double wall_ms = 0.0;
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t exec_pcycles = 0;
@@ -35,7 +41,7 @@ struct RunMeta {
   // run was not sampled (the fields are then omitted from the JSON).
   std::string health_verdict;
   std::uint64_t health_trips = 0;
-  // Host provenance (BENCH comparability): filled by fillHostFields() from
+  // Host provenance: filled by fillHostFields() from
   // util::hostInfo(). Empty/zero fields are omitted from the JSON so
   // pre-existing metadata consumers see unchanged files until callers opt in.
   unsigned host_cores = 0;

@@ -3,7 +3,7 @@
 // simulating) — resident set size, core count, compiler, kernel.
 //
 // Everything that reports host RSS (the nwcbatch heartbeat, run_meta
-// provenance, the perf_suite BENCH files, the profiler) goes through these
+// provenance, the profiler) goes through these
 // helpers so memory is measured exactly one way everywhere.
 #pragma once
 
@@ -39,8 +39,8 @@ struct HostInfo {
 /// Cached per-process snapshot (taken on first call).
 const HostInfo& hostInfo();
 
-/// The HostInfo as a JSON object (stable key order), for BENCH files and
-/// run provenance.
+/// The HostInfo as a JSON object (stable key order), for run provenance
+/// and the profile report.
 std::string hostInfoJson();
 
 }  // namespace nwc::util

@@ -292,7 +292,8 @@ TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
   // keys are rates, times and scale factors, so a negative or non-finite
   // value is rejected too, and a probability stays inside [0, 1]. Values
   // that parse but make no sense for the machine (a cache that is not a
-  // whole number of sets) are rejected when the machine is built.
+  // whole number of sets, a zero transfer rate, a seek range upside down,
+  // no ring receiver) are rejected when the machine is built.
   const std::pair<std::string, std::string> kBad[] = {
       {"hop_latency", "-5"},        {"memory_per_node", "-5"},
       {"l2_bytes", "-5"},           {"rot_ms", "-1"},
@@ -302,6 +303,11 @@ TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
       {"hint_accuracy", "-0.1"},    {"hint_accuracy", "1.5"},
       {"l1_bytes", "0"},            {"l2_bytes", "0"},
       {"l1_bytes", "100"},          {"l2_bytes", "65600"},
+      {"ring_receivers", "0"},      {"ring_receivers", "-1"},
+      {"min_seek_ms", "30"},        {"memory_bus_bps", "0"},
+      {"io_bus_bps", "0"},          {"net_link_bps", "0"},
+      {"ring_bps", "0"},            {"disk_bps", "0"},
+      {"log_disk_bps", "0"},
   };
   for (const auto& [key, value] : kBad) {
     const auto ini = util::IniFile::parse("[machine]\n" + key + " = " + value + "\n");

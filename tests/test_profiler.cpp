@@ -1,7 +1,8 @@
-// Host self-profiler (obs/profiler) and the perf-regression comparison
-// engine (obs/bench_compare) behind bench/perf_suite + tools/nwcperf.
+// Host self-profiler (obs/profiler): phase tree, allocation counters, pool
+// stats, exports, and byte-identity of simulated output under profiling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -9,7 +10,6 @@
 
 #include "apps/runner.hpp"
 #include "machine/config.hpp"
-#include "obs/bench_compare.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 
@@ -240,6 +240,7 @@ TEST_F(ProfilerTest, ReportJsonCarriesSchema) {
   EXPECT_NE(json.find("\"schema\":\"nwc-profile-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"phase\""), std::string::npos);
   EXPECT_NE(json.find("\"host\""), std::string::npos);
+  EXPECT_NE(json.find("\"dirty\":"), std::string::npos);
 }
 
 TEST_F(ProfilerTest, ChromeTraceEventsAreHostProcess) {
@@ -281,106 +282,6 @@ TEST(ProfilerByteIdentity, SimulatedOutputsUnchangedByProfiling) {
 
   EXPECT_EQ(off.first, on.first);
   EXPECT_EQ(off.second, on.second);  // metrics JSON byte-identical
-}
-
-// ---- bench_compare: the nwcperf gate logic ----
-
-obs::bench::BenchFile makeBench(double wall_ms, double phase_ms) {
-  obs::bench::BenchFile f;
-  f.schema = obs::bench::kBenchSchema;
-  f.tag = "test";
-  f.trials = 3;
-  obs::bench::Workload w;
-  w.name = "radix/nwcache";
-  w.wall_ms = wall_ms;
-  w.pages_per_s = 1000.0;
-  w.peak_rss_bytes = 64 << 20;
-  w.phase_wall_ms["event-loop"] = phase_ms;
-  f.workloads.push_back(w);
-  return f;
-}
-
-TEST(BenchCompare, UnchangedFilePasses) {
-  const obs::bench::BenchFile base = makeBench(100.0, 80.0);
-  const obs::bench::CompareResult res =
-      obs::bench::compare(base, base, obs::bench::CompareOptions{});
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.regressions, 0u);
-  EXPECT_NE(res.markdown().find("PASS"), std::string::npos);
-}
-
-TEST(BenchCompare, InjectedFiftyPercentRegressionTripsGate) {
-  const obs::bench::BenchFile base = makeBench(100.0, 80.0);
-  const obs::bench::BenchFile cur = makeBench(150.0, 120.0);  // +50%
-  const obs::bench::CompareResult res =
-      obs::bench::compare(base, cur, obs::bench::CompareOptions{});  // 25% tol
-  EXPECT_FALSE(res.ok());
-  EXPECT_EQ(res.regressions, 2u);  // wall_ms and phase:event-loop
-  EXPECT_NE(res.markdown().find("FAIL"), std::string::npos);
-}
-
-TEST(BenchCompare, WithinToleranceIsOk) {
-  const obs::bench::BenchFile base = makeBench(100.0, 80.0);
-  const obs::bench::BenchFile cur = makeBench(110.0, 88.0);  // +10% < 25%
-  EXPECT_TRUE(obs::bench::compare(base, cur, obs::bench::CompareOptions{}).ok());
-}
-
-TEST(BenchCompare, LargeImprovementIsNotARegression) {
-  const obs::bench::BenchFile base = makeBench(100.0, 80.0);
-  const obs::bench::BenchFile cur = makeBench(50.0, 40.0);
-  const obs::bench::CompareResult res =
-      obs::bench::compare(base, cur, obs::bench::CompareOptions{});
-  EXPECT_TRUE(res.ok());
-  EXPECT_GE(res.improvements, 1u);
-}
-
-TEST(BenchCompare, MissingWorkloadRegresses) {
-  const obs::bench::BenchFile base = makeBench(100.0, 80.0);
-  obs::bench::BenchFile cur = base;
-  cur.workloads.clear();
-  const obs::bench::CompareResult res =
-      obs::bench::compare(base, cur, obs::bench::CompareOptions{});
-  EXPECT_FALSE(res.ok());
-  ASSERT_FALSE(res.rows.empty());
-  EXPECT_EQ(res.rows[0].status, obs::bench::RowStatus::kMissing);
-}
-
-TEST(BenchCompare, SubFloorTimesAreNoiseNotRegressions) {
-  // Baseline 2ms is under the default 5ms floor: a 3x blowup is noise.
-  const obs::bench::BenchFile base = makeBench(2.0, 1.0);
-  const obs::bench::BenchFile cur = makeBench(6.0, 3.0);
-  const obs::bench::CompareResult res =
-      obs::bench::compare(base, cur, obs::bench::CompareOptions{});
-  EXPECT_TRUE(res.ok());
-  bool saw_noise = false;
-  for (const auto& row : res.rows) {
-    if (row.status == obs::bench::RowStatus::kNoise) saw_noise = true;
-  }
-  EXPECT_TRUE(saw_noise);
-}
-
-TEST(BenchCompare, ParseRejectsWrongSchema) {
-  EXPECT_THROW(obs::bench::parseBenchFile("{\"schema\":\"nwc-bench-v999\"}"),
-               std::runtime_error);
-  EXPECT_THROW(obs::bench::parseBenchFile("not json at all"), std::runtime_error);
-}
-
-TEST(BenchCompare, RoundTripsPerfSuiteShapedJson) {
-  const std::string json =
-      "{\"schema\":\"nwc-bench-v1\",\"tag\":\"t\",\"git_sha\":\"abc\","
-      "\"trials\":3,\"scale\":0.1,\"host\":{\"cores\":1},"
-      "\"workloads\":[{\"name\":\"radix/nwcache\",\"wall_ms\":12.5,"
-      "\"pages_per_s\":100.0,\"events_per_s\":1e6,\"peak_rss_bytes\":1048576,"
-      "\"trace_hit_rate\":0.5,\"pool_utilization\":0.25,"
-      "\"phases\":{\"event-loop\":10.0,\"setup\":1.5}}]}";
-  const obs::bench::BenchFile f = obs::bench::parseBenchFile(json);
-  EXPECT_EQ(f.tag, "t");
-  EXPECT_EQ(f.trials, 3u);
-  ASSERT_EQ(f.workloads.size(), 1u);
-  EXPECT_DOUBLE_EQ(f.workloads[0].wall_ms, 12.5);
-  EXPECT_EQ(f.workloads[0].peak_rss_bytes, 1048576u);
-  ASSERT_EQ(f.workloads[0].phase_wall_ms.size(), 2u);
-  EXPECT_DOUBLE_EQ(f.workloads[0].phase_wall_ms.at("event-loop"), 10.0);
 }
 
 }  // namespace
