@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks for the simulation substrate: event
-// throughput, coroutine primitives, analytical servers, model components.
+// throughput, coroutine primitives, analytical servers, model components
+// and workload construction.
 #include <benchmark/benchmark.h>
 
 #include <queue>
 
+#include "apps/block_trace.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "mem/tlb.hpp"
@@ -13,6 +15,8 @@
 #include "sim/fifo_server.hpp"
 #include "sim/random.hpp"
 #include "sim/sync.hpp"
+#include "util/rand.hpp"
+#include "vm/page_table.hpp"
 
 namespace {
 
@@ -248,6 +252,38 @@ void BM_RngNext(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNext);
+
+// One Zipf draw at blockserve-zipf's popularity curve (8192 objects, 0.9).
+void BM_ZipfianSample(benchmark::State& state) {
+  const util::ZipfianSampler z(8192, 0.9);
+  util::Xoshiro256ss rng(5);
+  for (auto _ : state) benchmark::DoNotOptimize(z.sample(rng.uniform()));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfianSample);
+
+// The whole of blockserve-zipf's trace generation (32 clients x 6000 ops):
+// nearly all of that workload's setup time.
+void BM_GenerateBlockTrace(benchmark::State& state) {
+  const auto spec =
+      apps::SyntheticSpec::parse("synth:clients=32;objects=8192;ops=6000;seed=1");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(apps::generateBlockTrace(spec, 1.0).clients.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 32 * 6000);
+}
+BENCHMARK(BM_GenerateBlockTrace)->Unit(benchmark::kMillisecond);
+
+// A page table for an 8192-page machine (blockserve-zipf's object count).
+void BM_PageTableBuild(benchmark::State& state) {
+  sim::Engine e;
+  for (auto _ : state) {
+    vm::PageTable pt(e, 8192);
+    benchmark::DoNotOptimize(pt.numPages());
+  }
+  state.SetItemsProcessed(state.iterations() * 8192);
+}
+BENCHMARK(BM_PageTableBuild);
 
 }  // namespace
 

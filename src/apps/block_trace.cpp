@@ -41,9 +41,10 @@ double parseF64(const std::string& spec, const std::string& key,
     std::size_t pos = 0;
     const double d = std::stod(v, &pos);
     if (pos != v.size()) throw std::invalid_argument(v);
+    if (!std::isfinite(d)) throw std::invalid_argument(v);
     return d;
   } catch (const std::exception&) {
-    specError(spec, key + " wants a number, got '" + v + "'");
+    specError(spec, key + " wants a finite number, got '" + v + "'");
   }
 }
 
@@ -306,11 +307,14 @@ BlockTrace generateBlockTrace(const SyntheticSpec& spec, double scale) {
         op.write = !rng.chance(spec.read_ratio);
       }
       // Open-loop think time, modulated by the diurnal load curve: higher
-      // load(t) compresses gaps (more requests per tick).
+      // load(t) compresses gaps (more requests per tick). A flat curve
+      // skips the sine: 1.0 + 0.0 * sin(x) is exactly 1.0.
       const double load =
-          1.0 + spec.diurnal_amp *
-                    std::sin(two_pi * static_cast<double>(clock) /
-                             static_cast<double>(spec.diurnal_period));
+          spec.diurnal_amp == 0.0
+              ? 1.0
+              : 1.0 + spec.diurnal_amp *
+                          std::sin(two_pi * static_cast<double>(clock) /
+                                   static_cast<double>(spec.diurnal_period));
       op.gap = static_cast<std::uint64_t>(rng.exponential(spec.think_mean) / load);
       clock += op.gap;
       ops.push_back(op);

@@ -1,4 +1,4 @@
-// Coroutine synchronization primitives: mutex, semaphore, barrier.
+// Coroutine synchronization primitives: mutex and barrier.
 //
 // All wake-ups are scheduled at the current tick through the engine
 // calendar, so wake order is FIFO and deterministic.
@@ -6,7 +6,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
+#include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
@@ -14,12 +15,19 @@
 namespace nwc::sim {
 
 /// FIFO mutex. Ownership is handed directly to the oldest waiter on unlock.
+///
+/// The wait queue is intrusive: each suspended LockAwaiter, which lives in
+/// its coroutine's frame until it resumes, is a node of a singly linked
+/// list. The mutex never allocates and is 32 bytes, which matters because
+/// every page-table entry holds one.
 class CoMutex {
  public:
   explicit CoMutex(Engine& eng) : eng_(&eng) {}
 
   struct LockAwaiter {
     CoMutex& m;
+    LockAwaiter* next = nullptr;
+    std::coroutine_handle<> h{};
     bool await_ready() const {
       if (!m.locked_) {
         m.locked_ = true;
@@ -27,8 +35,14 @@ class CoMutex {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      m.waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<> handle) {
+      h = handle;
+      if (m.tail_ != nullptr) {
+        m.tail_->next = this;
+      } else {
+        m.head_ = this;
+      }
+      m.tail_ = this;
     }
     void await_resume() const {}
   };
@@ -43,10 +57,25 @@ class CoMutex {
     return true;
   }
 
-  void unlock();
+  /// Hands the lock to the oldest waiter (`locked_` stays true), or frees it.
+  void unlock() {
+    LockAwaiter* const w = head_;
+    if (w == nullptr) {
+      locked_ = false;
+      return;
+    }
+    head_ = w->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    eng_->scheduleAt(eng_->now(), w->h);
+  }
 
   bool locked() const { return locked_; }
-  std::size_t waiterCount() const { return waiters_.size(); }
+  /// O(waiters): walks the queue.
+  std::size_t waiterCount() const {
+    std::size_t n = 0;
+    for (const LockAwaiter* w = head_; w != nullptr; w = w->next) ++n;
+    return n;
+  }
 
   /// RAII guard: `auto g = co_await mtx.scoped();`
   class [[nodiscard]] Guard {
@@ -85,47 +114,19 @@ class CoMutex {
  private:
   friend struct LockAwaiter;
   Engine* eng_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  LockAwaiter* head_ = nullptr;  // oldest waiter
+  LockAwaiter* tail_ = nullptr;  // newest waiter
   bool locked_ = false;
-};
-
-/// Counting semaphore with FIFO grant order.
-class CoSemaphore {
- public:
-  CoSemaphore(Engine& eng, std::int64_t initial) : eng_(&eng), count_(initial) {}
-
-  struct AcquireAwaiter {
-    CoSemaphore& s;
-    bool await_ready() const {
-      if (s.count_ > 0) {
-        --s.count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      s.waiters_.push_back(h);
-    }
-    void await_resume() const {}
-  };
-
-  AcquireAwaiter acquire() { return AcquireAwaiter{*this}; }
-  void release(std::int64_t n = 1);
-
-  std::int64_t available() const { return count_; }
-  std::size_t waiterCount() const { return waiters_.size(); }
-
- private:
-  friend struct AcquireAwaiter;
-  Engine* eng_;
-  std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 /// Cyclic barrier for `n` parties. The last arriving party releases all.
 class CoBarrier {
  public:
-  CoBarrier(Engine& eng, int parties) : eng_(&eng), parties_(parties) {}
+  /// The waiter list is sized once here (the last arrival never waits), so
+  /// a barrier allocates at construction and never inside the run.
+  CoBarrier(Engine& eng, int parties) : eng_(&eng), parties_(parties) {
+    waiters_.reserve(static_cast<std::size_t>(parties > 1 ? parties - 1 : 0));
+  }
 
   struct Awaiter {
     CoBarrier& b;
@@ -158,7 +159,7 @@ class CoBarrier {
   int parties_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nwc::sim

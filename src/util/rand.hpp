@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -96,30 +97,53 @@ class Xoshiro256ss {
 /// proportional to 1 / (r+1)^theta. theta = 0 is uniform; theta around
 /// 0.9-1.0 matches the skew reported for storage object popularity.
 ///
-/// The normalized CDF is precomputed once (O(n)); each sample is a binary
-/// search (O(log n)). Deterministic: sample(u) is a pure function of u.
+/// The normalized CDF is precomputed once (O(n)). A guide table (Chen and
+/// Asau's indexed search) narrows each sample's binary search to the ranks
+/// whose CDF crosses u's bucket [k/G, (k+1)/G), so a sample takes O(1)
+/// expected time. It returns exactly the rank a binary search over the
+/// whole CDF would: sample(u) is a pure function of u.
 class ZipfianSampler {
  public:
-  ZipfianSampler(std::size_t n, double theta) : cdf_(n) {
+  /// Guide buckets. A power of two, so u * kGuide and k / kGuide are exact.
+  static constexpr std::size_t kGuide = 4096;
+
+  ZipfianSampler(std::size_t n, double theta) : cdf_(n), guide_(kGuide + 1) {
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
       cdf_[i] = sum;
     }
     for (std::size_t i = 0; i < n; ++i) cdf_[i] /= sum;
+    // guide_[k] is the first rank whose CDF exceeds k / kGuide: the
+    // std::upper_bound of k / kGuide, found with the same `u < cdf` test.
+    std::size_t j = 0;
+    for (std::size_t k = 0; k <= kGuide; ++k) {
+      const double edge = static_cast<double>(k) / static_cast<double>(kGuide);
+      while (j < n && !(edge < cdf_[j])) ++j;
+      guide_[k] = j;
+    }
   }
 
   std::size_t size() const { return cdf_.size(); }
 
   /// Maps u in [0, 1) to a rank in [0, size()).
   std::size_t sample(double u) const {
-    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
+    auto first = cdf_.begin();
+    auto last = cdf_.end();
+    if (u >= 0.0 && u < 1.0) {
+      // upper_bound(u) lies between the bounds of u's bucket.
+      const auto k = static_cast<std::size_t>(u * static_cast<double>(kGuide));
+      last = first + static_cast<std::ptrdiff_t>(guide_[k + 1]);
+      first += static_cast<std::ptrdiff_t>(guide_[k]);
+    }
+    const auto it = std::upper_bound(first, last, u);
     if (it == cdf_.end()) return cdf_.size() - 1;
     return static_cast<std::size_t>(it - cdf_.begin());
   }
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;
 };
 
 }  // namespace nwc::util

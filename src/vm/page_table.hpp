@@ -49,6 +49,9 @@ struct alignas(32) PageEntry {
   sim::CoMutex mutex;   // serializes fault/swap transitions on this entry
   sim::Signal changed;  // pulsed on every state transition
 };
+// 32 bytes of access-path fields, a 32-byte intrusive CoMutex and a 32-byte
+// Signal: a change that grows the entry shows up here, not as peak RSS.
+static_assert(sizeof(PageEntry) == 96);
 
 /// Entries live in one contiguous vector: one indirection on the access
 /// fast path and one allocation instead of one per page. Growth only

@@ -1,4 +1,4 @@
-// CoMutex / CoSemaphore / CoBarrier / Trigger / Signal.
+// CoMutex / CoBarrier / Trigger / Signal.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -89,30 +89,45 @@ TEST(CoMutex, GuardExplicitRelease) {
   e.run();
 }
 
-TEST(CoSemaphore, CountsDownAndBlocks) {
+// The intrusive wait queue: three waiters are handed the lock in the order
+// they queued, the queue drains to empty, and it refills for a second round.
+TEST(CoMutex, IntrusiveQueueDrainsAndRefills) {
   Engine e;
-  CoSemaphore s(e, 2);
-  std::vector<Tick> acquired;
-  auto t = [&]() -> Task<> {
-    co_await s.acquire();
-    acquired.push_back(e.now());
-    co_await e.delay(50);
-    s.release();
+  CoMutex m(e);
+  std::vector<int> order;
+  auto holder = [&](Tick arrive) -> Task<> {
+    co_await e.delay(arrive);
+    co_await m.lock();
+    co_await e.delay(100);
+    m.unlock();
   };
-  for (int i = 0; i < 4; ++i) e.spawn(t());
+  auto waiter = [&](int id, Tick arrive) -> Task<> {
+    co_await e.delay(arrive);
+    co_await m.lock();
+    order.push_back(id);
+    m.unlock();
+  };
+  auto probe = [&](Tick at, std::size_t want) -> Task<> {
+    co_await e.delay(at);
+    EXPECT_EQ(m.waiterCount(), want);
+    EXPECT_EQ(m.locked(), want > 0);
+    if (want > 0) {
+      EXPECT_FALSE(m.tryLock());  // queued waiters go first
+    }
+  };
+  for (const Tick base : {Tick{0}, Tick{1000}}) {
+    e.spawn(holder(base));
+    e.spawn(waiter(static_cast<int>(base) + 7, base + 10));
+    e.spawn(waiter(static_cast<int>(base) + 2, base + 20));
+    e.spawn(waiter(static_cast<int>(base) + 9, base + 30));
+    e.spawn(probe(base + 50, 3));
+  }
+  e.spawn(probe(500, 0));  // drained between the rounds
   e.run();
-  ASSERT_EQ(acquired.size(), 4u);
-  EXPECT_EQ(acquired[0], 0u);
-  EXPECT_EQ(acquired[1], 0u);
-  EXPECT_EQ(acquired[2], 50u);
-  EXPECT_EQ(acquired[3], 50u);
-}
-
-TEST(CoSemaphore, ReleaseWithoutWaitersRaisesCount) {
-  Engine e;
-  CoSemaphore s(e, 0);
-  s.release(3);
-  EXPECT_EQ(s.available(), 3);
+  const std::vector<int> want = {7, 2, 9, 1007, 1002, 1009};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(m.waiterCount(), 0u);
+  EXPECT_FALSE(m.locked());
 }
 
 TEST(CoBarrier, ReleasesAllAtOnce) {

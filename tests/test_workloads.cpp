@@ -4,6 +4,8 @@
 // block serving on all four systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -84,6 +86,19 @@ TEST(SyntheticSpecParse, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)SyntheticSpec::parse("synth:clients"),
                std::invalid_argument);
+  // Non-finite numbers are rejected, naming the key: read_ratio=nan used to
+  // give all writes, and think_mean=inf cast infinity to an integer gap.
+  for (const char* kv : {"think_mean=nan", "think_mean=inf", "diurnal_amp=nan",
+                         "zipf_theta=nan", "read_ratio=nan", "burst_prob=nan",
+                         "zipf_theta=-inf", "read_ratio=infinity"}) {
+    const std::string key = std::string(kv).substr(0, std::string(kv).find('='));
+    try {
+      (void)SyntheticSpec::parse(std::string("synth:") + kv);
+      ADD_FAILURE() << kv << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(WorkloadSpecs, SpecErrorClassifiesAllKinds) {
@@ -177,6 +192,42 @@ TEST(ZipfianSampler, CdfIsMonotoneAndHeadHeavy) {
     if (z.sample(rng.uniform()) == 0) ++head;
   }
   EXPECT_NEAR(static_cast<double>(head) / 10000.0, 0.19, 0.03);
+}
+
+// The guide table only narrows the search: every u must map to the rank a
+// binary search over the whole CDF gives, including u on and beside every
+// bucket edge.
+TEST(ZipfianSampler, GuideTableMatchesBinarySearch) {
+  constexpr std::size_t kG = util::ZipfianSampler::kGuide;
+  for (const std::size_t n : {1u, 2u, 3u, 1000u, 8192u}) {
+    for (const double theta : {0.0, 0.5, 0.9, 1.0, 1.2}) {
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+        cdf[i] = sum;
+      }
+      for (double& c : cdf) c /= sum;
+      auto want = [&](double u) {
+        const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+        return it == cdf.end() ? n - 1 : static_cast<std::size_t>(it - cdf.begin());
+      };
+      const util::ZipfianSampler z(n, theta);
+      std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+      for (std::size_t k = 0; k <= kG; ++k) {
+        const double edge = static_cast<double>(k) / static_cast<double>(kG);
+        us.push_back(std::nextafter(edge, 0.0));
+        if (edge < 1.0) us.push_back(edge);
+        if (edge < 1.0) us.push_back(std::nextafter(edge, 1.0));
+      }
+      util::Xoshiro256ss rng(n * 31 + static_cast<std::uint64_t>(theta * 10));
+      for (int i = 0; i < 100000; ++i) us.push_back(rng.uniform());
+      for (const double u : us) {
+        ASSERT_EQ(z.sample(u), want(u)) << "n=" << n << " theta=" << theta
+                                        << " u=" << u;
+      }
+    }
+  }
 }
 
 // --- encodings ------------------------------------------------------------
