@@ -5,7 +5,7 @@
 // hybrid write-cache work (bouncer's sieved write buffer, the Optane
 // "Writes Hurt" study) argues the policy seam matters more than the cache
 // capacity. This sweep crosses the two cache-bearing systems with every
-// admission policy (`always`, `lru`, `sieve`) and both destage orders
+// admission policy (`always`, `sieve`) and both destage orders
 // (`fifo`, `write-combine`) over the paper's kernels, and reports the
 // destage-side pressure next to the end-to-end numbers:
 //
@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   const machine::SystemKind systems[] = {machine::SystemKind::kNWCache,
                                          machine::SystemKind::kDCD};
   const machine::AdmissionKind admissions[] = {machine::AdmissionKind::kAlways,
-                                               machine::AdmissionKind::kLru,
                                                machine::AdmissionKind::kSieve};
   const machine::DestageKind destages[] = {machine::DestageKind::kFifo,
                                            machine::DestageKind::kWriteCombine};
@@ -41,10 +40,9 @@ int main(int argc, char** argv) {
     cfg.memory_per_node = 16 * 1024;  // force heavy paging at bench scales
     cfg.ring_admission = adm;
     cfg.destage_policy = dst;
-    // Bench-scale working sets are small; shrink the policy tables so the
-    // recency gates actually discriminate (512 pages would cover the whole
-    // dataset and reduce lru/sieve to `always`).
-    cfg.policy_lru_pages = 64;
+    // Bench-scale working sets are small; shrink the sieve's tables so it
+    // actually discriminates (512 pages would cover the whole dataset and
+    // reduce it to `always`).
     cfg.policy_ghost_pages = 256;
     return cfg;
   };

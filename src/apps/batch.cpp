@@ -121,6 +121,14 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   if (!spec.sample_dir.empty() && spec.sample_interval == 0) {
     throw std::runtime_error("batch: sample_dir requires sample_interval > 0");
   }
+  // Check every cell's machine before any runs. The system decides which
+  // keys are checked (the ring's only on nwcache); prefetch, seed and the
+  // best min-free reserve are always legal.
+  for (machine::SystemKind sys : spec.systems) {
+    machine::MachineConfig cfg = spec.base;
+    cfg.system = sys;
+    cfg.validate();
+  }
   return spec;
 }
 

@@ -1,35 +1,13 @@
 #include "machine/backends/cache_policy.hpp"
 
+#include <unordered_map>
 #include <unordered_set>
 
 #include "machine/metrics.hpp"
 #include "obs/registry.hpp"
+#include "sim/page_lru.hpp"
 
 namespace nwc::machine {
-
-sim::PageId PageLru::touch(sim::PageId page) {
-  if (const auto it = index_.find(page); it != index_.end()) {
-    order_.splice(order_.begin(), order_, it->second);
-    return sim::kNoPage;
-  }
-  sim::PageId evicted = sim::kNoPage;
-  if (static_cast<int>(order_.size()) >= capacity_) {
-    evicted = order_.back();
-    index_.erase(evicted);
-    order_.pop_back();
-  }
-  order_.push_front(page);
-  index_[page] = order_.begin();
-  return evicted;
-}
-
-bool PageLru::erase(sim::PageId page) {
-  const auto it = index_.find(page);
-  if (it == index_.end()) return false;
-  order_.erase(it->second);
-  index_.erase(it);
-  return true;
-}
 
 bool CachePolicy::admit(sim::PageId page) {
   const bool yes = decide(page);
@@ -51,6 +29,19 @@ void CachePolicy::publishMetrics(obs::MetricsRegistry& reg) const {
 
 namespace {
 
+/// Refreshes `page` in `lru`, or inserts it, first evicting the least
+/// recently touched page when full. Returns the evicted page, if any.
+sim::PageId touchBounded(sim::PageLruList& lru, sim::PageId page) {
+  if (lru.touch(page)) return sim::kNoPage;
+  sim::PageId evicted = sim::kNoPage;
+  if (lru.size() == lru.capacity()) {
+    evicted = lru.lru();
+    lru.erase(evicted);
+  }
+  lru.pushMru(page);
+  return evicted;
+}
+
 /// Paper-faithful baseline: every swap-out enters the write cache. Pure
 /// counting — a machine running `always` is byte-identical to one with no
 /// policy seam at all.
@@ -60,26 +51,6 @@ class AlwaysAdmit final : public CachePolicy {
 
  private:
   bool decide(sim::PageId) override { return true; }
-};
-
-/// Recency-gated admission: admit a swap-out only when the page faulted
-/// recently (it is in the bounded recency list), i.e. the node is actively
-/// cycling it through memory and a victim read / log hit is likely. Cold
-/// pages written out once and never touched again skip the write cache.
-class LruAdmit final : public CachePolicy {
- public:
-  LruAdmit(const MachineConfig& cfg, Metrics& m)
-      : CachePolicy(AdmissionKind::kLru, m), recent_(cfg.policy_lru_pages) {}
-
-  void noteFault(sim::PageId page, bool staged) override {
-    (void)staged;
-    recent_.touch(page);
-  }
-
- private:
-  bool decide(sim::PageId page) override { return recent_.contains(page); }
-
-  PageLru recent_;  // pages faulted on recently
 };
 
 /// Bouncer-style sieve: a miss filter plus a ghost cache guide admission.
@@ -94,7 +65,7 @@ class SieveAdmit final : public CachePolicy {
  public:
   SieveAdmit(const MachineConfig& cfg, Metrics& m)
       : CachePolicy(AdmissionKind::kSieve, m),
-        threshold_(cfg.sieve_threshold < 1 ? 1 : cfg.sieve_threshold),
+        threshold_(cfg.sieve_threshold),
         ghost_(cfg.policy_ghost_pages),
         filter_(cfg.policy_ghost_pages) {}
 
@@ -111,14 +82,14 @@ class SieveAdmit final : public CachePolicy {
 
   void noteDestage(sim::PageId page) override {
     if (promoted_.contains(page)) return;  // promotions are sticky
-    ghost_.touch(page);
+    touchBounded(ghost_, page);
   }
 
  private:
   bool decide(sim::PageId page) override {
     if (promoted_.contains(page)) return true;
     // Miss filter: saturating per-page counter in a bounded recency table.
-    const sim::PageId evicted = filter_.touch(page);
+    const sim::PageId evicted = touchBounded(filter_, page);
     if (evicted != sim::kNoPage) misses_.erase(evicted);
     const int count = ++misses_[page];
     if (count < threshold_) return false;
@@ -127,8 +98,8 @@ class SieveAdmit final : public CachePolicy {
   }
 
   int threshold_;
-  PageLru ghost_;   // recently destaged pages (admission evidence)
-  PageLru filter_;  // bounds the miss table to recent pages
+  sim::PageLruList ghost_;   // recently destaged pages (admission evidence)
+  sim::PageLruList filter_;  // bounds the miss table to recent pages
   std::unordered_map<sim::PageId, int> misses_;
   // Pages promoted by a ghost hit: admitted unconditionally from then on.
   std::unordered_set<sim::PageId> promoted_;
@@ -139,7 +110,6 @@ class SieveAdmit final : public CachePolicy {
 std::unique_ptr<CachePolicy> makeCachePolicy(const MachineConfig& cfg,
                                              Metrics& m) {
   switch (cfg.ring_admission) {
-    case AdmissionKind::kLru: return std::make_unique<LruAdmit>(cfg, m);
     case AdmissionKind::kSieve: return std::make_unique<SieveAdmit>(cfg, m);
     case AdmissionKind::kAlways: break;
   }

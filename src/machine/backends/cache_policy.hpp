@@ -20,10 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <string>
-#include <unordered_map>
 
 #include "machine/config.hpp"
 #include "sim/types.hpp"
@@ -35,32 +32,6 @@ class MetricsRegistry;
 namespace nwc::machine {
 
 struct Metrics;
-
-/// A bounded recency list (LRU order) of page ids, the building block of
-/// both the lru admission policy and the sieve's ghost cache / miss table.
-/// Deterministic: pure map + list bookkeeping, no hashing-order iteration.
-class PageLru {
- public:
-  explicit PageLru(int capacity) : capacity_(capacity < 1 ? 1 : capacity) {}
-
-  /// True if `page` is tracked (does not refresh recency).
-  bool contains(sim::PageId page) const { return index_.contains(page); }
-
-  /// Inserts `page` (or refreshes its recency), evicting the least
-  /// recently touched entry when full. Returns the evicted page, if any.
-  sim::PageId touch(sim::PageId page);
-
-  /// Drops `page`; true if it was tracked.
-  bool erase(sim::PageId page);
-
-  int size() const { return static_cast<int>(order_.size()); }
-  int capacity() const { return capacity_; }
-
- private:
-  int capacity_;
-  std::list<sim::PageId> order_;  // front = most recent
-  std::unordered_map<sim::PageId, std::list<sim::PageId>::iterator> index_;
-};
 
 /// Admission policy interface. One instance per staging backend (ring,
 /// DCD); the shared fabric and the standard/remote backends never ask.

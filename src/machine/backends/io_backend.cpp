@@ -60,6 +60,9 @@ sim::Task<> IoBackend::swapOutToDisk(sim::NodeId n, sim::PageId page,
     co_await eng().waitUntil(ctrlTransfer(eng().now(), io, n, &actx));  // NACK delivery
     sim::Trigger ok(eng());
     dc.nack_fifo.push_back(Machine::NackWaiter{n, &ok});
+    // With no dirty page left, no write completes to send the OK: the cache
+    // drained while the NACK was in flight, so there is room now.
+    if (dc.cache.dirtyCount() == 0) m_.sendPendingOks(di);
     const sim::Tick ok_wait0 = eng().now();
     co_await ok.wait();
     // Waiting for the controller's OK is time spent queued on it.

@@ -41,7 +41,6 @@ enum class SystemKind {
 /// plain disk path, exactly as on the standard machine.
 enum class AdmissionKind {
   kAlways,  // paper-faithful: admit every swap-out (default)
-  kLru,     // admit only pages faulted on recently (bounded recency list)
   kSieve,   // miss-filter + ghost cache (bouncer's sieved write buffer):
             // admit repeat offenders and pages whose earlier destage later
             // missed (ghost hit)
@@ -70,7 +69,6 @@ inline constexpr std::pair<Prefetch, const char*> kPrefetchNames[] = {
 };
 inline constexpr std::pair<AdmissionKind, const char*> kAdmissionKindNames[] = {
     {AdmissionKind::kAlways, "always"},
-    {AdmissionKind::kLru, "lru"},
     {AdmissionKind::kSieve, "sieve"},
 };
 inline constexpr std::pair<DestageKind, const char*> kDestageKindNames[] = {
@@ -161,7 +159,6 @@ struct MachineConfig {
   DestageKind destage_policy = DestageKind::kFifo;
   int sieve_threshold = 2;       // misses before the sieve admits a page
   int policy_ghost_pages = 512;  // sieve ghost-cache capacity (pages)
-  int policy_lru_pages = 512;    // lru admission recency-list capacity
 
   // --- derived ----------------------------------------------------------
   int framesPerNode() const {
@@ -183,6 +180,12 @@ struct MachineConfig {
   MachineConfig& withSystem(SystemKind s, Prefetch p);
 
   std::string describe() const;
+
+  /// Throws std::invalid_argument unless every key holds a legal value: each
+  /// key's own constraint (the config_io field table, docs/CONFIG.md), the
+  /// cross-key checks, and a bound on the longest delay in pcycles. The
+  /// message names the INI key (and the member, where it differs).
+  void validate() const;
 };
 
 }  // namespace nwc::machine

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 #include <sstream>
-#include <stdexcept>
 
 #include "machine/backends/io_backend.hpp"
 #include "obs/profiler.hpp"
@@ -43,90 +42,12 @@ Machine::DiskCtx::DiskCtx(sim::Engine& eng, const MachineConfig& cfg, sim::NodeI
       cache(cfg.diskCacheSlots()),
       work(eng) {}
 
+// validate() throws before anything is sized from the config.
 Machine::Machine(const MachineConfig& cfg)
-    : cfg_(cfg),
+    : cfg_((cfg.validate(), cfg)),
       eng_(std::make_unique<sim::Engine>()),
       metrics_(std::make_unique<Metrics>(cfg.num_nodes)),
       rng_(cfg.seed) {
-  if (cfg_.num_nodes < 1 || cfg_.num_nodes > 64) {
-    throw std::invalid_argument(
-        "MachineConfig.num_nodes must be in [1, 64]: the directory tracks "
-        "sharers, and each page entry tracks the nodes caching it, in a "
-        "64-bit node bitmask");
-  }
-  if (cfg_.num_io_nodes < 1 || cfg_.num_io_nodes > cfg_.num_nodes) {
-    throw std::invalid_argument(
-        "MachineConfig.num_io_nodes (io_nodes) must be in [1, num_nodes]");
-  }
-  if (cfg_.tlb_entries < 1) {
-    throw std::invalid_argument("MachineConfig.tlb_entries must be >= 1");
-  }
-  if (cfg_.write_buffer_entries < 1) {
-    throw std::invalid_argument("MachineConfig.write_buffer_entries must be >= 1");
-  }
-  if (cfg_.pages_per_group < 1) {
-    throw std::invalid_argument(
-        "MachineConfig.pages_per_group must be >= 1: pages stripe over the "
-        "disks in groups of this many");
-  }
-  if (!(cfg_.pcycle_ns > 0.0)) {
-    throw std::invalid_argument("MachineConfig.pcycle_ns must be > 0");
-  }
-  for (const auto& [key, bps] :
-       {std::pair{"memory_bus_bps", cfg_.memory_bus_bps},
-        std::pair{"io_bus_bps", cfg_.io_bus_bps},
-        std::pair{"net_link_bps", cfg_.net_link_bps},
-        std::pair{"ring_bps", cfg_.ring_bps}, std::pair{"disk_bps", cfg_.disk_bps},
-        std::pair{"log_disk_bps", cfg_.log_disk_bps}}) {
-    if (!(bps > 0.0)) {
-      throw std::invalid_argument(std::string("MachineConfig.") + key +
-                                  " must be > 0: a zero rate makes every transfer free");
-    }
-  }
-  if (cfg_.min_seek_ms > cfg_.max_seek_ms) {
-    throw std::invalid_argument("MachineConfig.min_seek_ms must be <= max_seek_ms");
-  }
-  if (cfg_.ring_receivers < 1) {
-    throw std::invalid_argument("MachineConfig.ring_receivers must be >= 1");
-  }
-  for (const auto& [key, cache] :
-       {std::pair{"l1_bytes", cfg_.l1}, std::pair{"l2_bytes", cfg_.l2}}) {
-    const std::uint64_t set_bytes = std::uint64_t{cache.line_bytes} * cache.assoc;
-    if (set_bytes == 0 || cache.size_bytes == 0 || cache.size_bytes % set_bytes != 0) {
-      throw std::invalid_argument(std::string("MachineConfig.") + key +
-                                  " must be a positive multiple of line_bytes x assoc (" +
-                                  std::to_string(set_bytes) +
-                                  " bytes): a cache holds whole sets");
-    }
-  }
-  if (cfg_.page_bytes == 0 || cfg_.page_bytes % cfg_.l1.line_bytes != 0 ||
-      cfg_.page_bytes % cfg_.l2.line_bytes != 0) {
-    throw std::invalid_argument(
-        "MachineConfig.page_bytes must be a positive multiple of the L1 and "
-        "L2 line sizes: eviction invalidates a page line by line");
-  }
-  if (cfg_.min_free_frames < 1) {
-    throw std::invalid_argument(
-        "MachineConfig.min_free_frames must be >= 1: with no free-frame "
-        "reserve the replacement daemon never swaps a page out");
-  }
-  if (cfg_.framesPerNode() < 1) {
-    throw std::invalid_argument(
-        "MachineConfig.memory_per_node must hold at least one page frame");
-  }
-  if (cfg_.diskCacheSlots() < 1) {
-    throw std::invalid_argument(
-        "MachineConfig.disk_cache_bytes must hold at least one page");
-  }
-  if (cfg_.hasRing()) {
-    if (cfg_.ring_channels < 1) {
-      throw std::invalid_argument("MachineConfig.ring_channels must be >= 1 on nwcache");
-    }
-    if (cfg_.ring_channel_bytes < cfg_.page_bytes) {
-      throw std::invalid_argument(
-          "MachineConfig.ring_channel_bytes must hold at least one page on nwcache");
-    }
-  }
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<NodeCtx>(
         *eng_, cfg_, vm::FramePool(cfg_.framesPerNode(), cfg_.min_free_frames)));

@@ -1,5 +1,6 @@
 #include "util/ini.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -78,8 +79,9 @@ std::optional<std::int64_t> IniFile::getInt(const std::string& key) const {
   const auto v = get(key);
   if (!v.has_value()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const std::int64_t i = std::strtoll(v->c_str(), &end, 0);
-  if (end == v->c_str() || *end != '\0') {
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
     throw std::runtime_error("ini: " + key + " is not an integer: " + *v);
   }
   return i;

@@ -7,7 +7,9 @@ namespace nwc::vm {
 FramePool::FramePool(int total_frames, int min_free)
     : total_(total_frames), min_free_(min_free), free_(total_frames),
       lru_(total_frames) {
-  assert(min_free_ >= 0 && min_free_ <= total_);
+  // A reserve above total_frames is legal: the daemon then keeps swapping
+  // out until every frame is free, the same as min_free == total_frames.
+  assert(min_free_ >= 0);
 }
 
 void FramePool::allocate(sim::PageId page) {

@@ -13,7 +13,7 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 "$NWCSIM" --app=radix --system=nwcache --scale=0.02 --set memory_per_node=32768 \
-  --metrics="$WORK/run.metrics.json" --sample="$WORK/run.timeseries.json" \
+  --set min_free_frames=12 --metrics="$WORK/run.metrics.json" --sample="$WORK/run.timeseries.json" \
   > /dev/null
 
 "$NWCREPORT" --metrics="$WORK/run.metrics.json" \

@@ -54,9 +54,7 @@ struct Golden {
 
 // Recorded pre-refactor with:
 //   nwcsim --app=radix --scale=0.05 --system=<s> --prefetch=optimal
-//          --set memory_per_node=32768 --set seed=1 --json
-// (nwcsim treats any --set as a full config override, so min_free_frames
-// stayed at the struct default of 12 for every system kind.)
+//          --set memory_per_node=32768 --set seed=1 --set min_free_frames=12 --json
 const Golden kGoldens[] = {
     {SystemKind::kStandard, 6319173722, 53667, 25957, 27707, 9591, 53664,
      1915282.4672727974, 12162.29932733337, 1.3029118360744136, 0.0, 0,

@@ -54,6 +54,19 @@ TEST(BatchSpec, RejectsBadInput) {
                std::runtime_error);
 }
 
+TEST(BatchSpec, ValidatesEveryCellMachineBeforeRunning) {
+  // The ring keys are checked only on nwcache, so the grid's systems
+  // decide whether the same [machine] section is legal.
+  const std::string machine = "[machine]\nring_channels = 0\n[batch]\napps = sor\n";
+  EXPECT_NO_THROW(BatchSpec::fromIni(util::IniFile::parse(machine + "systems = standard\n")));
+  try {
+    BatchSpec::fromIni(util::IniFile::parse(machine + "systems = standard, nwcache\n"));
+    ADD_FAILURE() << "accepted an nwcache cell without ring channels";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ring_channels"), std::string::npos) << e.what();
+  }
+}
+
 TEST(BatchSpec, RejectsUnknownKeysByName) {
   // A typo and keys of options that no longer exist must not be silently
   // ignored: the error names the offending key.

@@ -137,6 +137,19 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   EXPECT_EQ(b.l1.size_bytes, 4096u);
 }
 
+TEST(ConfigIo, EverySeedRoundTrips) {
+  // Seeds span all 64 bits (batch seeds are read with strtoull); past them
+  // the value is out of the key's range.
+  machine::MachineConfig a;
+  a.seed = 18446744073709551615u;
+  machine::MachineConfig b;
+  machine::applyIni(machine::toIni(a), b);
+  EXPECT_EQ(b.seed, a.seed);
+  EXPECT_THROW(machine::applyIni(
+                   util::IniFile::parse("[machine]\nseed = 18446744073709551616\n"), b),
+               std::invalid_argument);
+}
+
 TEST(ConfigIo, EnumParsers) {
   EXPECT_EQ(machine::systemKindFromString("standard"), machine::SystemKind::kStandard);
   EXPECT_EQ(machine::systemKindFromString("nwcache"), machine::SystemKind::kNWCache);

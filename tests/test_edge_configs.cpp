@@ -308,6 +308,13 @@ TEST(EdgeConfig, RejectsNegativeUnsignedKey) {
       {"io_bus_bps", "0"},          {"net_link_bps", "0"},
       {"ring_bps", "0"},            {"disk_bps", "0"},
       {"log_disk_bps", "0"},
+      // Each used to run and print a result: a wrapped tick count (rot_ms,
+      // pcycle_ns), a bare std::bad_alloc (tlb_entries, disk_cache_bytes),
+      // a silent clamp to 1 (the sieve keys) or a saturated seed.
+      {"rot_ms", "1e300"},          {"pcycle_ns", "1e-300"},
+      {"tlb_entries", "1000000000"}, {"disk_cache_bytes", "1099511627776"},
+      {"sieve_threshold", "-7"},    {"policy_ghost_pages", "-3"},
+      {"seed", "99999999999999999999"}, {"access_quantum", "0"},
   };
   for (const auto& [key, value] : kBad) {
     const auto ini = util::IniFile::parse("[machine]\n" + key + " = " + value + "\n");
@@ -337,6 +344,59 @@ TEST(EdgeConfig, FourFramesPerNodeStaysLegal) {
   EXPECT_NO_THROW(Machine{c});
   applyIni(util::IniFile::parse("[machine]\nmemory_per_node = 16384\n"), c);
   EXPECT_NO_THROW(Machine{c});
+}
+
+TEST(EdgeConfig, LegalIdealisationsRunClean) {
+  // Zero costs are legal on purpose (docs/CONFIG.md): each removes one
+  // cost from the model and the machine still runs correctly.
+  const std::pair<std::string, std::string> kLegal[] = {
+      {"compute_cycle_scale", "0"}, {"ctrl_msg_bytes", "0"}, {"hop_latency", "0"},
+      {"ring_round_trip_us", "0"},
+  };
+  for (const auto& [key, value] : kLegal) {
+    MachineConfig c;
+    c.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
+    c.memory_per_node = 16384;
+    applyIni(util::IniFile::parse("[machine]\n" + key + " = " + value + "\n"), c);
+    const apps::RunSummary s = apps::runApp(c, "radix", 0.05);
+    EXPECT_TRUE(s.verified) << key;
+    EXPECT_EQ(s.invariant_violations, "") << key;
+  }
+}
+
+TEST(EdgeConfig, FreeReserveAboveFrameCountActsAsWholeMemory) {
+  // A reserve at or above the node's frame count keeps the replacement
+  // daemon swapping until every frame is free: any such value runs the
+  // same machine.
+  auto exec = [](int reserve) {
+    MachineConfig c;
+    c.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
+    c.memory_per_node = 16384;  // 4 frames
+    c.min_free_frames = reserve;
+    const apps::RunSummary s = apps::runApp(c, "radix", 0.05);
+    EXPECT_TRUE(s.verified);
+    EXPECT_EQ(s.invariant_violations, "");
+    return s.exec_time;
+  };
+  const sim::Tick whole = exec(4);
+  EXPECT_EQ(exec(5), whole);
+  EXPECT_EQ(exec(100000), whole);
+}
+
+TEST(EdgeConfig, NackInFlightWhileCacheDrainsStillGetsOk) {
+  // A long mesh hop lets the controller cache drain completely while a NACK
+  // is in flight. The swap-out then registers for an OK that no write
+  // completion would send; it is sent at once, as there is room.
+  MachineConfig c;
+  c.withSystem(SystemKind::kDCD, Prefetch::kOptimal);
+  c.memory_per_node = 16384;
+  c.min_free_frames = 12;
+  c.ring_admission = AdmissionKind::kSieve;
+  c.hop_latency = 177436;
+  const apps::RunSummary s = apps::runApp(c, "radix", 0.05);
+  EXPECT_TRUE(s.verified);
+  EXPECT_EQ(s.invariant_violations, "");
+  EXPECT_GT(s.exec_time, 0u);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Write-cache policy engine tests (machine/backends/cache_policy).
 //
 // 1. Unit tests against the public CachePolicy interface: the sieve's
-//    miss-filter threshold and ghost-cache promotion state machine, the
-//    lru recency gate, and the PageLru building block.
+//    miss-filter threshold and ghost-cache promotion state machine, and the
+//    sim::PageLruList building block.
 // 2. Write-combine batching: DiskCache::planWriteBatch(longest_run) picks
 //    the longest consecutive-Dirty run, ties broken toward the oldest.
 // 3. Golden byte-identity: an explicit `ring_admission=always` +
 //    `destage_policy=fifo` machine reproduces the pre-policy RunSummary
 //    for all four system kinds (the same pinned numbers as test_backends,
 //    which exercises the defaults).
-// 4. Smoke: lru/sieve/write-combine machines run verified with clean
+// 4. Smoke: sieve/write-combine machines run verified with clean
 //    invariants and actually exercise the policy (decisions recorded).
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "io/disk_cache.hpp"
 #include "machine/backends/cache_policy.hpp"
 #include "machine/metrics.hpp"
+#include "sim/page_lru.hpp"
 
 namespace nwc::machine {
 namespace {
@@ -25,27 +26,33 @@ using sim::PageId;
 using sim::Tick;
 
 // ---------------------------------------------------------------------------
-// PageLru
+// sim::PageLruList (the sieve's ghost cache and miss filter)
 // ---------------------------------------------------------------------------
 
-TEST(PageLru, EvictsLeastRecentlyTouched) {
-  PageLru lru(2);
-  EXPECT_EQ(lru.touch(1), sim::kNoPage);
-  EXPECT_EQ(lru.touch(2), sim::kNoPage);
-  EXPECT_EQ(lru.touch(1), sim::kNoPage);  // refresh: 1 is now most recent
-  EXPECT_EQ(lru.touch(3), PageId{2});     // 2 was least recent
+TEST(PageLruList, EvictsLeastRecentlyTouched) {
+  sim::PageLruList lru(2);
+  lru.pushMru(1);
+  lru.pushMru(2);
+  EXPECT_TRUE(lru.touch(1));  // refresh: 1 is now most recent
+  EXPECT_EQ(lru.lru(), PageId{2});
+  EXPECT_FALSE(lru.touch(3));  // absent: touch does not insert
+  ASSERT_TRUE(lru.erase(lru.lru()));
+  lru.pushMru(3);
   EXPECT_TRUE(lru.contains(1));
   EXPECT_FALSE(lru.contains(2));
   EXPECT_TRUE(lru.contains(3));
   EXPECT_EQ(lru.size(), 2);
+  EXPECT_EQ(lru.lru(), PageId{1});
 }
 
-TEST(PageLru, EraseDropsTrackedPages) {
-  PageLru lru(4);
-  lru.touch(7);
+TEST(PageLruList, EraseDropsTrackedPages) {
+  sim::PageLruList lru(4);
+  lru.pushMru(7);
   EXPECT_TRUE(lru.erase(7));
   EXPECT_FALSE(lru.erase(7));
   EXPECT_FALSE(lru.contains(7));
+  EXPECT_TRUE(lru.empty());
+  EXPECT_EQ(lru.lru(), sim::kNoPage);
 }
 
 // ---------------------------------------------------------------------------
@@ -66,25 +73,6 @@ TEST(CachePolicyTest, AlwaysAdmitsEverythingAndCounts) {
   EXPECT_EQ(p->admits(), 3u);
   EXPECT_EQ(p->rejects(), 0u);
   EXPECT_EQ(m.policy_admits, 3u);
-}
-
-TEST(CachePolicyTest, LruAdmitsOnlyRecentlyFaultedPages) {
-  MachineConfig cfg = policyConfig(AdmissionKind::kLru);
-  cfg.policy_lru_pages = 2;
-  Metrics m{0};
-  auto p = makeCachePolicy(cfg, m);
-
-  EXPECT_FALSE(p->admit(5));  // never faulted: cold
-  p->noteFault(5, false);
-  EXPECT_TRUE(p->admit(5));
-
-  // The recency list is bounded: two newer faults push 5 out again.
-  p->noteFault(6, false);
-  p->noteFault(7, false);
-  EXPECT_FALSE(p->admit(5));
-  EXPECT_TRUE(p->admit(6));
-  EXPECT_EQ(m.policy_rejects, 2u);
-  EXPECT_EQ(m.policy_admits, 2u);
 }
 
 TEST(CachePolicyTest, SieveAdmitsAfterThresholdMisses) {
@@ -247,8 +235,7 @@ apps::RunSummary runPolicy(SystemKind sys, AdmissionKind adm, DestageKind dst) {
   cfg.seed = 1;
   cfg.ring_admission = adm;
   cfg.destage_policy = dst;
-  cfg.policy_lru_pages = 16;  // small tables so the gates discriminate
-  cfg.policy_ghost_pages = 64;
+  cfg.policy_ghost_pages = 64;  // a small table so the sieve discriminates
   return apps::runApp(cfg, "radix", 0.05);
 }
 
@@ -261,9 +248,9 @@ TEST(PolicySmoke, SieveOnRingRejectsAndStaysConsistent) {
   EXPECT_GT(s.metrics.policy_admits, 0u);
 }
 
-TEST(PolicySmoke, LruOnDcdRejectsAndStaysConsistent) {
+TEST(PolicySmoke, SieveOnDcdRejectsAndStaysConsistent) {
   const auto s =
-      runPolicy(SystemKind::kDCD, AdmissionKind::kLru, DestageKind::kFifo);
+      runPolicy(SystemKind::kDCD, AdmissionKind::kSieve, DestageKind::kFifo);
   EXPECT_TRUE(s.verified);
   EXPECT_EQ(s.invariant_violations, "");
   EXPECT_GT(s.metrics.policy_rejects, 0u);

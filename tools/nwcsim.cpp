@@ -11,10 +11,12 @@
 // one machine and reports the metrics the paper's evaluation uses, as a
 // table or as JSON. Multiple applications are independent simulations and
 // run concurrently on --jobs threads; output order stays deterministic.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,9 +46,11 @@ namespace {
       "  --scale=F             input scale in (0,1], default 1.0\n"
       "  --system=KIND         standard|nwcache|dcd|remote (default standard)\n"
       "  --prefetch=POLICY     optimal|naive (default optimal)\n"
-      "  --minfree=N           override the min-free-frames reserve\n"
       "  --config=FILE         load a [machine] INI section\n"
-      "  --set K=V             override one machine key (repeatable)\n"
+      "  --set K=V             override one machine key (repeatable);\n"
+      "                        --system/--prefetch pick the paper's best\n"
+      "                        min_free_frames unless it is set here or in\n"
+      "                        the --config file\n"
       "  --trace=FILE          dump the page-event trace as CSV (single app)\n"
       "  --trace-cap=N         keep only the newest N trace events (ring\n"
       "                        buffer; dropped events are counted)\n"
@@ -61,7 +65,8 @@ namespace {
       "                        verdict) as nwc-timeseries-v1 JSON, plus a\n"
       "                        sibling .csv; single app\n"
       "  --sample-interval=N   pcycles between samples (default 50000)\n"
-      "  --jobs=N              threads for multi-app runs (0 = all cores)\n"
+      "  --jobs=N              threads for multi-app runs (default: all\n"
+      "                        cores)\n"
       "  --json                emit the run summary as JSON\n"
       "  --profile=FILE        profile the simulator itself: write an\n"
       "                        nwc-profile-v1 JSON report (+ FILE.folded\n"
@@ -70,6 +75,23 @@ namespace {
       "                        results are unchanged.\n"
       "  --dump-config         print the effective config as INI and exit\n");
   std::exit(code);
+}
+
+// The value of a numeric flag: a finite number > 0 with nothing after it;
+// a count (`whole`) must also be an integer no larger than `max`.
+double positiveFlag(const char* flag, const std::string& text, bool whole = false,
+                    double max = 1e15) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
+      (whole && (v != std::floor(v) || v > max))) {
+    throw std::invalid_argument(
+        std::string(flag) + " must be " +
+        (whole ? "a whole number in [1, " + std::to_string(std::llround(max)) + "]"
+               : "a finite number > 0") +
+        ", got '" + text + "'");
+  }
+  return v;
 }
 
 std::vector<std::string> parseAppList(const std::string& arg) {
@@ -132,19 +154,18 @@ int main(int argc, char** argv) {
         if (a.rfind("--app=", 0) == 0) {
           app = val("--app=");
         } else if (a.rfind("--scale=", 0) == 0) {
-          scale = std::atof(val("--scale=").c_str());
+          scale = positiveFlag("--scale", val("--scale="));
         } else if (a.rfind("--system=", 0) == 0) {
           cfg.system = machine::systemKindFromString(val("--system="));
           system_set = true;
         } else if (a.rfind("--prefetch=", 0) == 0) {
           cfg.prefetch = machine::prefetchFromString(val("--prefetch="));
           prefetch_set = true;
-        } else if (a.rfind("--minfree=", 0) == 0) {
-          cfg.min_free_frames = std::atoi(val("--minfree=").c_str());
-          minfree_overridden = true;
         } else if (a.rfind("--config=", 0) == 0) {
-          machine::applyIni(util::IniFile::load(val("--config=")), cfg);
-          minfree_overridden = true;  // the file's value wins
+          const util::IniFile ini = util::IniFile::load(val("--config="));
+          machine::applyIni(ini, cfg);
+          // The file's reserve wins over the --system/--prefetch best.
+          if (ini.get("machine.min_free_frames")) minfree_overridden = true;
         } else if (a.rfind("--set", 0) == 0) {
           if (a == "--set" && i + 1 < argc) {
             overrides.push_back(argv[++i]);
@@ -156,7 +177,8 @@ int main(int argc, char** argv) {
         } else if (a.rfind("--trace=", 0) == 0) {
           trace_path = val("--trace=");
         } else if (a.rfind("--trace-cap=", 0) == 0) {
-          trace_cap = std::strtoul(val("--trace-cap=").c_str(), nullptr, 10);
+          trace_cap = static_cast<std::size_t>(
+              positiveFlag("--trace-cap", val("--trace-cap="), true));
         } else if (a.rfind("--metrics=", 0) == 0) {
           metrics_path = val("--metrics=");
         } else if (a.rfind("--timeline=", 0) == 0) {
@@ -164,14 +186,15 @@ int main(int argc, char** argv) {
         } else if (a.rfind("--timeline-layers=", 0) == 0) {
           timeline_layers = obs::layerMaskFromString(val("--timeline-layers="));
         } else if (a.rfind("--timeline-cap=", 0) == 0) {
-          timeline_cap = std::strtoul(val("--timeline-cap=").c_str(), nullptr, 10);
+          timeline_cap = static_cast<std::size_t>(
+              positiveFlag("--timeline-cap", val("--timeline-cap="), true));
         } else if (a.rfind("--sample=", 0) == 0) {
           sample_path = val("--sample=");
         } else if (a.rfind("--sample-interval=", 0) == 0) {
           sample_interval = static_cast<sim::Tick>(
-              std::strtoull(val("--sample-interval=").c_str(), nullptr, 10));
+              positiveFlag("--sample-interval", val("--sample-interval="), true));
         } else if (a.rfind("--jobs=", 0) == 0) {
-          jobs = static_cast<unsigned>(std::strtoul(val("--jobs=").c_str(), nullptr, 10));
+          jobs = static_cast<unsigned>(positiveFlag("--jobs", val("--jobs="), true, 4096));
         } else if (a == "--json") {
           as_json = true;
         } else if (a.rfind("--profile=", 0) == 0) {
@@ -204,12 +227,13 @@ int main(int argc, char** argv) {
           ini.set(key, util::trim(kv.substr(eq + 1)));
         }
         machine::applyIni(ini, cfg);
-        minfree_overridden = true;
+        if (ini.get("machine.min_free_frames")) minfree_overridden = true;
       }
       if ((system_set || prefetch_set) && !minfree_overridden) {
         cfg.min_free_frames =
             machine::MachineConfig::bestMinFree(cfg.system, cfg.prefetch);
       }
+      cfg.validate();
     }
 
     if (dump_config) {
@@ -231,10 +255,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "nwcsim: --trace/--metrics/--timeline/--sample require a "
                    "single --app\n");
-      return 2;
-    }
-    if (!sample_path.empty() && sample_interval == 0) {
-      std::fprintf(stderr, "nwcsim: --sample-interval must be > 0\n");
       return 2;
     }
 
