@@ -39,25 +39,18 @@ int main(int argc, char** argv) {
       plan.push_back({cfg, app});
     }
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
   util::AsciiTable t({"Application", "standard", "full", "no-victim", "no-bypass",
                       "staging-only"});
   std::vector<std::vector<std::string>> rows;
 
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     std::vector<std::string> row = {app};
-    const auto std_s = bench::run(bench::configFor(machine::SystemKind::kStandard,
-                                                   machine::Prefetch::kOptimal, opt),
-                                  app, opt);
-    row.push_back(util::AsciiTable::fmt(static_cast<double>(std_s.exec_time) / 1e6));
-    for (const Variant& v : variants) {
-      machine::MachineConfig cfg = bench::configFor(machine::SystemKind::kNWCache,
-                                                    machine::Prefetch::kOptimal, opt);
-      cfg.ring_victim_reads = v.victim;
-      cfg.ring_bypass_network = v.bypass;
-      const auto s = bench::run(cfg, app, opt);
-      row.push_back(util::AsciiTable::fmt(static_cast<double>(s.exec_time) / 1e6));
+    for (std::size_t c = 0; c <= std::size(variants); ++c) {  // standard + variants
+      row.push_back(
+          util::AsciiTable::fmt(static_cast<double>(runs[next++].exec_time) / 1e6));
     }
     t.addRow(row);
     rows.push_back(row);

@@ -11,18 +11,19 @@ int main(int argc, char** argv) {
   using namespace nwc;
   auto opt = bench::parseArgs(argc, argv, "baseline_dcd", 1.0, {"sor", "mg", "em3d"});
 
+  const machine::SystemKind systems[] = {
+      machine::SystemKind::kStandard, machine::SystemKind::kDCD,
+      machine::SystemKind::kRemoteMemory, machine::SystemKind::kNWCache};
+
   std::vector<bench::PlannedRun> plan;
   for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
     for (const std::string& app : bench::appList(opt)) {
-      for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kDCD,
-                       machine::SystemKind::kRemoteMemory,
-                       machine::SystemKind::kNWCache}) {
-        plan.push_back({bench::configFor(sys, pf, opt), app});
-      }
+      for (auto sys : systems) plan.push_back({bench::configFor(sys, pf, opt), app});
     }
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
+  std::size_t next = 0;
   for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
     std::printf("Standard vs DCD vs remote-memory vs NWCache under %s prefetching "
                 "(execution Mpcycles / median swap-out Kpcycles, scale=%.2f)\n",
@@ -33,10 +34,8 @@ int main(int argc, char** argv) {
     for (const std::string& app : bench::appList(opt)) {
       std::vector<std::string> row = {app};
       std::vector<std::string> swaps;
-      for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kDCD,
-                       machine::SystemKind::kRemoteMemory,
-                       machine::SystemKind::kNWCache}) {
-        const auto s = bench::run(bench::configFor(sys, pf, opt), app, opt);
+      for (std::size_t c = 0; c < std::size(systems); ++c) {
+        const apps::RunSummary& s = runs[next++];
         row.push_back(util::AsciiTable::fmt(static_cast<double>(s.exec_time) / 1e6));
         swaps.push_back(util::AsciiTable::fmt(
             static_cast<double>(s.metrics.swap_out_hist.quantileUpperBound(0.5)) / 1e3));

@@ -5,19 +5,20 @@
 //   --apps=a,b,c  restrict to a comma-separated subset of applications
 //   --csv=<path>  where to mirror the rows as CSV (default: ./<bench>.csv)
 //   --seed=<n>    machine seed
-//   --jobs=<n>    simulation threads (0 = all cores, 1 = serial)
-//   --metrics-dir=<dir>  export one MetricsRegistry JSON per simulation
+//   --jobs=<n>    simulation threads, a whole number >= 1 (default: all cores)
+//   --metrics-dir=<dir>  export one MetricsRegistry JSON per simulation,
+//                        <dir>/cellNNNN_app_system_prefetch_sSEED.json
+//                        (NNNN = the simulation's position in the plan)
 //   --profile=<path>     profile the simulator itself: nwc-profile-v1 JSON
 //                        report (+ .folded flamegraph stacks) at exit
 //
-// Parallelism model: a bench declares its full run grid up front with
-// runAhead(), which executes the simulations concurrently and caches the
-// summaries; the bench's original row-building loop then consumes them
-// through run() in its historical order, so tables and CSV files are
-// byte-identical to a serial run.
+// Run model: a bench lists its whole grid as a plan, runAll() executes it
+// (on --jobs threads, one ParallelExecutor loop at every job count) and
+// returns the summaries in plan order, and the bench's row loop walks the
+// same nesting again, reading each summary by position. Tables and CSV
+// files are byte-identical at any job count.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,7 @@ struct Options {
   std::string csv_path;
   std::string metrics_dir;  // non-empty: per-run instrument JSON exports
   std::uint64_t seed = 0x5eed;
-  unsigned jobs = 0;  // 0 = hardware concurrency, 1 = serial
+  unsigned jobs = 0;  // 0 (flag omitted) = hardware concurrency
   std::string profile_path;  // --profile=: host self-profile report at exit
 };
 
@@ -51,23 +52,17 @@ std::vector<std::string> appList(const Options& opt);
 machine::MachineConfig configFor(machine::SystemKind sys, machine::Prefetch pf,
                                  const Options& opt);
 
-/// One cell of a bench's run grid, for pre-execution via runAhead().
+/// One cell of a bench's run grid.
 struct PlannedRun {
   machine::MachineConfig cfg;
   std::string app;
 };
 
-/// Pre-executes the planned simulations concurrently on opt.jobs threads
-/// and caches their summaries (keyed by the full machine configuration,
-/// application and scale). A later run() with the same key returns the
-/// cached summary. With jobs <= 1 this is a no-op and run() executes each
-/// simulation on demand, exactly as before.
-void runAhead(const std::vector<PlannedRun>& plan, const Options& opt);
-
-/// Runs one application (or returns its runAhead()-cached summary); prints
-/// a one-line progress note to stderr.
-apps::RunSummary run(const machine::MachineConfig& cfg, const std::string& app,
-                     const Options& opt);
+/// Runs every planned simulation on opt.jobs threads and returns the
+/// summaries in plan order. Progress and verification warnings go to
+/// stderr.
+std::vector<apps::RunSummary> runAll(const std::vector<PlannedRun>& plan,
+                                     const Options& opt);
 
 /// Prints the table to stdout and mirrors it to the options' CSV path.
 void emit(const Options& opt, const util::AsciiTable& table,

@@ -58,23 +58,18 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::runAhead(plan, opt);
+  std::vector<apps::RunSummary> summaries = bench::runAll(plan, opt);
 
+  // The plan's order per app: standard (optimal, naive), nwcache (optimal,
+  // naive).
   std::map<std::string, Measured> runs;
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     Measured m;
-    m.std_opt = bench::run(bench::configFor(machine::SystemKind::kStandard,
-                                            machine::Prefetch::kOptimal, opt),
-                           app, opt);
-    m.nwc_opt = bench::run(bench::configFor(machine::SystemKind::kNWCache,
-                                            machine::Prefetch::kOptimal, opt),
-                           app, opt);
-    m.std_naive = bench::run(bench::configFor(machine::SystemKind::kStandard,
-                                              machine::Prefetch::kNaive, opt),
-                             app, opt);
-    m.nwc_naive = bench::run(bench::configFor(machine::SystemKind::kNWCache,
-                                              machine::Prefetch::kNaive, opt),
-                             app, opt);
+    m.std_opt = std::move(summaries[next++]);
+    m.std_naive = std::move(summaries[next++]);
+    m.nwc_opt = std::move(summaries[next++]);
+    m.nwc_naive = std::move(summaries[next++]);
     runs.emplace(app, std::move(m));
   }
 

@@ -54,29 +54,34 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
   util::AsciiTable t({"Application", "Receivers", "Channels", "Exec (Mpc)",
                       "Fault mean (pc)", "Ring hit rate"});
   std::vector<std::vector<std::string>> rows;
 
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     for (int rx : receiver_counts) {
+      // This receiver-bank size's runs, one per channel count.
+      const apps::RunSummary* curve = &runs[next];
+      next += std::size(channel_counts);
       // Locate the knees for this receiver-bank size: the capacity knee is
       // the smallest channel count within 5% of the best execution time; the
       // receiver knee is the smallest one within 2% of the saturated (worst)
       // fault latency, i.e. where retunes stop getting more frequent.
       double best_exec = -1, worst_fault = -1;
-      for (int ch : channel_counts) {
-        const auto s = bench::run(cfgFor(ch, rx), app, opt);
+      for (std::size_t c = 0; c < std::size(channel_counts); ++c) {
+        const apps::RunSummary& s = curve[c];
         const double mpc = static_cast<double>(s.exec_time) / 1e6;
         const double fm = s.metrics.fault_ticks.mean();
         if (best_exec < 0 || mpc < best_exec) best_exec = mpc;
         if (fm > worst_fault) worst_fault = fm;
       }
       int capacity_knee = 0, receiver_knee = 0;
-      for (int ch : channel_counts) {
-        const auto s = bench::run(cfgFor(ch, rx), app, opt);
+      for (std::size_t c = 0; c < std::size(channel_counts); ++c) {
+        const int ch = channel_counts[c];
+        const apps::RunSummary& s = curve[c];
         const double mpc = static_cast<double>(s.exec_time) / 1e6;
         const double fm = s.metrics.fault_ticks.mean();
         if (capacity_knee == 0 && mpc <= best_exec * 1.05) capacity_knee = ch;

@@ -27,25 +27,19 @@ int main(int argc, char** argv) {
                                      machine::Prefetch::kOptimal, opt),
                     app});
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
   util::AsciiTable t({"Application", "std 16K", "std 64K", "std 256K", "std 1M",
                       "NWCache 16K"});
   std::vector<std::vector<std::string>> rows;
 
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     std::vector<std::string> row = {app};
-    for (std::uint64_t kb : sizes_kb) {
-      machine::MachineConfig cfg = bench::configFor(machine::SystemKind::kStandard,
-                                                    machine::Prefetch::kOptimal, opt);
-      cfg.disk_cache_bytes = kb * 1024;
-      const auto s = bench::run(cfg, app, opt);
-      row.push_back(util::AsciiTable::fmt(static_cast<double>(s.exec_time) / 1e6));
+    for (std::size_t c = 0; c <= std::size(sizes_kb); ++c) {  // standard sizes + NWCache
+      row.push_back(
+          util::AsciiTable::fmt(static_cast<double>(runs[next++].exec_time) / 1e6));
     }
-    const auto nwc = bench::run(bench::configFor(machine::SystemKind::kNWCache,
-                                                 machine::Prefetch::kOptimal, opt),
-                                app, opt);
-    row.push_back(util::AsciiTable::fmt(static_cast<double>(nwc.exec_time) / 1e6));
     t.addRow(row);
     rows.push_back(row);
   }

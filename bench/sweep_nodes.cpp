@@ -32,25 +32,18 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
   util::AsciiTable t({"Application", "Nodes", "I/O nodes", "Standard", "NWCache",
                       "Improvement"});
   std::vector<std::vector<std::string>> rows;
 
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     for (const Shape& sh : shapes) {
-      double exec[2] = {0, 0};
-      int idx = 0;
-      for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
-        machine::MachineConfig cfg =
-            bench::configFor(sys, machine::Prefetch::kOptimal, opt);
-        cfg.num_nodes = sh.nodes;
-        cfg.num_io_nodes = sh.io;
-        cfg.ring_channels = sh.nodes;
-        const auto s = bench::run(cfg, app, opt);
-        exec[idx++] = static_cast<double>(s.exec_time);
-      }
+      const double exec[2] = {static_cast<double>(runs[next].exec_time),
+                              static_cast<double>(runs[next + 1].exec_time)};
+      next += 2;  // standard, NWCache
       std::vector<std::string> row = {
           app,
           util::AsciiTable::fmtInt(sh.nodes),

@@ -60,13 +60,14 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
   util::AsciiTable t({"Application", "System", "Admission", "Destage",
                       "Exec (Mpc)", "Fault mean (pc)", "Destage stall (Mpc)",
                       "Batch mean", "Admit rate"});
   std::vector<std::vector<std::string>> rows;
 
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     for (auto sys : systems) {
       // The acceptance question: does any non-default policy beat the
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
       std::string best_name;
       for (auto adm : admissions) {
         for (auto dst : destages) {
-          const auto s = bench::run(cfgFor(sys, adm, dst), app, opt);
+          const apps::RunSummary& s = runs[next++];
           const auto& m = s.metrics;
           const double stall_mpc =
               static_cast<double>(m.destage_stall_ticks) / 1e6;

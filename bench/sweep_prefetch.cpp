@@ -26,23 +26,18 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::runAhead(plan, opt);
+  const auto runs = bench::runAll(plan, opt);
 
   util::AsciiTable t({"Application", "Hint accuracy", "Standard", "NWCache",
                       "Improvement"});
   std::vector<std::vector<std::string>> rows;
 
+  std::size_t next = 0;
   for (const std::string& app : bench::appList(opt)) {
     for (double acc : accuracies) {
-      double exec[2] = {0, 0};
-      int i = 0;
-      for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
-        machine::MachineConfig cfg =
-            bench::configFor(sys, machine::Prefetch::kHinted, opt);
-        cfg.hint_accuracy = acc;
-        const auto s = bench::run(cfg, app, opt);
-        exec[i++] = static_cast<double>(s.exec_time);
-      }
+      const double exec[2] = {static_cast<double>(runs[next].exec_time),
+                              static_cast<double>(runs[next + 1].exec_time)};
+      next += 2;  // standard, NWCache
       std::vector<std::string> row = {
           app, util::AsciiTable::fmt(acc, 2), util::AsciiTable::fmt(exec[0] / 1e6),
           util::AsciiTable::fmt(exec[1] / 1e6),

@@ -25,23 +25,19 @@
 
 namespace nwc::apps {
 
-namespace {
-
-std::vector<std::string> splitList(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto comma = s.find(',', pos);
-    const std::string item =
-        util::trim(s.substr(pos, comma == std::string::npos ? comma : comma - pos));
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+std::string cellStem(std::size_t index, const std::string& app,
+                     const machine::MachineConfig& cfg) {
+  std::string safe_app = app;
+  for (char& c : safe_app) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    if (!ok) c = '-';
   }
-  return out;
+  char cell[32];
+  std::snprintf(cell, sizeof(cell), "cell%04zu_", index);
+  return cell + safe_app + "_" + machine::toString(cfg.system) + "_" +
+         machine::toString(cfg.prefetch) + "_s" + std::to_string(cfg.seed);
 }
-
-}  // namespace
 
 BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   static const std::set<std::string> kKeys = {
@@ -59,7 +55,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   machine::applyIni(ini, spec.base);
 
   if (const auto v = ini.get("batch.apps")) {
-    spec.apps = splitList(*v);
+    spec.apps = util::splitList(*v);
     for (const auto& a : spec.apps) {
       // Kernel names and workload specs (synth:/trace:) are both valid;
       // specs use ';' between knobs, so the comma list stays unambiguous.
@@ -72,7 +68,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   }
 
   if (const auto v = ini.get("batch.systems")) {
-    for (const auto& s : splitList(*v)) {
+    for (const auto& s : util::splitList(*v)) {
       spec.systems.push_back(machine::systemKindFromString(s));
     }
   } else {
@@ -80,7 +76,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   }
 
   if (const auto v = ini.get("batch.prefetch")) {
-    for (const auto& p : splitList(*v)) {
+    for (const auto& p : util::splitList(*v)) {
       spec.prefetches.push_back(machine::prefetchFromString(p));
     }
   } else {
@@ -88,8 +84,8 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   }
 
   if (const auto v = ini.get("batch.seeds")) {
-    for (const auto& s : splitList(*v)) {
-      spec.seeds.push_back(std::strtoull(s.c_str(), nullptr, 0));
+    for (const auto& s : util::splitList(*v)) {
+      spec.seeds.push_back(util::seedValue("[batch] seeds", s));
     }
   } else {
     spec.seeds = {spec.base.seed};
@@ -104,7 +100,8 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   if (const auto v = ini.get("batch.jsonl")) spec.jsonl_path = *v;
   if (const auto v = ini.get("batch.meta_dir")) spec.meta_dir = *v;
   if (const auto v = ini.getInt("batch.jobs")) {
-    if (*v < 0) throw std::runtime_error("batch: jobs must be >= 0");
+    // The same ceiling as the --jobs flags; 0 keeps meaning all cores.
+    if (*v < 0 || *v > 4096) throw std::runtime_error("batch: jobs must be in [0, 4096]");
     spec.jobs = static_cast<unsigned>(*v);
   }
   if (const auto v = ini.getInt("batch.heartbeat_secs")) {
@@ -358,25 +355,10 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     std::filesystem::create_directories(spec.sample_dir);
   }
 
-  // "cell0007_radix_nwcache_optimal_s1" — shared by the run_meta and
-  // time-series file names (and echoed on the status stream). Workload
-  // specs carry ':', ';', '=' and '/', so anything outside the filesystem-
-  // safe set folds to '-'.
-  auto sanitize = [](std::string s) {
-    for (char& c : s) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-      if (!ok) c = '-';
-    }
-    return s;
-  };
-  auto cellStem = [&](std::size_t i) {
-    char cell[32];
-    std::snprintf(cell, sizeof(cell), "cell%04zu_", i);
-    return cell + sanitize(grid[i].app) + "_" +
-           std::string(machine::toString(grid[i].cfg.system)) + "_" +
-           machine::toString(grid[i].cfg.prefetch) + "_s" +
-           std::to_string(grid[i].cfg.seed);
+  // Shared by the run_meta and time-series file names (and echoed on the
+  // status stream).
+  auto cellStemOf = [&](std::size_t i) {
+    return cellStem(i, grid[i].app, grid[i].cfg);
   };
 
   // Live status stream (tools/nwctop tails it): one JSONL line per batch
@@ -406,7 +388,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     for (std::size_t i = 0; i < grid.size(); ++i) {
       util::JsonObject c;
       c.add("cell", static_cast<std::uint64_t>(i))
-          .add("stem", cellStem(i))
+          .add("stem", cellStemOf(i))
           .add("app", grid[i].app)
           .add("system", machine::toString(grid[i].cfg.system))
           .add("prefetch", machine::toString(grid[i].cfg.prefetch))
@@ -447,7 +429,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
           .add("health_trips", s.health_trips);
     }
     if (spec.sample_interval > 0 && !spec.sample_dir.empty()) {
-      o.add("sample", cellStem(i) + ".timeseries.json");
+      o.add("sample", cellStemOf(i) + ".timeseries.json");
     }
     statusLine(o.str());
   };
@@ -474,7 +456,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     meta.health_verdict = s.health_verdict;
     meta.health_trips = s.health_trips;
     meta.fillHostFields();
-    meta.write(spec.meta_dir + "/" + cellStem(i) + ".json");
+    meta.write(spec.meta_dir + "/" + cellStemOf(i) + ".json");
   };
 
   // Largest RSS observed right after a cell finished (process-wide, so
@@ -495,7 +477,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     }
     RunSummary s = runApp(grid[i].cfg, grid[i].app, spec.scale, sinks);
     if (sampler != nullptr && !spec.sample_dir.empty()) {
-      const std::string stem = spec.sample_dir + "/" + cellStem(i);
+      const std::string stem = spec.sample_dir + "/" + cellStemOf(i);
       sampler->writeJson(stem + ".timeseries.json");
       sampler->writeCsv(stem + ".timeseries.csv");
     }
@@ -513,85 +495,62 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     return s;
   };
 
-  const unsigned jobs = util::resolveJobs(spec.jobs);
-  if (jobs <= 1) {
-    // Serial: identical to the historical loop, announcing before each run.
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      const std::size_t i = pending[k];
-      if (progress != nullptr) {
-        *progress << "[" << k + 1 << "/" << pending.size() << "] " << grid[i].app
-                  << " on " << grid[i].cfg.describe() << "\n";
-        progress->flush();
-      }
-      result.runs[i] = runCell(i);
-      checkpoint(i, result.runs[i]);
-    }
-  } else {
-    util::ProgressMeter meter(pending.size(), progress);
+  util::ProgressMeter meter(pending.size(), progress);
 
-    // Heartbeat: a low-duty background thread announcing done/running/ETA
-    // and the process RSS while the grid executes.
-    std::mutex hb_mutex;
-    std::condition_variable hb_cv;
-    bool hb_stop = false;
-    std::thread hb_thread;
-    const std::size_t resumed_count = grid.size() - pending.size();
-    if ((progress != nullptr || status.is_open()) && spec.heartbeat_secs > 0) {
-      hb_thread = std::thread([&] {
-        std::unique_lock<std::mutex> lk(hb_mutex);
-        while (!hb_cv.wait_for(lk, std::chrono::seconds(spec.heartbeat_secs),
-                               [&] { return hb_stop; })) {
-          meter.heartbeat("rss=" + util::formatBytes(util::currentRssBytes()) +
-                          " peak=" + util::formatBytes(util::peakRssBytes()) +
-                          " cell_peak=" +
-                          util::formatBytes(
-                              cell_rss_peak.load(std::memory_order_relaxed)));
-          if (status.is_open()) {
-            util::JsonObject o;
-            o.add("type", "hb")
-                .add("ts_ms", statusMs())
-                .add("done",
-                     static_cast<std::uint64_t>(meter.done() + resumed_count))
-                .add("running", static_cast<std::uint64_t>(meter.running()))
-                .add("total", static_cast<std::uint64_t>(grid.size()))
-                .add("eta_s", static_cast<std::int64_t>(meter.etaSeconds()))
-                .add("rss_bytes", util::currentRssBytes());
-            statusLine(o.str());
-          }
+  // Heartbeat: a low-duty background thread announcing done/running/ETA
+  // and the process RSS while the grid executes.
+  std::mutex hb_mutex;
+  std::condition_variable hb_cv;
+  bool hb_stop = false;
+  std::thread hb_thread;
+  const std::size_t resumed_count = grid.size() - pending.size();
+  if ((progress != nullptr || status.is_open()) && spec.heartbeat_secs > 0) {
+    hb_thread = std::thread([&] {
+      std::unique_lock<std::mutex> lk(hb_mutex);
+      while (!hb_cv.wait_for(lk, std::chrono::seconds(spec.heartbeat_secs),
+                             [&] { return hb_stop; })) {
+        meter.heartbeat("rss=" + util::formatBytes(util::currentRssBytes()) +
+                        " peak=" + util::formatBytes(util::peakRssBytes()) +
+                        " cell_peak=" +
+                        util::formatBytes(cell_rss_peak.load(std::memory_order_relaxed)));
+        if (status.is_open()) {
+          util::JsonObject o;
+          o.add("type", "hb")
+              .add("ts_ms", statusMs())
+              .add("done", static_cast<std::uint64_t>(meter.done() + resumed_count))
+              .add("running", static_cast<std::uint64_t>(meter.running()))
+              .add("total", static_cast<std::uint64_t>(grid.size()))
+              .add("eta_s", static_cast<std::int64_t>(meter.etaSeconds()))
+              .add("rss_bytes", util::currentRssBytes());
+          statusLine(o.str());
         }
-      });
-    }
-
-    util::ParallelExecutor exec(jobs);
-    try {
-      exec.forEachIndex(pending.size(), [&](std::size_t k) {
-        const std::size_t i = pending[k];
-        meter.started();
-        RunSummary s = runCell(i);
-        meter.completed(grid[i].app + " on " + grid[i].cfg.describe(), s.ok());
-        checkpoint(i, s);
-        result.runs[i] = std::move(s);
-      });
-    } catch (...) {
-      if (hb_thread.joinable()) {
-        {
-          std::lock_guard<std::mutex> lk(hb_mutex);
-          hb_stop = true;
-        }
-        hb_cv.notify_all();
-        hb_thread.join();
       }
-      throw;
-    }
-    if (hb_thread.joinable()) {
-      {
-        std::lock_guard<std::mutex> lk(hb_mutex);
-        hb_stop = true;
-      }
-      hb_cv.notify_all();
-      hb_thread.join();
-    }
+    });
   }
+  auto stopHeartbeat = [&] {
+    if (!hb_thread.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lk(hb_mutex);
+      hb_stop = true;
+    }
+    hb_cv.notify_all();
+    hb_thread.join();
+  };
+
+  try {
+    util::ParallelExecutor(spec.jobs).forEachIndex(pending.size(), [&](std::size_t k) {
+      const std::size_t i = pending[k];
+      meter.started();
+      RunSummary s = runCell(i);
+      meter.completed(grid[i].app + " on " + grid[i].cfg.describe(), s.ok());
+      checkpoint(i, s);
+      result.runs[i] = std::move(s);
+    });
+  } catch (...) {
+    stopHeartbeat();
+    throw;
+  }
+  stopHeartbeat();
 
   for (const RunSummary& s : result.runs) {
     result.all_ok = result.all_ok && s.ok();

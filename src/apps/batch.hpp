@@ -24,9 +24,8 @@ struct BatchSpec {
   std::string csv_path;       // empty = no CSV
   std::string jsonl_path;     // empty = no JSON lines
   std::string meta_dir;       // non-empty: one run_meta.json per grid cell
-  unsigned jobs = 0;          // worker threads; 0 = hardware concurrency,
-                              // 1 = serial (today's loop, unchanged)
-  unsigned heartbeat_secs = 2;  // parallel-run status cadence; 0 disables
+  unsigned jobs = 0;          // worker threads; 0 = hardware concurrency
+  unsigned heartbeat_secs = 2;  // status cadence; 0 disables
   bool resume = false;        // skip grid cells already checkpointed in the
                               // JSONL (crashed grids restart where they died)
   sim::Tick sample_interval = 0;  // pcycles between telemetry samples; 0 = off
@@ -56,10 +55,10 @@ struct BatchResult {
 /// Executes the grid on `spec.jobs` worker threads (each run gets its own
 /// Machine; seeds come only from the grid coordinates), collecting results
 /// indexed by grid position — apps outermost, seeds innermost — so the
-/// summaries, CSV and JSONL are byte-for-byte identical to a serial run
-/// regardless of scheduling. Progress lines go to `progress` when non-null
-/// and always carry a "[done/total]" prefix; parallel runs add per-run
-/// pass/fail and an ETA.
+/// summaries, CSV and JSONL are byte-for-byte the same at any job count.
+/// Progress lines go to `progress` when non-null: one
+/// "[done/total] <cell>: ok|FAIL (eta Ns)" line per completed cell, plus
+/// heartbeat lines every `spec.heartbeat_secs`.
 ///
 /// Checkpointing: with a `jsonl` path each completed cell is appended to
 /// the file as it finishes (one `{"cell":i,...}` line, flushed), and the
@@ -69,6 +68,13 @@ struct BatchResult {
 /// reconstructed from the checkpoint (timings and counters; histogram
 /// internals are not persisted).
 BatchResult runBatch(const BatchSpec& spec, std::ostream* progress = nullptr);
+
+/// File-name stem of grid cell `index`, "cell0007_radix_nwcache_optimal_s1":
+/// names nwcbatch's per-cell files and the benches' --metrics-dir exports.
+/// Workload specs carry ':', ';', '=' and '/', so anything outside the
+/// filesystem-safe set folds to '-'.
+std::string cellStem(std::size_t index, const std::string& app,
+                     const machine::MachineConfig& cfg);
 
 /// One-line JSON rendering of a run summary (shared with tools/nwcsim).
 std::string summaryJson(const RunSummary& s, double scale);

@@ -14,7 +14,7 @@
 #include "obs/run_meta.hpp"
 #include "util/host.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -85,7 +85,6 @@ struct GlobalState {
   std::atomic<std::uint64_t> pool_lifetime_ns{0};
   std::atomic<std::uint64_t> pool_busy_ns{0};
   std::atomic<std::uint64_t> pool_tasks{0};
-  std::atomic<std::uint64_t> pool_steals{0};
 };
 
 // Leaked on purpose: thread exits (merging into this) can happen after
@@ -137,7 +136,7 @@ void retainEvent(ThreadState& ts, std::string path, std::uint64_t t0,
   ts.events.push_back(Ev{std::move(path), t0, dur, ts.tid});
 }
 
-void poolObserver(const util::ThreadPoolStats& s) {
+void poolObserver(const util::ParallelStats& s) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   GlobalState& g = global();
   unsigned seen = g.pool_threads.load(std::memory_order_relaxed);
@@ -148,7 +147,6 @@ void poolObserver(const util::ThreadPoolStats& s) {
   g.pool_lifetime_ns.fetch_add(s.lifetime_ns * s.threads, std::memory_order_relaxed);
   g.pool_busy_ns.fetch_add(s.busy_ns, std::memory_order_relaxed);
   g.pool_tasks.fetch_add(s.tasks, std::memory_order_relaxed);
-  g.pool_steals.fetch_add(s.steals, std::memory_order_relaxed);
 }
 
 void buildTree(const std::unordered_map<std::string, Acc>& flat, Node& root) {
@@ -260,7 +258,7 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void enable() {
   std::uint64_t expect = 0;
   g_origin_ns.compare_exchange_strong(expect, nowNs(), std::memory_order_relaxed);
-  util::setThreadPoolObserver(&poolObserver);
+  util::setParallelObserver(&poolObserver);
   g_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -284,7 +282,6 @@ void reset() {
   g.pool_lifetime_ns.store(0, std::memory_order_relaxed);
   g.pool_busy_ns.store(0, std::memory_order_relaxed);
   g.pool_tasks.store(0, std::memory_order_relaxed);
-  g.pool_steals.store(0, std::memory_order_relaxed);
 }
 
 void enableWithReportAtExit(const std::string& path) {
@@ -358,16 +355,14 @@ void addSample(const char* rel_path, std::uint64_t wall_ns) {
 }
 
 void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns,
-              std::uint64_t tasks, std::uint64_t steals) {
-  util::ThreadPoolStats s;
+              std::uint64_t tasks) {
+  util::ParallelStats s;
   s.threads = threads;
-  s.lifetime_ns = lifetime_ns;
+  // lifetime_ns here is already thread-summed by direct callers, so undo the
+  // per-thread multiply the observer applies.
+  s.lifetime_ns = threads > 0 ? lifetime_ns / threads : lifetime_ns;
   s.busy_ns = busy_ns;
   s.tasks = tasks;
-  s.steals = steals;
-  // lifetime_ns here is already thread-summed by direct callers, so undo the
-  // per-thread multiply the pool observer applies.
-  s.lifetime_ns = threads > 0 ? lifetime_ns / threads : lifetime_ns;
   poolObserver(s);
 }
 
@@ -400,7 +395,6 @@ Report snapshot() {
   r.pool_lifetime_ns = g.pool_lifetime_ns.load(std::memory_order_relaxed);
   r.pool_busy_ns = g.pool_busy_ns.load(std::memory_order_relaxed);
   r.pool_tasks = g.pool_tasks.load(std::memory_order_relaxed);
-  r.pool_steals = g.pool_steals.load(std::memory_order_relaxed);
   return r;
 }
 
@@ -413,7 +407,6 @@ void publishMetrics(const Report& r, MetricsRegistry& reg) {
   reg.gauge("profile.pool.idle_ms", static_cast<double>(r.poolIdleNs()) / 1e6);
   reg.gauge("profile.pool.utilization", r.poolUtilization());
   reg.counter("profile.pool.tasks", r.pool_tasks);
-  reg.counter("profile.pool.steals", r.pool_steals);
 }
 
 std::string foldedStacks(const Report& r) {
@@ -428,8 +421,7 @@ std::string reportJson(const Report& r) {
       .add("busy_ms", static_cast<double>(r.pool_busy_ns) / 1e6)
       .add("idle_ms", static_cast<double>(r.poolIdleNs()) / 1e6)
       .add("utilization", r.poolUtilization())
-      .add("tasks", r.pool_tasks)
-      .add("steals", r.pool_steals);
+      .add("tasks", r.pool_tasks);
   std::vector<std::string> phases;
   phases.reserve(r.root.children.size());
   for (const auto& [name, child] : r.root.children) {

@@ -8,8 +8,8 @@
 //  - RAII `prof::Scope` marks a named phase ("config-parse", "setup",
 //    "event-loop", ...). Scopes nest; the nesting forms a phase tree.
 //  - Per-thread TLS buffers: scope entry/exit touch only thread-local
-//    state plus one short uncontended lock at exit, so `util::ThreadPool`
-//    workers profile concurrently without serializing. Buffers are merged
+//    state plus one short uncontended lock at exit, so the workers of
+//    `util::ParallelExecutor` profile concurrently without serializing. Buffers are merged
 //    at snapshot()/thread-exit.
 //  - Compiled in but disabled by default: a Scope on the disabled path is
 //    one relaxed atomic load and performs no allocation. Enabling changes
@@ -18,9 +18,9 @@
 //  - Allocation counters: global operator new is replaced (malloc + a
 //    thread-local counter bump, ~1ns) so each phase reports how many
 //    heap allocations happened inside it.
-//  - Thread-pool utilization: util::ThreadPool reports busy/steal/task
-//    totals through an observer installed by enable(); the report carries
-//    pool busy vs idle time.
+//  - Worker utilization: util::ParallelExecutor::forEachIndex reports
+//    busy/lifetime/task totals through an observer installed by enable();
+//    the report carries worker busy vs idle time as the `pool` section.
 //
 // Output surfaces (all produced from one snapshot()):
 //  - `profile.*` instruments in a MetricsRegistry (publishMetrics),
@@ -79,10 +79,11 @@ class Scope {
 /// destage-drain tail measured inside Machine. No-op when disabled.
 void addSample(const char* rel_path, std::uint64_t wall_ns);
 
-/// Thread-pool utilization totals, reported by util::ThreadPool's observer
-/// on pool destruction. Accumulates across pools. No-op when disabled.
+/// Worker utilization totals, as reported by the util::ParallelExecutor
+/// observer at the end of each forEachIndex call (`lifetime_ns` here is
+/// thread-summed). Accumulates across calls. No-op when disabled.
 void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns,
-              std::uint64_t tasks, std::uint64_t steals);
+              std::uint64_t tasks);
 
 /// The calling thread's allocation counters. Counted unconditionally (the
 /// operator-new hook is ~1ns), so tests can assert the disabled profiling
@@ -104,16 +105,15 @@ struct Report {
   Node root;  // root.children are the top-level phases; root totals are sums
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t current_rss_bytes = 0;
-  unsigned pool_threads = 0;  // max threads over reporting pools
-  std::uint64_t pool_lifetime_ns = 0;  // sum of per-pool thread-lifetime ns
+  unsigned pool_threads = 0;  // max threads over reporting forEachIndex calls
+  std::uint64_t pool_lifetime_ns = 0;  // sum of per-call thread-lifetime ns
   std::uint64_t pool_busy_ns = 0;
   std::uint64_t pool_tasks = 0;
-  std::uint64_t pool_steals = 0;
 
   std::uint64_t poolIdleNs() const {
     return pool_lifetime_ns > pool_busy_ns ? pool_lifetime_ns - pool_busy_ns : 0;
   }
-  /// busy / (busy + idle) across all reporting pools; 0 when no pool ran.
+  /// busy / (busy + idle) across all reporting calls; 0 when none ran.
   double poolUtilization() const;
 };
 
@@ -126,8 +126,7 @@ Report snapshot();
 ///   profile.phase.<path>.wall_ms / .count / .allocs / .alloc_bytes
 ///   (path components are dot-joined with '-' mapped to '_'), plus
 ///   profile.peak_rss_bytes, profile.pool.threads, profile.pool.busy_ms,
-///   profile.pool.idle_ms, profile.pool.utilization, profile.pool.tasks,
-///   profile.pool.steals.
+///   profile.pool.idle_ms, profile.pool.utilization, profile.pool.tasks.
 void publishMetrics(const Report& r, MetricsRegistry& reg);
 
 /// Folded-stack lines ("config-parse 1234" / "event-loop;destage-drain 56")

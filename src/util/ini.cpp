@@ -1,8 +1,10 @@
 #include "util/ini.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,6 +15,47 @@ std::string trim(const std::string& s) {
   if (b == std::string::npos) return "";
   const auto e = s.find_last_not_of(" \t\r\n");
   return s.substr(b, e - b + 1);
+}
+
+std::vector<std::string> splitList(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const auto comma = s.find(',', pos);
+    std::string item = trim(s.substr(pos, comma == std::string::npos ? comma : comma - pos));
+    if (!item.empty()) out.push_back(std::move(item));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
+}
+
+double positiveFlag(const std::string& flag, const std::string& text, bool whole,
+                    double max) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
+      (whole && (v != std::floor(v) || v > max))) {
+    throw std::invalid_argument(
+        flag + " must be " +
+        (whole ? "a whole number in [1, " + std::to_string(std::llround(max)) + "]"
+               : "a finite number > 0") +
+        ", got '" + text + "'");
+  }
+  return v;
+}
+
+std::uint64_t seedValue(const std::string& what, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
+  if (text.empty() || *end != '\0' || errno == ERANGE ||
+      text.find('-') != std::string::npos) {
+    throw std::invalid_argument(
+        what + " must be a whole number in [0, " +
+        std::to_string(std::numeric_limits<std::uint64_t>::max()) + "], got '" + text + "'");
+  }
+  return v;
 }
 
 IniFile IniFile::parse(const std::string& text) {

@@ -1,4 +1,5 @@
-// Minimal INI parser/serializer for machine configuration files.
+// Minimal INI parser/serializer for machine configuration files, plus the
+// strict text helpers the INI readers and the command-line tools share.
 //
 // Supported syntax: `[section]`, `key = value`, `#`/`;` comments, blank
 // lines. Keys are reported as "section.key" ("" section for the prologue).
@@ -8,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace nwc::util {
 
@@ -42,5 +44,18 @@ class IniFile {
 
 /// Trims ASCII whitespace from both ends.
 std::string trim(const std::string& s);
+
+/// Splits a comma list into trimmed, non-empty items.
+std::vector<std::string> splitList(const std::string& s);
+
+/// The value of a numeric command-line flag: a finite number > 0 with
+/// nothing after it; a count (`whole`) must also be an integer no larger
+/// than `max`. Throws std::invalid_argument naming `flag`.
+double positiveFlag(const std::string& flag, const std::string& text, bool whole = false,
+                    double max = 1e15);
+
+/// A seed: a whole number in [0, 2^64), decimal or 0x-prefixed hex, with
+/// nothing after it. Throws std::invalid_argument naming `what`.
+std::uint64_t seedValue(const std::string& what, const std::string& text);
 
 }  // namespace nwc::util

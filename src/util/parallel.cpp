@@ -1,13 +1,26 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <system_error>
 #include <thread>
 #include <vector>
 
-#include "util/thread_pool.hpp"
-
 namespace nwc::util {
+
+namespace {
+
+std::atomic<void (*)(const ParallelStats&)> g_observer{nullptr};
+
+std::uint64_t nsSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+}  // namespace
 
 unsigned resolveJobs(unsigned requested) {
   if (requested != 0) return requested;
@@ -15,30 +28,54 @@ unsigned resolveJobs(unsigned requested) {
   return hw != 0 ? hw : 1;
 }
 
+void setParallelObserver(void (*observer)(const ParallelStats&)) {
+  g_observer.store(observer, std::memory_order_release);
+}
+
 ParallelExecutor::ParallelExecutor(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
 void ParallelExecutor::forEachIndex(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {
   if (n == 0) return;
-  if (jobs_ <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
+  const auto t0 = std::chrono::steady_clock::now();
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::uint64_t> busy_ns{0};
+  std::atomic<std::uint64_t> tasks{0};
   std::vector<std::exception_ptr> errors(n);
-  {
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, n)));
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&fn, &errors, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
+  auto worker = [&] {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      const auto w0 = std::chrono::steady_clock::now();
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        next.store(n, std::memory_order_relaxed);  // claim nothing further
+      }
+      busy_ns.fetch_add(nsSince(w0), std::memory_order_relaxed);
+      tasks.fetch_add(1, std::memory_order_relaxed);
     }
-    // ~ThreadPool drains: every index has run when we leave this scope.
+  };
+
+  const std::size_t threads = std::min<std::size_t>(jobs_, n);
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  while (helpers.size() + 1 < threads) {
+    try {
+      helpers.emplace_back(worker);
+    } catch (const std::system_error&) {
+      break;  // the workers already running (the caller at least) finish the job
+    }
+  }
+  worker();
+  for (std::thread& h : helpers) h.join();
+
+  if (auto* observer = g_observer.load(std::memory_order_acquire)) {
+    ParallelStats s;
+    s.threads = static_cast<unsigned>(helpers.size() + 1);
+    s.lifetime_ns = nsSince(t0);
+    s.busy_ns = busy_ns.load(std::memory_order_relaxed);
+    s.tasks = tasks.load(std::memory_order_relaxed);
+    observer(s);
   }
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);

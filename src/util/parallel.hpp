@@ -1,15 +1,19 @@
-// ParallelExecutor: the experiment-engine layer between a grid of
-// independent simulations and the work-stealing ThreadPool.
+// ParallelExecutor: the one way a grid of independent simulations runs.
 //
 // Callers enumerate work as indices 0..n-1 (grid coordinates) and collect
 // results into pre-sized vectors indexed by those coordinates, so the
-// output of a parallel run is byte-for-byte identical to the serial order
-// regardless of scheduling. jobs == 1 executes inline on the calling
-// thread in index order — exactly the plain loop it replaces.
+// output is byte-for-byte the same at any job count. min(jobs, n) workers
+// claim indices from one shared counter; the calling thread is one of
+// them, so jobs == 1 is the plain loop, run inline in index order.
+//
+// Host-side machinery only: simulated time lives in `sim::Engine`
+// instances, which are single-threaded and never shared across indices.
+// One index = one Machine = one Engine.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <ostream>
@@ -17,23 +21,40 @@
 
 namespace nwc::util {
 
-/// Resolves a --jobs / jobs= request: 0 means "auto" and selects
+/// Resolves a job count: 0 means "auto" and selects
 /// std::thread::hardware_concurrency() (minimum 1).
 unsigned resolveJobs(unsigned requested);
 
+/// Totals for one forEachIndex call, reported to the observer when it
+/// returns. `lifetime_ns` is the call's wall-clock time; multiply by
+/// `threads` for total thread-time. `busy_ns` is the summed wall time
+/// workers spent inside fn.
+struct ParallelStats {
+  unsigned threads = 0;
+  std::uint64_t lifetime_ns = 0;
+  std::uint64_t busy_ns = 0;
+  std::uint64_t tasks = 0;
+};
+
+/// Installs a process-wide observer invoked at the end of every
+/// forEachIndex call (after its workers joined, so the stats are final).
+/// Pass nullptr to uninstall. Used by the profiler (obs::prof) to report
+/// utilization; util must not depend on obs, hence the function pointer.
+void setParallelObserver(void (*observer)(const ParallelStats&));
+
 class ParallelExecutor {
  public:
-  /// `jobs` threads; 0 selects hardware concurrency.
+  /// `jobs` workers; 0 selects hardware concurrency.
   explicit ParallelExecutor(unsigned jobs = 0);
 
   unsigned jobs() const { return jobs_; }
 
-  /// Runs fn(i) for every i in [0, n). With jobs() == 1 the calls happen
-  /// inline in increasing index order; otherwise they are dispatched to a
-  /// work-stealing pool of jobs() threads. Blocks until every index has
-  /// completed. If any call throws, the exception from the lowest index is
-  /// rethrown after the remaining work has drained (matching what a serial
-  /// loop would have surfaced first).
+  /// Runs fn(i) for every i in [0, n) on min(jobs(), n) threads, the
+  /// caller included; indices are claimed in increasing order. Blocks
+  /// until every claimed index has completed. After a call throws, no
+  /// further index is claimed, and the exception from the lowest index is
+  /// rethrown: every lower index was claimed first, so it is the one a
+  /// serial loop would have surfaced.
   void forEachIndex(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
  private:

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +53,27 @@ TEST(BatchSpec, RejectsBadInput) {
                std::runtime_error);
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\nsystems = warp\n")),
                std::runtime_error);
+  // Every seeds entry is a whole number in [0, 2^64); the error names the key.
+  for (const std::string bad : {"abc", "-2", "3x", "18446744073709551616"}) {
+    try {
+      BatchSpec::fromIni(util::IniFile::parse("[batch]\nseeds = 1, " + bad + "\n"));
+      ADD_FAILURE() << "accepted seeds entry " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("[batch] seeds"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(BatchSpec, CellStemNamesCoordinatesInAFileSafeForm) {
+  machine::MachineConfig cfg;
+  cfg.withSystem(machine::SystemKind::kNWCache, machine::Prefetch::kNaive);
+  cfg.seed = 42;
+  EXPECT_EQ(cellStem(7, "radix", cfg), "cell0007_radix_nwcache_naive_s42");
+  EXPECT_EQ(cellStem(12345, "synth:clients=2;ops=9", cfg),
+            "cell12345_synth-clients-2-ops-9_nwcache_naive_s42");
+  EXPECT_EQ(cellStem(0, "trace:/tmp/a b.nwcb", cfg),
+            "cell0000_trace--tmp-a-b.nwcb_nwcache_naive_s42");
 }
 
 TEST(BatchSpec, ValidatesEveryCellMachineBeforeRunning) {
@@ -111,6 +133,8 @@ TEST(BatchSpec, ParsesJobs) {
   EXPECT_EQ(spec.jobs, 4u);
   EXPECT_EQ(BatchSpec::fromIni(util::IniFile::parse("")).jobs, 0u);
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\njobs = -1\n")),
+               std::runtime_error);
+  EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\njobs = 4097\n")),
                std::runtime_error);
 }
 

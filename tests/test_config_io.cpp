@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "machine/config_io.hpp"
 #include "util/ini.hpp"
@@ -58,6 +61,41 @@ TEST(Ini, Trim) {
   EXPECT_EQ(util::trim("  a b \t"), "a b");
   EXPECT_EQ(util::trim("\r\n"), "");
   EXPECT_EQ(util::trim("x"), "x");
+}
+
+TEST(Ini, SplitListTrimsAndDropsEmptyItems) {
+  EXPECT_EQ(util::splitList(" sor, mg ,,radix,"),
+            (std::vector<std::string>{"sor", "mg", "radix"}));
+  EXPECT_TRUE(util::splitList("").empty());
+  // Workload specs keep their ';'-separated knobs in one item.
+  EXPECT_EQ(util::splitList("synth:clients=2;ops=9,lu"),
+            (std::vector<std::string>{"synth:clients=2;ops=9", "lu"}));
+}
+
+TEST(Ini, PositiveFlagIsStrict) {
+  EXPECT_EQ(util::positiveFlag("--scale", "0.25"), 0.25);
+  EXPECT_EQ(util::positiveFlag("--jobs", "4", true, 4096), 4.0);
+  for (const char* bad : {"", "abc", "2x", "0", "-1", "nan", "inf"}) {
+    EXPECT_THROW(util::positiveFlag("--scale", bad), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"1.5", "4097", "0"}) {
+    try {
+      util::positiveFlag("--jobs", bad, true, 4096);
+      ADD_FAILURE() << "accepted --jobs=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--jobs must be a whole number in [1, 4096], got '") + bad + "'");
+    }
+  }
+}
+
+TEST(Ini, SeedValueTakesEvery64BitSeedAndNothingElse) {
+  EXPECT_EQ(util::seedValue("--seed", "0"), 0u);
+  EXPECT_EQ(util::seedValue("--seed", "0x5eed"), 0x5eedu);
+  EXPECT_EQ(util::seedValue("--seed", "18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "xyz", "7q", "-1", "18446744073709551616", "1.0"}) {
+    EXPECT_THROW(util::seedValue("--seed", bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Json, EscapesAndTypes) {

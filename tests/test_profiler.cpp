@@ -12,6 +12,7 @@
 #include "machine/config.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
+#include "util/parallel.hpp"
 
 namespace nwc {
 namespace {
@@ -180,15 +181,23 @@ TEST_F(ProfilerTest, AddSampleNestsUnderCurrentScope) {
 
 TEST_F(ProfilerTest, PoolStatsAggregate) {
   obs::prof::notePool(/*threads=*/2, /*lifetime_ns=*/2'000'000,
-                      /*busy_ns=*/1'500'000, /*tasks=*/10, /*steals=*/3);
-  obs::prof::notePool(4, 4'000'000, 500'000, 5, 0);
+                      /*busy_ns=*/1'500'000, /*tasks=*/10);
+  obs::prof::notePool(4, 4'000'000, 500'000, 5);
   const obs::prof::Report r = obs::prof::snapshot();
   EXPECT_EQ(r.pool_threads, 4u);
   EXPECT_EQ(r.pool_lifetime_ns, 6'000'000u);
   EXPECT_EQ(r.pool_busy_ns, 2'000'000u);
   EXPECT_EQ(r.pool_tasks, 15u);
-  EXPECT_EQ(r.pool_steals, 3u);
   EXPECT_NEAR(r.poolUtilization(), 2.0 / 6.0, 1e-9);
+}
+
+TEST_F(ProfilerTest, ForEachIndexReportsUtilization) {
+  util::ParallelExecutor(2).forEachIndex(6, [](std::size_t) { spin(100'000); });
+  const obs::prof::Report r = obs::prof::snapshot();
+  EXPECT_EQ(r.pool_threads, 2u);
+  EXPECT_EQ(r.pool_tasks, 6u);
+  EXPECT_GE(r.pool_busy_ns, 6u * 100'000u);
+  EXPECT_LE(r.pool_busy_ns, r.pool_lifetime_ns);
 }
 
 TEST_F(ProfilerTest, PublishMetricsUsesDocumentedNames) {
@@ -196,7 +205,7 @@ TEST_F(ProfilerTest, PublishMetricsUsesDocumentedNames) {
     Scope s("event-loop");
     obs::prof::addSample("destage-drain", 1'000);
   }
-  obs::prof::notePool(2, 2'000'000, 1'000'000, 4, 1);
+  obs::prof::notePool(2, 2'000'000, 1'000'000, 4);
   obs::MetricsRegistry reg;
   obs::prof::publishMetrics(obs::prof::snapshot(), reg);
   // The names docs/OBSERVABILITY.md documents and check_docs_links.sh greps.
@@ -210,7 +219,7 @@ TEST_F(ProfilerTest, PublishMetricsUsesDocumentedNames) {
   EXPECT_TRUE(reg.has("profile.pool.idle_ms"));
   EXPECT_TRUE(reg.has("profile.pool.utilization"));
   EXPECT_TRUE(reg.has("profile.pool.tasks"));
-  EXPECT_TRUE(reg.has("profile.pool.steals"));
+  EXPECT_FALSE(reg.has("profile.pool.steals"));
   EXPECT_NEAR(reg.gaugeValue("profile.pool.utilization"), 0.5, 1e-9);
 }
 

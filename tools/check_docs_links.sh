@@ -37,7 +37,7 @@ done
 
 # 2. Source/tool paths referenced in backticks by the docs must exist, so a
 #    doc cannot name a deleted binary (wildcard mentions like
-#    `src/util/thread_pool.*` are skipped).
+#    `src/util/parallel.*` are skipped).
 for doc in README.md DESIGN.md EXPERIMENTS.md \
            docs/ARCHITECTURE.md docs/EXPERIMENTS.md docs/OBSERVABILITY.md \
            docs/POLICIES.md docs/WORKLOADS.md; do

@@ -13,25 +13,26 @@
 //   prefetch = optimal, naive
 //   seeds = 1, 2, 3
 //   scale = 1.0
-//   jobs = 0          # worker threads; 0 = all cores, 1 = serial
+//   jobs = 4          # worker threads; 0 (the default) = all cores
 //   csv = grid.csv
 //   jsonl = grid.jsonl
 //   meta_dir = meta   # one run_meta.json per grid cell
-//   heartbeat_secs = 2  # parallel status cadence on stderr; 0 disables
+//   heartbeat_secs = 2  # status cadence on stderr; 0 disables
 //
 // Grid cells are independent simulations; they run concurrently on
 // --jobs threads (default: all cores) with results — table, CSV, JSONL —
-// byte-identical to a serial run.
+// byte-identical at any job count.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "apps/batch.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_meta.hpp"
 #include "util/host.hpp"
+#include "util/ini.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -49,63 +50,63 @@ int main(int argc, char** argv) {
       "usage: nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume] "
       "[--sample-interval=N] [--sample-dir=DIR] [--status=FILE] "
       "[--profile=FILE] <experiments.ini>\n";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--jobs=", 0) == 0) {
-      jobs = std::strtol(a.c_str() + 7, nullptr, 10);
-      if (jobs < 0) {
-        std::fprintf(stderr, "nwcbatch: --jobs must be >= 0\n");
+  // A count flag whose documented off value is 0.
+  auto countOrOff = [](const std::string& flag, const std::string& text, double max) {
+    return text == "0" ? 0L
+                       : static_cast<long>(
+                             util::positiveFlag(flag + " (0 = off)", text, true, max));
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto val = [&](const char* prefix) { return a.substr(std::strlen(prefix)); };
+      if (a.rfind("--jobs=", 0) == 0) {
+        jobs = static_cast<long>(util::positiveFlag("--jobs", val("--jobs="), true, 4096));
+      } else if (a.rfind("--meta-dir=", 0) == 0) {
+        meta_dir = val("--meta-dir=");
+      } else if (a.rfind("--heartbeat=", 0) == 0) {
+        heartbeat = countOrOff("--heartbeat", val("--heartbeat="), 86400);
+      } else if (a == "--resume") {
+        resume = true;
+      } else if (a.rfind("--sample-interval=", 0) == 0) {
+        sample_interval = countOrOff("--sample-interval", val("--sample-interval="), 1e15);
+      } else if (a.rfind("--sample-dir=", 0) == 0) {
+        sample_dir = val("--sample-dir=");
+      } else if (a.rfind("--status=", 0) == 0) {
+        status_path = val("--status=");
+      } else if (a.rfind("--profile=", 0) == 0) {
+        obs::prof::enableWithReportAtExit(val("--profile="));
+      } else if (a == "--help" || a == "-h") {
+        std::printf("%s"
+                    "  --jobs=N          worker threads, a whole number >= 1 (default:\n"
+                    "                    the INI's batch.jobs key, else all cores)\n"
+                    "  --meta-dir=DIR    write one run_meta.json per grid cell\n"
+                    "  --heartbeat=SECS  status cadence on stderr (0 = off)\n"
+                    "  --resume          skip grid cells already checkpointed in the\n"
+                    "                    batch.jsonl file; rerun only the rest\n"
+                    "  --sample-interval=N  pcycles between telemetry samples\n"
+                    "                    (0 = off; overrides batch.sample_interval)\n"
+                    "  --sample-dir=DIR  one nwc-timeseries-v1 JSON + CSV per cell\n"
+                    "  --status=FILE     live JSONL status stream (tail it with\n"
+                    "                    nwctop)\n"
+                    "  --profile=FILE    profile the simulator itself: write an\n"
+                    "                    nwc-profile-v1 JSON report (+ FILE.folded)\n"
+                    "                    at exit; grid results are unchanged\n",
+                    usage);
+        return 0;
+      } else if (a.rfind("--", 0) == 0) {
+        std::fprintf(stderr, "nwcbatch: unknown flag %s\n%s", a.c_str(), usage);
+        return 2;
+      } else if (ini_path.empty()) {
+        ini_path = a;
+      } else {
+        std::fputs(usage, stderr);
         return 2;
       }
-    } else if (a.rfind("--meta-dir=", 0) == 0) {
-      meta_dir = a.substr(std::strlen("--meta-dir="));
-    } else if (a.rfind("--heartbeat=", 0) == 0) {
-      heartbeat = std::strtol(a.c_str() + 12, nullptr, 10);
-      if (heartbeat < 0) {
-        std::fprintf(stderr, "nwcbatch: --heartbeat must be >= 0\n");
-        return 2;
-      }
-    } else if (a == "--resume") {
-      resume = true;
-    } else if (a.rfind("--sample-interval=", 0) == 0) {
-      sample_interval = std::strtol(a.c_str() + 18, nullptr, 10);
-      if (sample_interval < 0) {
-        std::fprintf(stderr, "nwcbatch: --sample-interval must be >= 0\n");
-        return 2;
-      }
-    } else if (a.rfind("--sample-dir=", 0) == 0) {
-      sample_dir = a.substr(std::strlen("--sample-dir="));
-    } else if (a.rfind("--status=", 0) == 0) {
-      status_path = a.substr(std::strlen("--status="));
-    } else if (a.rfind("--profile=", 0) == 0) {
-      obs::prof::enableWithReportAtExit(a.substr(std::strlen("--profile=")));
-    } else if (a == "--help" || a == "-h") {
-      std::printf("%s"
-                  "  --jobs=N          worker threads (0 = all cores, 1 = serial;\n"
-                  "                    overrides the INI's batch.jobs key)\n"
-                  "  --meta-dir=DIR    write one run_meta.json per grid cell\n"
-                  "  --heartbeat=SECS  parallel status cadence on stderr (0 = off)\n"
-                  "  --resume          skip grid cells already checkpointed in the\n"
-                  "                    batch.jsonl file; rerun only the rest\n"
-                  "  --sample-interval=N  pcycles between telemetry samples\n"
-                  "                    (0 = off; overrides batch.sample_interval)\n"
-                  "  --sample-dir=DIR  one nwc-timeseries-v1 JSON + CSV per cell\n"
-                  "  --status=FILE     live JSONL status stream (tail it with\n"
-                  "                    nwctop)\n"
-                  "  --profile=FILE    profile the simulator itself: write an\n"
-                  "                    nwc-profile-v1 JSON report (+ FILE.folded)\n"
-                  "                    at exit; grid results are unchanged\n",
-                  usage);
-      return 0;
-    } else if (a.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "nwcbatch: unknown flag %s\n%s", a.c_str(), usage);
-      return 2;
-    } else if (ini_path.empty()) {
-      ini_path = a;
-    } else {
-      std::fputs(usage, stderr);
-      return 2;
     }
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "nwcbatch: %s\n", ex.what());
+    return 2;
   }
   if (ini_path.empty()) {
     std::fputs(usage, stderr);

@@ -11,12 +11,10 @@
 // one machine and reports the metrics the paper's evaluation uses, as a
 // table or as JSON. Multiple applications are independent simulations and
 // run concurrently on --jobs threads; output order stays deterministic.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +27,7 @@
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/timeline.hpp"
+#include "util/ini.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -77,39 +76,13 @@ namespace {
   std::exit(code);
 }
 
-// The value of a numeric flag: a finite number > 0 with nothing after it;
-// a count (`whole`) must also be an integer no larger than `max`.
-double positiveFlag(const char* flag, const std::string& text, bool whole = false,
-                    double max = 1e15) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
-      (whole && (v != std::floor(v) || v > max))) {
-    throw std::invalid_argument(
-        std::string(flag) + " must be " +
-        (whole ? "a whole number in [1, " + std::to_string(std::llround(max)) + "]"
-               : "a finite number > 0") +
-        ", got '" + text + "'");
-  }
-  return v;
-}
-
 std::vector<std::string> parseAppList(const std::string& arg) {
   std::vector<std::string> out;
   if (arg == "all") {
     for (const auto& a : nwc::apps::appRegistry()) out.push_back(a.name);
     return out;
   }
-  std::size_t pos = 0;
-  while (pos <= arg.size()) {
-    const auto comma = arg.find(',', pos);
-    const std::string item =
-        arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
+  return nwc::util::splitList(arg);
 }
 
 }  // namespace
@@ -154,7 +127,7 @@ int main(int argc, char** argv) {
         if (a.rfind("--app=", 0) == 0) {
           app = val("--app=");
         } else if (a.rfind("--scale=", 0) == 0) {
-          scale = positiveFlag("--scale", val("--scale="));
+          scale = util::positiveFlag("--scale", val("--scale="));
         } else if (a.rfind("--system=", 0) == 0) {
           cfg.system = machine::systemKindFromString(val("--system="));
           system_set = true;
@@ -178,7 +151,7 @@ int main(int argc, char** argv) {
           trace_path = val("--trace=");
         } else if (a.rfind("--trace-cap=", 0) == 0) {
           trace_cap = static_cast<std::size_t>(
-              positiveFlag("--trace-cap", val("--trace-cap="), true));
+              util::positiveFlag("--trace-cap", val("--trace-cap="), true));
         } else if (a.rfind("--metrics=", 0) == 0) {
           metrics_path = val("--metrics=");
         } else if (a.rfind("--timeline=", 0) == 0) {
@@ -187,14 +160,14 @@ int main(int argc, char** argv) {
           timeline_layers = obs::layerMaskFromString(val("--timeline-layers="));
         } else if (a.rfind("--timeline-cap=", 0) == 0) {
           timeline_cap = static_cast<std::size_t>(
-              positiveFlag("--timeline-cap", val("--timeline-cap="), true));
+              util::positiveFlag("--timeline-cap", val("--timeline-cap="), true));
         } else if (a.rfind("--sample=", 0) == 0) {
           sample_path = val("--sample=");
         } else if (a.rfind("--sample-interval=", 0) == 0) {
           sample_interval = static_cast<sim::Tick>(
-              positiveFlag("--sample-interval", val("--sample-interval="), true));
+              util::positiveFlag("--sample-interval", val("--sample-interval="), true));
         } else if (a.rfind("--jobs=", 0) == 0) {
-          jobs = static_cast<unsigned>(positiveFlag("--jobs", val("--jobs="), true, 4096));
+          jobs = static_cast<unsigned>(util::positiveFlag("--jobs", val("--jobs="), true, 4096));
         } else if (a == "--json") {
           as_json = true;
         } else if (a.rfind("--profile=", 0) == 0) {
