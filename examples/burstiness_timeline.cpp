@@ -1,61 +1,49 @@
 // Burstiness timeline: visualize the claim at the heart of the paper —
 // "page swap-outs are often very bursty" — by sampling machine state over a
-// run and rendering ASCII sparklines of free frames, in-flight swap-outs,
-// controller-cache pressure, and (on the NWCache machine) ring occupancy.
+// run with the periodic sampler and rendering ASCII sparklines of free
+// frames, in-flight swap-outs, controller-cache pressure, and (on the
+// NWCache machine) ring occupancy.
 //
 //   ./burstiness_timeline [app] [scale]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
-#include "apps/app_context.hpp"
-#include "apps/registry.hpp"
-#include "machine/machine.hpp"
-#include "nwcache/interface.hpp"
-#include "nwcache/optical_ring.hpp"
+#include "apps/runner.hpp"
+#include "obs/health.hpp"
+#include "obs/sampler.hpp"
+#include "util/ini.hpp"
 
 namespace {
 
 using namespace nwc;
 
-sim::Task<> cpuMain(apps::AppContext& ctx, apps::AppInstance& app, int cpu) {
-  co_await app.run(ctx, cpu);
-  co_await ctx.machine().fence(cpu);
-  ctx.machine().cpuDone(cpu);
-}
-
-void runOnce(machine::SystemKind sys, const std::string& app_name, double scale) {
+void runOnce(machine::SystemKind sys, const std::string& app, double scale) {
   machine::MachineConfig cfg;
   cfg.withSystem(sys, machine::Prefetch::kOptimal);
-  machine::Machine m(cfg);
-  m.enableTimeline();
+  const obs::HealthContext health = apps::healthContextFor(cfg);
+  obs::SamplerConfig scfg;
+  scfg.interval = 10'000;  // 50 us: fine enough to resolve a burst
+  obs::Sampler sampler(scfg, health);
+  apps::ObsSinks sinks;
+  sinks.sampler = &sampler;
+  const apps::RunSummary s = apps::runApp(cfg, app, scale, sinks);
 
-  auto app = apps::findApp(app_name)->make(scale);
-  apps::AppContext ctx(m);
-  app->setup(ctx);
-  m.start();
-  for (int cpu = 0; cpu < cfg.num_nodes; ++cpu) {
-    m.engine().spawn(cpuMain(ctx, *app, cpu));
-  }
-  m.engine().run();
-
-  const auto* tl = m.timeline();
   std::printf("%s machine (exec %.0f Mpcycles, %llu swap-outs, verified=%s)\n",
-              machine::toString(sys),
-              static_cast<double>(m.metrics().executionTime()) / 1e6,
-              static_cast<unsigned long long>(m.metrics().swap_outs),
-              app->verify() ? "yes" : "NO");
-  std::printf("  free frames     |%s| peak %.0f\n",
-              tl->free_frames.sparkline().c_str(), tl->free_frames.maxValue());
-  std::printf("  swaps in flight |%s| peak %.0f\n",
-              tl->swaps_in_flight.sparkline().c_str(),
-              tl->swaps_in_flight.maxValue());
-  std::printf("  dirty ctl slots |%s| peak %.0f\n",
-              tl->dirty_slots.sparkline().c_str(), tl->dirty_slots.maxValue());
+              machine::toString(sys), static_cast<double>(s.exec_time) / 1e6,
+              static_cast<unsigned long long>(s.metrics.swap_outs),
+              s.verified ? "yes" : "NO");
+  auto row = [&](const char* label, obs::Track t, const std::string& tail = "") {
+    const sim::TimeSeries& ts = sampler.track(t);
+    std::printf("  %s |%s| peak %.0f%s\n", label, ts.sparkline().c_str(), ts.maxValue(),
+                tail.c_str());
+  };
+  row("free frames    ", obs::Track::kFreeFrames);
+  row("swaps in flight", obs::Track::kSwapsInFlight);
+  row("dirty ctl slots", obs::Track::kDirtySlots);
   if (sys == machine::SystemKind::kNWCache) {
-    std::printf("  ring occupancy  |%s| peak %.0f of %d\n",
-                tl->ring_occupancy.sparkline().c_str(),
-                tl->ring_occupancy.maxValue(),
-                cfg.ring_channels * m.ring()->capacityPages());
+    row("ring occupancy ", obs::Track::kRingStaged,
+        " of " + std::to_string(static_cast<long long>(health.ring_capacity_pages)));
   }
   std::printf("\n");
 }
@@ -63,14 +51,19 @@ void runOnce(machine::SystemKind sys, const std::string& app_name, double scale)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "sor";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
-
-  std::printf("Swap-out burstiness of %s at scale %.2f under optimal "
-              "prefetching\n(time runs left to right; each column shows the "
-              "bucket peak)\n\n", app.c_str(), scale);
-  runOnce(nwc::machine::SystemKind::kStandard, app, scale);
-  runOnce(nwc::machine::SystemKind::kNWCache, app, scale);
+  try {
+    if (argc > 3) throw std::invalid_argument("unexpected argument '" + std::string(argv[3]) + "'");
+    const std::string app = argc > 1 ? argv[1] : "sor";
+    const double scale = argc > 2 ? util::positiveFlag("scale", argv[2]) : 1.0;
+    std::printf("Swap-out burstiness of %s at scale %.2f under optimal "
+                "prefetching\n(time runs left to right; each column shows the "
+                "bucket peak)\n\n", app.c_str(), scale);
+    runOnce(machine::SystemKind::kStandard, app, scale);
+    runOnce(machine::SystemKind::kNWCache, app, scale);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "burstiness_timeline: %s\n", ex.what());
+    return 2;
+  }
   std::printf("The standard machine's in-flight swap-outs saturate during\n"
               "bursts while free frames crater; the NWCache absorbs the same\n"
               "bursts into the ring within microseconds.\n");

@@ -6,15 +6,24 @@
 //   ./capacity_planner [target_capacity_kb_per_channel]
 #include <cstdio>
 #include <iostream>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "nwcache/optical_ring.hpp"
+#include "util/ini.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main(int argc, char** argv) {
   using namespace nwc;
-  const double target_kb = argc > 1 ? std::atof(argv[1]) : 64.0;
+  double target_kb = 64.0;
+  try {
+    if (argc > 2) throw std::invalid_argument("unexpected argument '" + std::string(argv[2]) + "'");
+    if (argc > 1) target_kb = util::positiveFlag("target_capacity_kb_per_channel", argv[1]);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "capacity_planner: %s\n", ex.what());
+    return 2;
+  }
 
   std::printf("Optical delay-line capacity planning (capacity_bits = channels x\n"
               "length x rate / 2.1e8 m/s; paper section 2 and 3.2)\n\n");

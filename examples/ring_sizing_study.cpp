@@ -8,13 +8,15 @@
 // The five ring sizes are independent simulations and run concurrently
 // (--jobs=1 forces the serial order).
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/runner.hpp"
+#include "apps/workload.hpp"
 #include "nwcache/optical_ring.hpp"
+#include "util/ini.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -23,18 +25,28 @@ int main(int argc, char** argv) {
   std::string app = "sor";
   double scale = 1.0;
   unsigned jobs = 0;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<unsigned>(std::strtoul(a.c_str() + 7, nullptr, 10));
-    } else if (positional == 0) {
-      app = a;
-      ++positional;
-    } else {
-      scale = std::atof(a.c_str());
-      ++positional;
+  try {
+    int positional = 0;
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a.rfind("--jobs=", 0) == 0) {
+        jobs = static_cast<unsigned>(util::positiveFlag("--jobs", a.substr(7), true, 4096));
+      } else if (positional == 0) {
+        app = a;
+        ++positional;
+      } else if (positional == 1) {
+        scale = util::positiveFlag("scale", a);
+        ++positional;
+      } else {
+        throw std::invalid_argument("unexpected argument '" + a + "'");
+      }
     }
+    if (const std::string err = apps::workloadSpecError(app); !err.empty()) {
+      throw std::invalid_argument(err);
+    }
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "ring_sizing_study: %s\n", ex.what());
+    return 2;
   }
 
   std::printf("NWCache ring sizing study: %s at scale %.2f\n"

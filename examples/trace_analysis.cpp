@@ -1,66 +1,75 @@
-// Trace analysis: record every page-grain event of a run and mine it
-// offline — fault source mix, page re-fault behaviour (reuse), inter-fault
-// gaps, the hottest pages — then dump the raw trace to CSV.
+// Trace analysis: record every page-grain event of a run on the event
+// timeline and mine it — fault source mix, swap-out paths, page re-fault
+// behaviour (reuse), inter-fault gaps, the hottest pages. For the same
+// stream in Perfetto, run `nwcsim --timeline=FILE`.
 //
 //   ./trace_analysis [app] [scale] [standard|nwcache]
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "apps/runner.hpp"
+#include "machine/config_io.hpp"
+#include "obs/timeline.hpp"
+#include "util/ini.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace nwc;
-  const std::string app = argc > 1 ? argv[1] : "sor";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const bool nwcache = argc > 3 ? std::string(argv[3]) == "nwcache" : true;
-
-  machine::MachineConfig cfg;
-  cfg.withSystem(nwcache ? machine::SystemKind::kNWCache
-                         : machine::SystemKind::kStandard,
-                 machine::Prefetch::kNaive);
-
-  machine::TraceBuffer trace;
-  std::printf("Tracing %s (%s, naive prefetch, scale %.2f)...\n", app.c_str(),
-              nwcache ? "nwcache" : "standard", scale);
-  const apps::RunSummary s = apps::runApp(cfg, app, scale, &trace);
-  std::printf("run complete: exec=%.1f Mpcycles, %zu trace events, verified=%s\n\n",
-              static_cast<double>(s.exec_time) / 1e6, trace.size(),
+  // Page events only: the mesh layer would add every message.
+  obs::EventTimeline timeline(
+      obs::layerBit(obs::Layer::kFault) | obs::layerBit(obs::Layer::kSwap) |
+      obs::layerBit(obs::Layer::kRing) | obs::layerBit(obs::Layer::kDisk));
+  apps::RunSummary s;
+  try {
+    if (argc > 4) throw std::invalid_argument("unexpected argument '" + std::string(argv[4]) + "'");
+    const std::string app = argc > 1 ? argv[1] : "sor";
+    const double scale = argc > 2 ? util::positiveFlag("scale", argv[2]) : 1.0;
+    const std::string sys = argc > 3 ? argv[3] : "nwcache";
+    if (sys != "standard" && sys != "nwcache") {
+      throw std::invalid_argument("system must be standard or nwcache, got '" + sys + "'");
+    }
+    machine::MachineConfig cfg;
+    cfg.withSystem(machine::systemKindFromString(sys), machine::Prefetch::kNaive);
+    apps::ObsSinks sinks;
+    sinks.timeline = &timeline;
+    std::printf("Tracing %s (%s, naive prefetch, scale %.2f)...\n", app.c_str(),
+                sys.c_str(), scale);
+    s = apps::runApp(cfg, app, scale, sinks);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "trace_analysis: %s\n", ex.what());
+    return 2;
+  }
+  std::printf("run complete: exec=%.1f Mpcycles, %zu timeline events, verified=%s\n\n",
+              static_cast<double>(s.exec_time) / 1e6, timeline.size(),
               s.verified ? "yes" : "NO");
 
-  // Event mix.
-  util::AsciiTable mix({"Event", "Count"});
-  for (auto k : {machine::TraceKind::kFaultDiskHit, machine::TraceKind::kFaultDiskMiss,
-                 machine::TraceKind::kFaultRingHit, machine::TraceKind::kSwapOutDisk,
-                 machine::TraceKind::kSwapOutRing, machine::TraceKind::kCleanEviction,
-                 machine::TraceKind::kNack}) {
-    mix.addRow({machine::toString(k),
-                util::AsciiTable::fmtInt(static_cast<long long>(trace.count(k)))});
-  }
-  mix.print(std::cout);
-
-  // Per-page fault counts: how much page re-fetching (thrashing) happened?
+  // Event mix: where each fault was served from (the fault-service span's
+  // fetch child) and which path each eviction took.
+  std::map<std::string, std::size_t> mix;
   std::map<sim::PageId, int> fault_counts;
   std::map<sim::PageId, sim::Tick> last_fault;
   sim::Accumulator refault_gap;
-  for (const auto& e : trace.events()) {
-    if (e.kind != machine::TraceKind::kFaultDiskHit &&
-        e.kind != machine::TraceKind::kFaultDiskMiss &&
-        e.kind != machine::TraceKind::kFaultRingHit) {
-      continue;
-    }
-    auto [it, fresh] = last_fault.try_emplace(e.page, e.at);
+  for (const obs::TimelineEvent& e : timeline.events()) {
+    const std::string name = e.name;
+    if (name.rfind("fault.fetch_", 0) == 0 || e.layer == obs::Layer::kSwap) ++mix[name];
+    if (name != "fault.service") continue;
+    // Per-page fault counts: how much page re-fetching (thrashing) happened?
+    auto [it, fresh] = last_fault.try_emplace(e.page, e.start);
     if (!fresh) {
-      refault_gap.add(static_cast<double>(e.at - it->second));
-      it->second = e.at;
+      refault_gap.add(static_cast<double>(e.start - it->second));
+      it->second = e.start;
     }
     fault_counts[e.page]++;
   }
+  util::AsciiTable t({"Event", "Count"});
+  for (const auto& [name, n] : mix) {
+    t.addRow({name, util::AsciiTable::fmtInt(static_cast<long long>(n))});
+  }
+  t.print(std::cout);
+
   std::size_t refaulted = 0;
   int max_faults = 0;
   sim::PageId hottest = sim::kNoPage;
@@ -82,9 +91,5 @@ int main(int argc, char** argv) {
                 refault_gap.mean() / 1e3, refault_gap.min() / 1e3,
                 refault_gap.max() / 1e3);
   }
-
-  const std::string csv = "trace_" + app + ".csv";
-  trace.dumpCsv(csv);
-  std::printf("\nraw trace written to %s\n", csv.c_str());
   return 0;
 }

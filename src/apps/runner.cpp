@@ -11,11 +11,6 @@
 namespace nwc::apps {
 
 RunSummary runApp(const machine::MachineConfig& cfg, const std::string& app_name,
-                  double scale, machine::TraceBuffer* trace) {
-  return runApp(cfg, app_name, scale, ObsSinks{trace, nullptr, nullptr});
-}
-
-RunSummary runApp(const machine::MachineConfig& cfg, const std::string& app_name,
                   double scale, const ObsSinks& sinks) {
   std::unique_ptr<WorkloadSource> src;
   {

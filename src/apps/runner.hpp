@@ -42,6 +42,8 @@ struct RunSummary {
 /// `attr_records` retains one obs::AttrRecord per completed fault/swap-out/
 /// shootdown (aggregates are always in RunSummary.metrics.attr).
 struct ObsSinks {
+  /// Bare page-event record for the repository benchmark's replay
+  /// (machine/trace.hpp); everything else reads page events from `timeline`.
   machine::TraceBuffer* trace = nullptr;
   obs::EventTimeline* timeline = nullptr;
   obs::MetricsRegistry* registry = nullptr;
@@ -50,19 +52,16 @@ struct ObsSinks {
   /// allocations are seen. See machine::RefRecorder.
   machine::RefRecorder* ref_recorder = nullptr;
   /// Periodic in-run sampler (obs/sampler.hpp). When `timeline` is also
-  /// attached, health onsets/clears land there as `health.*` instants.
+  /// attached, its gauges land there as counter samples and health
+  /// onsets/clears as `health.*` instants.
   obs::Sampler* sampler = nullptr;
 };
 
-/// Runs `app_name` at input `scale` on a machine built from `cfg`.
-/// If `trace` is non-null, page-grain events are recorded into it.
+/// Runs `app_name` at input `scale` on a machine built from `cfg`, with
+/// whichever observability sinks are attached.
 /// Throws std::invalid_argument for an unknown application name.
 RunSummary runApp(const machine::MachineConfig& cfg, const std::string& app_name,
-                  double scale = 1.0, machine::TraceBuffer* trace = nullptr);
-
-/// As above, with the full set of observability sinks.
-RunSummary runApp(const machine::MachineConfig& cfg, const std::string& app_name,
-                  double scale, const ObsSinks& sinks);
+                  double scale = 1.0, const ObsSinks& sinks = {});
 
 /// The health-detector context implied by a machine configuration (reserve
 /// floor, ring capacity, retune cost) — pass to obs::Sampler's constructor.

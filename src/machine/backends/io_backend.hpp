@@ -42,10 +42,6 @@ class IoBackend {
   IoBackend(const IoBackend&) = delete;
   IoBackend& operator=(const IoBackend&) = delete;
 
-  // --- identity / tracing ---------------------------------------------------
-  virtual TraceKind swapTraceKind() const { return TraceKind::kSwapOutDisk; }
-  virtual const char* swapSpanName() const { return "swap.disk"; }
-
   // --- swap-out route -------------------------------------------------------
   /// The variant-specific write-out path for a dirty victim. Runs inside
   /// Machine::swapOutPage, which owns the generic bookkeeping (frame
@@ -180,7 +176,6 @@ class IoBackend {
   sim::Tick pageSerMembus() const { return m_.page_ser_membus_; }
   sim::Tick pageSerIobus() const { return m_.page_ser_iobus_; }
   int diskIndexOf(sim::PageId p) const { return m_.diskIndexOf(p); }
-  void sampleTimeline() { m_.sampleTimeline(); }
   sim::Tick ctrlTransfer(sim::Tick now, sim::NodeId src, sim::NodeId dst,
                          obs::AttrCtx* actx = nullptr) {
     return m_.ctrlTransfer(now, src, dst, actx);

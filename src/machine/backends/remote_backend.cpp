@@ -72,7 +72,6 @@ bool RemoteBackend::takeGuestVictim(sim::NodeId n) {
   ++metrics().remote_evictions;
   ++node(n).swaps_in_flight;
   eng().spawn(machineSwapOut(n, guest, /*force_disk=*/true));
-  sampleTimeline();
   return true;
 }
 

@@ -336,7 +336,6 @@ sim::Task<> RingBackend::notifyRingVictimRead(sim::NodeId reader, sim::PageId pa
 void RingBackend::releaseRingSlot(int channel, sim::PageId page) {
   if (ring_->remove(channel, page)) {
     ring_room_[static_cast<std::size_t>(channel)]->notifyAll();
-    sampleTimeline();
   }
 }
 

@@ -25,9 +25,6 @@ class RingBackend : public IoBackend {
  public:
   explicit RingBackend(Machine& m);
 
-  TraceKind swapTraceKind() const override { return TraceKind::kSwapOutRing; }
-  const char* swapSpanName() const override { return "swap.ring"; }
-
   sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
                       obs::AttrCtx& actx) override;
   bool faultMustWait(vm::PageState s) const override {

@@ -122,7 +122,6 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
       etl_->span(obs::Layer::kFault, "fault.service", f0, f_end - f0, cpu, page, 0,
                  fid);
     }
-    sampleTimeline();
     co_return;
   }
 }

@@ -5,7 +5,6 @@
 // NWCache interface drain, the DCD destage) live in machine/backends/.
 #include "machine/backends/io_backend.hpp"
 #include "machine/machine.hpp"
-#include "obs/timeline.hpp"
 
 namespace nwc::machine {
 
@@ -27,7 +26,6 @@ sim::Task<> Machine::diskDrainLoop(int disk_idx) {
     metrics_->write_combining.add(static_cast<double>(batch.size()));
     sendPendingOks(disk_idx);
     dc.work.notifyAll();  // room appeared: wake the backend's drain daemons
-    sampleTimeline();
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include "machine/backends/io_backend.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timeline.hpp"
 
 namespace nwc::machine {
 
@@ -170,38 +169,6 @@ void Machine::recordAttr(obs::AttrOp op, obs::AttrOutcome outcome,
   if (attr_records_ != nullptr) {
     attr_records_->push_back(obs::AttrRecord{op, outcome, end_to_end, eng_->now(),
                                              page, node, actx.stages()});
-  }
-}
-
-void Machine::sampleTimeline() {
-  const bool want_vm = etl_ != nullptr && etl_->enabled(obs::Layer::kVm);
-  const bool want_disk = etl_ != nullptr && etl_->enabled(obs::Layer::kDisk);
-  const bool want_ring = etl_ != nullptr && etl_->enabled(obs::Layer::kRing);
-  if (!timeline_ && !want_vm && !want_disk && !want_ring) return;
-  const sim::Tick now = eng_->now();
-  double free = 0, in_flight = 0;
-  for (const auto& n : nodes_) {
-    free += n->frames.freeFrames();
-    in_flight += n->swaps_in_flight;
-  }
-  double dirty = 0;
-  for (const auto& d : disks_) dirty += d->cache.dirtyCount();
-  const double staged = backend_->stagedPages();
-  if (timeline_) {
-    timeline_->free_frames.sample(now, free);
-    timeline_->swaps_in_flight.sample(now, in_flight);
-    timeline_->dirty_slots.sample(now, dirty);
-    timeline_->ring_occupancy.sample(now, staged);
-  }
-  if (want_vm) {
-    etl_->counterSample(obs::Layer::kVm, "vm.free_frames", now, free);
-    etl_->counterSample(obs::Layer::kVm, "vm.swaps_in_flight", now, in_flight);
-  }
-  if (want_disk) {
-    etl_->counterSample(obs::Layer::kDisk, "disk.dirty_slots", now, dirty);
-  }
-  if (want_ring && backend_->ring() != nullptr) {
-    etl_->counterSample(obs::Layer::kRing, "ring.occupancy", now, staged);
   }
 }
 

@@ -33,7 +33,6 @@
 #include "net/mesh.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
-#include "sim/timeseries.hpp"
 #include "sim/trigger.hpp"
 #include "vm/frame_pool.hpp"
 #include "vm/page_table.hpp"
@@ -165,9 +164,8 @@ class Machine {
   /// "destage-drain" profile phase.
   std::uint64_t hostDrainStartNs() const { return host_drain_start_ns_; }
 
-  /// Attaches a page-event trace sink (optional; may be null to detach).
+  /// Attaches the benchmark's page-event record (machine/trace.hpp; optional).
   void attachTrace(TraceBuffer* sink) { trace_ = sink; }
-  TraceBuffer* trace() const { return trace_; }
 
   /// Attaches a kernel reference-stream recorder (optional; null to
   /// detach). Must be attached before `allocRegion` to see every region.
@@ -193,27 +191,14 @@ class Machine {
   obs::Sampler* sampler() const { return sampler_; }
 
   /// Fills one frame of the sampler's track catalog from live machine state
-  /// (observe.cpp, next to the end-of-run catalog it subsets).
+  /// (observe.cpp, next to the end-of-run catalog it subsets). The only
+  /// occupancy snapshot: time series of machine state come from the sampler.
   void collectSample(obs::SampleFrame& f) const;
 
   /// Publishes every component's end-of-run statistics into `reg`
   /// (observe.cpp has the shared-fabric catalog; the backend appends its
   /// own instruments).
   void publishMetrics(obs::MetricsRegistry& reg) const;
-
-  /// Machine-state time series, sampled at every page-grain event.
-  struct Timeline {
-    sim::TimeSeries free_frames;      // sum of free frames over all nodes
-    sim::TimeSeries ring_occupancy;   // pages staged by the backend
-    sim::TimeSeries dirty_slots;      // staged pages in the controller caches
-    sim::TimeSeries swaps_in_flight;  // write-outs whose frame is still held
-  };
-
-  /// Enables timeline sampling (cheap: one snapshot per page event).
-  void enableTimeline() {
-    if (!timeline_) timeline_ = std::make_unique<Timeline>();
-  }
-  const Timeline* timeline() const { return timeline_.get(); }
 
   // --- invariants (debug validators / property tests) -----------------------
   /// Checks the single-copy invariant and frame accounting; returns a
@@ -335,9 +320,6 @@ class Machine {
   void recordDestage(const obs::AttrCtx& actx, sim::Tick end_to_end,
                      std::size_t batch_pages, sim::PageId page, sim::NodeId node);
 
-  /// Records one timeline snapshot (no-op when sampling is disabled).
-  void sampleTimeline();
-
   // -- periodic sampler (observe.cpp) -----------------------------------------
   /// Snapshots the sampler's tracks every `sampler_->interval()` ticks; takes
   /// one final sample after the last CPU finishes, then exits so the engine
@@ -361,7 +343,6 @@ class Machine {
   obs::Sampler* sampler_ = nullptr;
   int cpus_done_ = 0;  // lets the sampler daemon stop with the workload
   std::uint64_t host_drain_start_ns_ = 0;  // see hostDrainStartNs()
-  std::unique_ptr<Timeline> timeline_;
   sim::Rng rng_;
   std::uint64_t next_vaddr_ = 0;
   bool started_ = false;

@@ -17,6 +17,23 @@ namespace nwc::machine {
 
 using vm::PageState;
 
+namespace {
+
+// A swap-out is labelled by the path it took (the backend's attribution
+// outcome), not by the machine's variant: a ring machine sends admission
+// rejects down the disk path, and a remote machine evicts guests to disk.
+TraceKind swapTraceKind(obs::AttrOutcome path) {
+  return path == obs::AttrOutcome::kRing ? TraceKind::kSwapOutRing : TraceKind::kSwapOutDisk;
+}
+
+const char* swapSpanName(obs::AttrOutcome path) {
+  return path == obs::AttrOutcome::kRing     ? "swap.ring"
+         : path == obs::AttrOutcome::kRemote ? "swap.remote"
+                                             : "swap.disk";
+}
+
+}  // namespace
+
 void Machine::shootdown(sim::PageId page, sim::NodeId initiator) {
   ++metrics_->shootdowns;
   if (etl_ != nullptr && etl_->enabled(obs::Layer::kTlb)) {
@@ -96,7 +113,6 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
           etl_->instant(obs::Layer::kSwap, "swap.clean_eviction", eng_->now(), n,
                         page);
         }
-        sampleTimeline();
         continue;
       }
 
@@ -104,7 +120,6 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
       ++nc.swaps_in_flight;
       pt_->setState(page, PageState::kSwapping);
       eng_->spawn(swapOutPage(n, page));  // swap-outs overlap (bursty)
-      sampleTimeline();
     }
     co_await nc.replace_kick.wait();
   }
@@ -124,14 +139,13 @@ sim::Task<> Machine::swapOutPage(sim::NodeId n, sim::PageId page, bool force_dis
   metrics_->swap_out_hist.add(dt);
   recordAttr(obs::AttrOp::kSwap, actx.outcome(), dt, actx, page, n);
   if (trace_ != nullptr) {
-    trace_->record(TraceEvent{eng_->now(), dt, page, n, backend_->swapTraceKind()});
+    trace_->record(TraceEvent{eng_->now(), dt, page, n, swapTraceKind(actx.outcome())});
   }
   if (etl_ != nullptr && etl_->enabled(obs::Layer::kSwap)) {
     // Async: a node's swap-outs overlap (the replacement daemon spawns them
     // in bursts), so complete "X" slices would render as overlaps.
-    etl_->asyncSpan(obs::Layer::kSwap, backend_->swapSpanName(), t0, dt, n, page);
+    etl_->asyncSpan(obs::Layer::kSwap, swapSpanName(actx.outcome()), t0, dt, n, page);
   }
-  sampleTimeline();
 }
 
 }  // namespace nwc::machine

@@ -1,10 +1,10 @@
-// Page-grain event tracing.
+// Page-eviction and reference-stream capture for the repository benchmark.
 //
-// Attach a TraceBuffer to a Machine before `start()` and every page-level
-// event (faults with their service source, swap-outs with their path,
-// NACKs, victim reads) is recorded with its timestamp and latency. The
-// buffer can be dumped to CSV for offline analysis; see
-// examples/trace_analysis.cpp.
+// Page events are observed through obs::EventTimeline (obs/timeline.hpp),
+// which carries every fault, swap-out, NACK and clean eviction with its
+// path. The TraceBuffer below is a bare append-only record of the same
+// events that the benchmark's per-layer replay (perfbench/nwcbench.cpp)
+// merges with its RefRecorder stream; it has no export of its own.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +19,11 @@ enum class TraceKind : std::uint8_t {
   kFaultDiskHit,    // page fault served from the disk controller cache
   kFaultDiskMiss,   // page fault paid a platter read
   kFaultRingHit,    // page fault served off the optical ring (victim read)
-  kSwapOutDisk,     // dirty write-out via the standard protocol
+  kSwapOutDisk,     // dirty write-out by any other path (disk, log, remote)
   kSwapOutRing,     // dirty write-out staged on the ring
   kCleanEviction,   // frame freed without a write-out
   kNack,            // controller cache full response
 };
-
-const char* toString(TraceKind k);
 
 struct TraceEvent {
   sim::Tick at = 0;       // completion time
@@ -35,40 +33,15 @@ struct TraceEvent {
   TraceKind kind = TraceKind::kFaultDiskHit;
 };
 
-/// Unbounded by default; construct with a capacity to get a ring buffer
-/// that keeps the newest events and counts the dropped ones (mirrors
-/// obs::EventTimeline's cap mode — long runs stay bounded in memory).
+/// Append-only page-event record (see the file comment).
 class TraceBuffer {
  public:
-  TraceBuffer() = default;
-  explicit TraceBuffer(std::size_t capacity) : capacity_(capacity) {}
-
-  void record(const TraceEvent& e) {
-    if (capacity_ != 0 && events_.size() == capacity_) {
-      events_.pop_front();
-      ++dropped_;
-    }
-    events_.push_back(e);
-  }
+  void record(const TraceEvent& e) { events_.push_back(e); }
 
   const std::deque<TraceEvent>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
-
-  /// 0 = unbounded.
-  std::size_t capacity() const { return capacity_; }
-  /// Oldest events evicted to stay within capacity.
-  std::uint64_t dropped() const { return dropped_; }
-
-  std::size_t count(TraceKind k) const;
-
-  /// Writes "at,latency,page,node,kind" rows. Throws on I/O failure.
-  void dumpCsv(const std::string& path) const;
 
  private:
   std::deque<TraceEvent> events_;
-  std::size_t capacity_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 /// Kernel reference-stream capture hook.

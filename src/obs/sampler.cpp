@@ -36,6 +36,15 @@ static_assert(sizeof(kOnsetName) / sizeof(kOnsetName[0]) ==
 static_assert(sizeof(kClearName) / sizeof(kClearName[0]) ==
               static_cast<unsigned>(Detector::kNumDetectors));
 
+// The timeline layer that carries each mirrored gauge's counter track.
+Layer layerOf(Track g) {
+  switch (g) {
+    case Track::kRingStaged: return Layer::kRing;
+    case Track::kDirtySlots: return Layer::kDisk;
+    default: return Layer::kVm;
+  }
+}
+
 }  // namespace
 
 const char* toString(Track t) {
@@ -79,6 +88,12 @@ Sampler::Sampler(const SamplerConfig& cfg, const HealthContext& ctx)
 void Sampler::record(sim::Tick t, const SampleFrame& f) {
   for (std::size_t i = 0; i < kNumTracks; ++i) {
     tracks_[i].sample(t, f.v[i]);
+  }
+  if (timeline_ != nullptr) {
+    for (std::size_t i = 0; i < kNumTracks; ++i) {
+      const Track g = static_cast<Track>(i);
+      if (!isCumulative(g)) timeline_->counterSample(layerOf(g), toString(g), t, f.v[i]);
+    }
   }
   if (samples_ > 0 && t > prev_t_) {
     HealthMonitor::Window w;

@@ -7,7 +7,9 @@
 // integral-preserving decimation so arbitrarily long runs stay bounded. Each
 // consecutive pair of samples forms a window handed to the online
 // `HealthMonitor` (NACK storms, destage stalls, starvation, retune livelock,
-// ring pegging) whose onsets/clears can be mirrored onto the event timeline.
+// ring pegging). With an event timeline attached, each sample's occupancy
+// gauges land there as counter samples and each health onset/clear as an
+// instant: the timeline has no other source of counter tracks.
 //
 // The whole series exports as a `nwc-timeseries-v1` JSON (and sibling CSV)
 // artifact — deterministic bytes: samples are taken at simulated ticks, so
@@ -72,12 +74,14 @@ class Sampler {
 
   sim::Tick interval() const { return cfg_.interval; }
 
-  /// Mirrors health onset/clear transitions as `health.*` timeline instants
-  /// (Layer::kHealth). Optional; pass nullptr to detach.
+  /// Mirrors every sample's gauge tracks as timeline counter samples on
+  /// their layer (vm, ring, disk), and health onset/clear transitions as
+  /// `health.*` instants (Layer::kHealth). Optional; pass nullptr to detach.
   void attachTimeline(EventTimeline* tl) { timeline_ = tl; }
 
-  /// Appends one frame at tick `t` (strictly after the previous sample) and
-  /// runs the health detectors over the window since the last frame.
+  /// Appends one frame at tick `t` (strictly after the previous sample),
+  /// mirrors its gauges onto the attached timeline, and runs the health
+  /// detectors over the window since the last frame.
   void record(sim::Tick t, const SampleFrame& f);
 
   std::size_t samples() const { return samples_; }

@@ -3,10 +3,12 @@
 // optical ring, mesh, disks, VM occupancy, TLB), exportable as Chrome
 // trace-event JSON that Perfetto / chrome://tracing load directly.
 //
-// This generalizes machine::TraceBuffer (page-grain CSV events) to all
-// layers. Recording is pay-per-layer: each layer has an enable bit and a
-// disabled layer costs one branch; a bounded ring-buffer mode keeps
-// paper-scale runs cheap by retaining only the newest events.
+// It is the one stream of page events: every fault, swap-out (named by the
+// path it took), NACK and clean eviction is recorded here. Counter samples
+// come only from an attached obs::Sampler, once per sample interval.
+// Recording is pay-per-layer: each layer has an enable bit and a disabled
+// layer costs one branch; a bounded ring-buffer mode keeps paper-scale runs
+// cheap by retaining only the newest events.
 //
 // Span nesting: a parent span reserves its id up front
 // (`reserveSpanId()`), records its children with `parent=` that id, then

@@ -17,6 +17,16 @@
 namespace nwc {
 namespace {
 
+// The gauge tracks: the ones a sampler mirrors onto an attached timeline.
+std::vector<obs::Track> gaugeTracks() {
+  std::vector<obs::Track> gauges;
+  for (std::size_t i = 0; i < obs::kNumTracks; ++i) {
+    const auto t = static_cast<obs::Track>(i);
+    if (!obs::isCumulative(t)) gauges.push_back(t);
+  }
+  return gauges;
+}
+
 obs::HealthMonitor::Window window(sim::Tick t0, sim::Tick t1) {
   obs::HealthMonitor::Window w;
   w.t0 = t0;
@@ -163,10 +173,26 @@ TEST(Sampler, ExportRoundTripsAndMirrorsHealthOntoTimeline) {
   sampler.record(1000, f);
   EXPECT_EQ(sampler.samples(), 2u);
 
-  // The onset landed on the timeline as a health-layer instant.
-  ASSERT_EQ(tl.size(), 1u);
-  EXPECT_EQ(tl.events()[0].layer, obs::Layer::kHealth);
-  EXPECT_STREQ(tl.events()[0].name, "health.nack_storm");
+  // Each sample mirrored its gauges as counter samples; the onset landed
+  // as a health-layer instant after the second sample's counters.
+  const std::vector<obs::Track> tracks = gaugeTracks();
+  const std::size_t gauges = tracks.size();
+  ASSERT_EQ(gauges, 4u);  // free frames, swaps in flight, ring staged, dirty slots
+  ASSERT_EQ(tl.size(), 2 * gauges + 1);
+  for (std::size_t i = 0; i < 2 * gauges; ++i) {
+    const obs::TimelineEvent& e = tl.events()[i];
+    const obs::Track g = tracks[i % gauges];
+    EXPECT_EQ(e.shape, obs::EventShape::kCounter);
+    EXPECT_STREQ(e.name, obs::toString(g));
+    EXPECT_EQ(e.start, i < gauges ? 0 : 1000);
+    EXPECT_EQ(e.value, i < gauges ? 0.0 : f[g]);
+  }
+  EXPECT_EQ(tl.events()[gauges].value, 7.0);  // vm.free_frames at t=1000
+  EXPECT_EQ(tl.events()[gauges].layer, obs::Layer::kVm);
+  EXPECT_EQ(tl.count(obs::Layer::kRing), 2u);  // ring.staged_pages
+  EXPECT_EQ(tl.count(obs::Layer::kDisk), 2u);  // disk.dirty_slots
+  EXPECT_EQ(tl.events().back().layer, obs::Layer::kHealth);
+  EXPECT_STREQ(tl.events().back().name, "health.nack_storm");
 
   const auto doc = util::parseJson(sampler.toJson());
   EXPECT_EQ(doc.at("schema").string, "nwc-timeseries-v1");
@@ -231,6 +257,28 @@ TEST(SamplerEndToEnd, DetectsStarvationAndStaysQuietWhenHealthy) {
   healthy.withSystem(machine::SystemKind::kNWCache, machine::Prefetch::kOptimal);
   healthy.memory_per_node = 32 * 1024;
   EXPECT_EQ(runSampled(healthy), "healthy");
+}
+
+// The timeline's counter tracks come from the sampler alone: one counter
+// event per mirrored gauge per sample, none from the machine's page events.
+TEST(SamplerEndToEnd, TimelineCountersAreTheSamplersGauges) {
+  machine::MachineConfig cfg;
+  cfg.withSystem(machine::SystemKind::kNWCache, machine::Prefetch::kOptimal);
+  cfg.memory_per_node = 16 * 1024;
+  cfg.min_free_frames = 12;
+  obs::Sampler sampler(obs::SamplerConfig{}, apps::healthContextFor(cfg));
+  obs::EventTimeline tl(obs::kAllLayers & ~obs::layerBit(obs::Layer::kMesh));
+  apps::ObsSinks sinks;
+  sinks.sampler = &sampler;
+  sinks.timeline = &tl;
+  const apps::RunSummary s = apps::runApp(cfg, "radix", 0.05, sinks);
+  ASSERT_TRUE(s.ok());
+  ASSERT_GT(s.metrics.swap_outs, 0u);
+  std::size_t counters = 0;
+  for (const obs::TimelineEvent& e : tl.events()) {
+    if (e.shape == obs::EventShape::kCounter) ++counters;
+  }
+  EXPECT_EQ(counters, sampler.samples() * gaugeTracks().size());
 }
 
 // The tentpole's acceptance bar: the sampled export is a pure function of

@@ -1,9 +1,14 @@
-// TimeSeries: sampling, decimation, statistics, sparkline rendering.
+// TimeSeries: sampling, decimation, statistics, sparkline rendering; and
+// the machine occupancy the periodic sampler records into it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "apps/runner.hpp"
+#include "machine/backends/io_backend.hpp"
 #include "machine/machine.hpp"
+#include "obs/health.hpp"
+#include "obs/sampler.hpp"
 #include "sim/timeseries.hpp"
 
 namespace nwc::sim {
@@ -85,13 +90,17 @@ TEST(TimeSeries, SingletonSeries) {
   EXPECT_EQ(ts.sparkline(4).size(), 4u);
 }
 
-TEST(MachineTimeline, SamplesDuringRun) {
+// Machine occupancy over time comes from the periodic sampler alone.
+TEST(MachineSampler, SamplesDuringRun) {
   machine::MachineConfig cfg;
   cfg.withSystem(machine::SystemKind::kNWCache, machine::Prefetch::kOptimal);
   cfg.memory_per_node = 32 * 1024;
   cfg.min_free_frames = 2;
   machine::Machine m(cfg);
-  m.enableTimeline();
+  obs::SamplerConfig scfg;
+  scfg.interval = 500;
+  obs::Sampler sampler(scfg, apps::healthContextFor(cfg));
+  m.attachSampler(&sampler);
   m.allocRegion(64 * 4096);
   m.start();
   auto workload = [&]() -> Task<> {
@@ -102,22 +111,24 @@ TEST(MachineTimeline, SamplesDuringRun) {
     m.cpuDone(0);
   };
   m.engine().spawn(workload());
+  // The sampling daemon stops once every CPU has retired; the others are idle.
+  for (int cpu = 1; cpu < cfg.num_nodes; ++cpu) m.cpuDone(cpu);
   m.engine().run();
 
-  const auto* tl = m.timeline();
-  ASSERT_NE(tl, nullptr);
-  EXPECT_GT(tl->free_frames.size(), 0u);
-  EXPECT_GT(tl->ring_occupancy.maxValue(), 0.0);  // pages passed over the ring
-  EXPECT_DOUBLE_EQ(tl->ring_occupancy.points().back().second, 0.0);  // drained
+  const TimeSeries& free = sampler.track(obs::Track::kFreeFrames);
+  const TimeSeries& staged = sampler.track(obs::Track::kRingStaged);
+  EXPECT_GT(sampler.samples(), 2u);
+  EXPECT_EQ(free.size(), sampler.samples());
+  EXPECT_GT(staged.maxValue(), 0.0);  // pages passed over the ring
   // Free frames never exceed the machine total.
-  EXPECT_LE(tl->free_frames.maxValue(),
-            static_cast<double>(cfg.num_nodes * cfg.framesPerNode()));
+  EXPECT_LE(free.maxValue(), static_cast<double>(cfg.num_nodes * cfg.framesPerNode()));
+  EXPECT_EQ(m.backend().stagedPages(), 0);  // the ring drained
 }
 
-TEST(MachineTimeline, DisabledByDefault) {
+TEST(MachineSampler, DetachedByDefault) {
   machine::MachineConfig cfg;
   machine::Machine m(cfg);
-  EXPECT_EQ(m.timeline(), nullptr);
+  EXPECT_EQ(m.sampler(), nullptr);
 }
 
 }  // namespace

@@ -1,111 +1,167 @@
-// TraceBuffer + machine trace hooks.
+// The page-event stream: every fault, swap-out, NACK and clean eviction on
+// the obs::EventTimeline, each swap-out named by the path it took, and the
+// bare TraceBuffer record (ObsSinks::trace) the repository benchmark reads.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <cstring>
 
 #include "apps/runner.hpp"
-#include "machine/machine.hpp"
+#include "machine/config.hpp"
 #include "machine/trace.hpp"
+#include "obs/timeline.hpp"
 
 namespace nwc::machine {
 namespace {
 
-TEST(TraceBuffer, RecordsAndCounts) {
-  TraceBuffer t;
-  t.record({100, 10, 5, 0, TraceKind::kFaultDiskHit});
-  t.record({200, 0, 6, 1, TraceKind::kNack});
-  t.record({300, 20, 7, 2, TraceKind::kFaultDiskHit});
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.count(TraceKind::kFaultDiskHit), 2u);
-  EXPECT_EQ(t.count(TraceKind::kNack), 1u);
-  EXPECT_EQ(t.count(TraceKind::kSwapOutRing), 0u);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
+std::size_t countKind(const TraceBuffer& t, TraceKind k) {
+  std::size_t n = 0;
+  for (const TraceEvent& e : t.events()) n += e.kind == k ? 1 : 0;
+  return n;
 }
 
-TEST(TraceBuffer, CapacityEvictsOldestAndCountsDrops) {
-  TraceBuffer t(2);
-  EXPECT_EQ(t.capacity(), 2u);
-  t.record({100, 0, 1, 0, TraceKind::kNack});
-  t.record({200, 0, 2, 0, TraceKind::kNack});
-  EXPECT_EQ(t.dropped(), 0u);
-  t.record({300, 0, 3, 0, TraceKind::kNack});
-  t.record({400, 0, 4, 0, TraceKind::kNack});
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.dropped(), 2u);
-  // The newest events survive; the oldest were evicted.
-  EXPECT_EQ(t.events().front().at, 300);
-  EXPECT_EQ(t.events().back().at, 400);
-  // Default construction stays unbounded.
-  EXPECT_EQ(TraceBuffer().capacity(), 0u);
+std::size_t countName(const obs::EventTimeline& tl, const char* name) {
+  std::size_t n = 0;
+  for (const obs::TimelineEvent& e : tl.events()) {
+    n += std::strcmp(e.name, name) == 0 ? 1 : 0;
+  }
+  return n;
 }
 
-TEST(TraceBuffer, CsvDump) {
-  TraceBuffer t;
-  t.record({100, 10, 5, 0, TraceKind::kSwapOutRing});
-  const std::string path = "/tmp/nwc_trace_test.csv";
-  t.dumpCsv(path);
-  std::ifstream in(path);
-  std::string header, row;
-  std::getline(in, header);
-  std::getline(in, row);
-  EXPECT_EQ(header, "at,latency,page,node,kind");
-  EXPECT_EQ(row, "100,10,5,0,swap_out_ring");
-  std::remove(path.c_str());
+apps::RunSummary runTimed(const MachineConfig& cfg, const char* app, double scale,
+                          obs::EventTimeline& tl) {
+  apps::ObsSinks sinks;
+  sinks.timeline = &tl;
+  return apps::runApp(cfg, app, scale, sinks);
 }
 
-TEST(TraceBuffer, KindNames) {
-  EXPECT_STREQ(toString(TraceKind::kFaultDiskHit), "fault_disk_hit");
-  EXPECT_STREQ(toString(TraceKind::kFaultDiskMiss), "fault_disk_miss");
-  EXPECT_STREQ(toString(TraceKind::kFaultRingHit), "fault_ring_hit");
-  EXPECT_STREQ(toString(TraceKind::kSwapOutDisk), "swap_out_disk");
-  EXPECT_STREQ(toString(TraceKind::kSwapOutRing), "swap_out_ring");
-  EXPECT_STREQ(toString(TraceKind::kCleanEviction), "clean_eviction");
-  EXPECT_STREQ(toString(TraceKind::kNack), "nack");
-}
-
-TEST(TraceIntegration, EventsMatchMetrics) {
+TEST(TimelineIntegration, EventsMatchMetrics) {
   MachineConfig cfg;
   cfg.withSystem(SystemKind::kNWCache, Prefetch::kNaive);
-  cfg.memory_per_node = 32 * 1024;
+  cfg.memory_per_node = 16 * 1024;  // pages: ~950 swap-outs
   cfg.min_free_frames = 2;
-  TraceBuffer trace;
-  const apps::RunSummary s = apps::runApp(cfg, "sor", 0.25, &trace);
+  // Every page-event layer; the mesh layer would add every message.
+  obs::EventTimeline tl(obs::kAllLayers & ~obs::layerBit(obs::Layer::kMesh));
+  const apps::RunSummary s = runTimed(cfg, "sor", 0.25, tl);
   ASSERT_TRUE(s.verified);
+  ASSERT_GT(s.metrics.swap_outs, 0u);
 
-  const std::size_t faults = trace.count(TraceKind::kFaultDiskHit) +
-                             trace.count(TraceKind::kFaultDiskMiss) +
-                             trace.count(TraceKind::kFaultRingHit);
-  EXPECT_EQ(faults, s.metrics.faults);
-  EXPECT_EQ(trace.count(TraceKind::kFaultRingHit), s.metrics.ring_read_hits.hits());
-  EXPECT_EQ(trace.count(TraceKind::kSwapOutRing) + trace.count(TraceKind::kSwapOutDisk),
+  EXPECT_EQ(countName(tl, "fault.service"), s.metrics.faults);
+  EXPECT_EQ(countName(tl, "fault.fetch_ring") + countName(tl, "fault.fetch_ctrl_hit") +
+                countName(tl, "fault.fetch_disk"),
+            s.metrics.faults);
+  EXPECT_EQ(countName(tl, "fault.fetch_ring"), s.metrics.ring_read_hits.hits());
+  EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk") +
+                countName(tl, "swap.remote"),
             s.metrics.swap_outs);
-  EXPECT_EQ(trace.count(TraceKind::kSwapOutDisk), 0u);  // ring machine
-  EXPECT_EQ(trace.count(TraceKind::kCleanEviction), s.metrics.clean_evictions);
-  EXPECT_EQ(trace.count(TraceKind::kNack), s.metrics.nacks);
+  EXPECT_EQ(countName(tl, "swap.disk"), 0u);  // every page was admitted
+  EXPECT_EQ(countName(tl, "swap.clean_eviction"), s.metrics.clean_evictions);
+  EXPECT_EQ(countName(tl, "swap.nack"), s.metrics.nacks);
+  // No occupancy counters without a sampler: they come from it alone.
+  for (const obs::TimelineEvent& e : tl.events()) {
+    EXPECT_NE(e.shape, obs::EventShape::kCounter) << e.name;
+  }
 }
 
-TEST(TraceIntegration, StandardMachineUsesDiskPath) {
+// A sieve-admission ring machine sends each rejected page down the disk
+// path; those swap-outs must not be labelled as ring stagings.
+TEST(TimelineIntegration, SieveRejectsAreDiskSwapOuts) {
+  MachineConfig cfg;
+  cfg.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
+  cfg.memory_per_node = 16 * 1024;
+  cfg.min_free_frames = 12;
+  cfg.ring_admission = AdmissionKind::kSieve;
+  obs::EventTimeline tl(obs::layerBit(obs::Layer::kSwap));
+  TraceBuffer trace;
+  apps::ObsSinks sinks;
+  sinks.timeline = &tl;
+  sinks.trace = &trace;
+  const apps::RunSummary s = apps::runApp(cfg, "radix", 0.1, sinks);
+  ASSERT_TRUE(s.ok());
+  ASSERT_GT(s.metrics.policy_rejects, 0u);
+  EXPECT_EQ(countName(tl, "swap.disk"), s.metrics.policy_rejects);
+  EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk"), s.metrics.swap_outs);
+  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutDisk), s.metrics.policy_rejects);
+  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutRing),
+            s.metrics.swap_outs - s.metrics.policy_rejects);
+  // The disk path's controller cache filled up: NACKs, one instant each.
+  EXPECT_GT(s.metrics.nacks, 0u);
+  EXPECT_EQ(countName(tl, "swap.nack"), s.metrics.nacks);
+  EXPECT_EQ(countKind(trace, TraceKind::kNack), s.metrics.nacks);
+}
+
+// Remote-memory paging stores victims on donor nodes; only the guest
+// evictions (and fallbacks) reach the disk.
+TEST(TimelineIntegration, RemoteStoresAreRemoteSwapOuts) {
+  MachineConfig cfg;
+  cfg.withSystem(SystemKind::kRemoteMemory, Prefetch::kOptimal);
+  cfg.memory_per_node = 32 * 1024;
+  cfg.min_free_frames = 4;
+  obs::EventTimeline tl(obs::layerBit(obs::Layer::kSwap));
+  const apps::RunSummary s = runTimed(cfg, "fft", 0.2, tl);
+  ASSERT_TRUE(s.ok());
+  ASSERT_GT(s.metrics.remote_stores, 0u);
+  EXPECT_EQ(countName(tl, "swap.remote"), s.metrics.remote_stores);
+  // Guest evictions are swap-outs too, counted apart from swap_outs.
+  EXPECT_EQ(countName(tl, "swap.remote") + countName(tl, "swap.disk"),
+            s.metrics.swap_outs + s.metrics.remote_evictions);
+  EXPECT_EQ(countName(tl, "swap.ring"), 0u);
+}
+
+// --- the TraceBuffer sink ---------------------------------------------------
+
+TEST(ObsSinks, TraceMatchesMetrics) {
+  MachineConfig cfg;
+  cfg.withSystem(SystemKind::kNWCache, Prefetch::kNaive);
+  cfg.memory_per_node = 16 * 1024;  // pages: ~950 swap-outs
+  cfg.min_free_frames = 2;
+  TraceBuffer trace;
+  apps::ObsSinks sinks;
+  sinks.trace = &trace;
+  const apps::RunSummary s = apps::runApp(cfg, "sor", 0.25, sinks);
+  ASSERT_TRUE(s.verified);
+  ASSERT_GT(s.metrics.swap_outs, 0u);
+
+  const std::size_t faults = countKind(trace, TraceKind::kFaultDiskHit) +
+                             countKind(trace, TraceKind::kFaultDiskMiss) +
+                             countKind(trace, TraceKind::kFaultRingHit);
+  EXPECT_EQ(faults, s.metrics.faults);
+  EXPECT_EQ(countKind(trace, TraceKind::kFaultRingHit), s.metrics.ring_read_hits.hits());
+  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutRing) +
+                countKind(trace, TraceKind::kSwapOutDisk),
+            s.metrics.swap_outs);
+  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutDisk), 0u);  // every page was admitted
+  EXPECT_EQ(countKind(trace, TraceKind::kCleanEviction), s.metrics.clean_evictions);
+  EXPECT_EQ(countKind(trace, TraceKind::kNack), s.metrics.nacks);
+}
+
+TEST(ObsSinks, StandardMachineUsesDiskPath) {
   MachineConfig cfg;
   cfg.withSystem(SystemKind::kStandard, Prefetch::kOptimal);
   cfg.memory_per_node = 32 * 1024;
   cfg.min_free_frames = 4;
   TraceBuffer trace;
-  const apps::RunSummary s = apps::runApp(cfg, "sor", 0.25, &trace);
+  obs::EventTimeline tl(obs::layerBit(obs::Layer::kSwap));
+  apps::ObsSinks sinks;
+  sinks.trace = &trace;
+  sinks.timeline = &tl;
+  const apps::RunSummary s = apps::runApp(cfg, "sor", 0.25, sinks);
   ASSERT_TRUE(s.verified);
-  EXPECT_EQ(trace.count(TraceKind::kSwapOutRing), 0u);
-  EXPECT_EQ(trace.count(TraceKind::kFaultRingHit), 0u);
-  EXPECT_GT(trace.count(TraceKind::kSwapOutDisk), 0u);
+  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutRing), 0u);
+  EXPECT_EQ(countKind(trace, TraceKind::kFaultRingHit), 0u);
+  EXPECT_GT(countKind(trace, TraceKind::kSwapOutDisk), 0u);
+  EXPECT_EQ(countName(tl, "swap.disk"), s.metrics.swap_outs);
 }
 
-TEST(TraceIntegration, EventsAreTimeOrderedWithinRun) {
+TEST(ObsSinks, TraceEventsAreTimeOrderedWithinRun) {
   MachineConfig cfg;
   cfg.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
   cfg.memory_per_node = 32 * 1024;
   cfg.min_free_frames = 2;
   TraceBuffer trace;
-  (void)apps::runApp(cfg, "radix", 0.1, &trace);
+  apps::ObsSinks sinks;
+  sinks.trace = &trace;
+  (void)apps::runApp(cfg, "radix", 0.1, sinks);
+  ASSERT_FALSE(trace.events().empty());
   sim::Tick prev = 0;
   for (const auto& e : trace.events()) {
     EXPECT_GE(e.at, prev);

@@ -1,7 +1,6 @@
 // nwcreport: render a run's fault-latency attribution as CSV and HTML.
 //
-//   nwcreport --metrics=run.metrics.json [--timeline=run.trace.json]
-//             [--sample=run.timeseries.json]
+//   nwcreport --metrics=run.metrics.json [--sample=run.timeseries.json]
 //             [--csv=attr.csv] [--html=report.html] [--title=NAME]
 //
 // Reads the nwc-metrics-v1 JSON written by `nwcsim --metrics=` and distills
@@ -13,12 +12,11 @@
 //           keeps a golden copy of it).
 //   --html  a self-contained page (inline CSS + SVG, no JavaScript): the
 //           Fig 3/4-style stacked CPU-stall bar, per-outcome stage
-//           composition bars, a queue-vs-service waterfall per (op,
-//           outcome), and — when --timeline= is given — a ring-occupancy
-//           sparkline taken from the Chrome-trace counter track. With
-//           --sample= (the nwc-timeseries-v1 export of `nwcsim --sample=`)
-//           the page gains per-track sparkline charts with health onsets
-//           marked, plus the health-detector verdict table.
+//           composition bars and a queue-vs-service waterfall per (op,
+//           outcome). With --sample= (the nwc-timeseries-v1 export of
+//           `nwcsim --sample=`) the page gains per-track sparkline charts
+//           (ring.staged_pages among them) with health onsets marked, plus
+//           the health-detector verdict table.
 //
 // The tool is read-only over the artifact files; it never touches the
 // simulator, so it can be pointed at archived runs.
@@ -307,50 +305,6 @@ std::string waterfallTable(const AttrGroup& g) {
   return out.str();
 }
 
-std::string sparkline(const std::vector<std::pair<double, double>>& pts,
-                      int width, int height) {
-  if (pts.size() < 2) return "<p class=\"muted\">no ring.occupancy samples</p>";
-  double tmin = pts.front().first, tmax = pts.back().first;
-  double vmax = 0;
-  for (const auto& [_, v] : pts) vmax = std::max(vmax, v);
-  if (tmax <= tmin) tmax = tmin + 1;
-  if (vmax <= 0) vmax = 1;
-  // Downsample long traces by stride so the SVG stays small.
-  const std::size_t stride = std::max<std::size_t>(1, pts.size() / 2000);
-  std::ostringstream svg;
-  svg << "<svg width=\"" << width << "\" height=\"" << height
-      << "\"><polyline fill=\"none\" stroke=\"#59a14f\" stroke-width=\"1.2\" "
-         "points=\"";
-  for (std::size_t i = 0; i < pts.size(); i += stride) {
-    const double px = (pts[i].first - tmin) / (tmax - tmin) * (width - 2) + 1;
-    const double py = height - 2 - pts[i].second / vmax * (height - 4);
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.1f,%.1f ", px, py);
-    svg << buf;
-  }
-  svg << "\"/></svg><p class=\"muted\">peak " << fmtNum(vmax)
-      << " pages on the ring over " << fmtNum(tmax - tmin) << " &micro;s</p>";
-  return svg.str();
-}
-
-std::vector<std::pair<double, double>> ringOccupancy(const JsonValue& trace) {
-  std::vector<std::pair<double, double>> pts;
-  const JsonValue* events = trace.find("traceEvents");
-  if (events == nullptr || !events->isArray()) return pts;
-  for (const JsonValue& e : events->array) {
-    const JsonValue* ph = e.find("ph");
-    const JsonValue* name = e.find("name");
-    if (ph == nullptr || name == nullptr) continue;
-    if (ph->string != "C" || name->string != "ring.occupancy") continue;
-    const JsonValue* args = e.find("args");
-    const JsonValue* value = args != nullptr ? args->find("value") : nullptr;
-    const JsonValue* ts = e.find("ts");
-    if (value == nullptr || ts == nullptr) continue;
-    pts.emplace_back(ts->number, value->number);
-  }
-  return pts;
-}
-
 // One track of the nwc-timeseries-v1 export as an SVG polyline; health
 // onsets render as red vertical markers, clears as grey ones.
 std::string trackChart(const JsonValue& track,
@@ -455,7 +409,7 @@ std::string timeseriesSections(const JsonValue& samples) {
   return html.str();
 }
 
-void writeHtml(const Report& rep, const JsonValue* trace, const JsonValue* samples,
+void writeHtml(const Report& rep, const JsonValue* samples,
                const std::string& title, const std::string& path) {
   std::ostringstream html;
   html << "<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>"
@@ -534,12 +488,6 @@ void writeHtml(const Report& rep, const JsonValue* trace, const JsonValue* sampl
     }
   }
 
-  // Ring-occupancy sparkline (timeline optional).
-  if (trace != nullptr) {
-    html << "<h2>Ring occupancy</h2><div class=\"card\">"
-         << sparkline(ringOccupancy(*trace), 720, 90) << "</div>\n";
-  }
-
   // Sampled time series + health verdict (sample export optional).
   if (samples != nullptr) {
     html << timeseriesSections(*samples);
@@ -557,17 +505,15 @@ void writeHtml(const Report& rep, const JsonValue* trace, const JsonValue* sampl
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_path, timeline_path, sample_path, csv_path, html_path;
+  std::string metrics_path, sample_path, csv_path, html_path;
   std::string title = "NWCache fault-latency attribution";
   const char* usage =
-      "usage: nwcreport --metrics=FILE [--timeline=FILE] [--sample=FILE] "
+      "usage: nwcreport --metrics=FILE [--sample=FILE] "
       "[--csv=FILE] [--html=FILE] [--title=NAME]\n";
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--metrics=", 0) == 0) {
       metrics_path = a.substr(std::strlen("--metrics="));
-    } else if (a.rfind("--timeline=", 0) == 0) {
-      timeline_path = a.substr(std::strlen("--timeline="));
     } else if (a.rfind("--sample=", 0) == 0) {
       sample_path = a.substr(std::strlen("--sample="));
     } else if (a.rfind("--csv=", 0) == 0) {
@@ -579,8 +525,6 @@ int main(int argc, char** argv) {
     } else if (a == "--help" || a == "-h") {
       std::printf("%s"
                   "  --metrics=FILE   nwc-metrics-v1 JSON (nwcsim --metrics=)\n"
-                  "  --timeline=FILE  Chrome trace (nwcsim --timeline=) for the\n"
-                  "                   ring-occupancy sparkline\n"
                   "  --sample=FILE    nwc-timeseries-v1 export (nwcsim --sample=)\n"
                   "                   for per-track charts + health verdict\n"
                   "  --csv=FILE       long-format attribution table\n"
@@ -605,12 +549,6 @@ int main(int argc, char** argv) {
                    metrics_path.c_str());
       return 1;
     }
-    JsonValue trace;
-    bool have_trace = false;
-    if (!timeline_path.empty()) {
-      trace = parseJson(readFile(timeline_path));
-      have_trace = true;
-    }
     JsonValue samples;
     bool have_samples = false;
     if (!sample_path.empty()) {
@@ -622,8 +560,7 @@ int main(int argc, char** argv) {
       std::printf("csv: %s (%zu rows)\n", csv_path.c_str(), rep.rows.size());
     }
     if (!html_path.empty()) {
-      writeHtml(rep, have_trace ? &trace : nullptr,
-                have_samples ? &samples : nullptr, title, html_path);
+      writeHtml(rep, have_samples ? &samples : nullptr, title, html_path);
       std::printf("html: %s\n", html_path.c_str());
     }
     return 0;

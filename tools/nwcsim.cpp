@@ -2,9 +2,9 @@
 //
 //   nwcsim --app=gauss [--scale=1.0] [--system=standard|nwcache|dcd]
 //          [--prefetch=optimal|naive] [--config=machine.ini]
-//          [--set machine.key=value ...] [--trace=trace.csv]
-//          [--metrics=out.json] [--timeline=out.trace.json]
-//          [--timeline-layers=ring,disk] [--timeline-cap=N]
+//          [--set machine.key=value ...] [--metrics=out.json]
+//          [--timeline=out.trace.json] [--timeline-layers=ring,disk]
+//          [--timeline-cap=N] [--sample=out.timeseries.json]
 //          [--jobs=N] [--json] [--dump-config]
 //
 // Runs one or more applications (--app accepts a comma list or "all") on
@@ -50,15 +50,14 @@ namespace {
       "                        --system/--prefetch pick the paper's best\n"
       "                        min_free_frames unless it is set here or in\n"
       "                        the --config file\n"
-      "  --trace=FILE          dump the page-event trace as CSV (single app)\n"
-      "  --trace-cap=N         keep only the newest N trace events (ring\n"
-      "                        buffer; dropped events are counted)\n"
       "  --metrics=FILE        export the instrument catalog as JSON (plus a\n"
       "                        sibling .csv); single app\n"
-      "  --timeline=FILE       export a Chrome trace-event JSON timeline\n"
-      "                        (load in Perfetto); single app\n"
-      "  --timeline-layers=L   comma list: fault,swap,ring,mesh,disk,vm,tlb\n"
-      "                        or \"all\" (default all)\n"
+      "  --timeline=FILE       export a Chrome trace-event JSON timeline of\n"
+      "                        every page event (load in Perfetto); with\n"
+      "                        --sample= it also carries the occupancy\n"
+      "                        counter tracks; single app\n"
+      "  --timeline-layers=L   comma list: fault,swap,ring,mesh,disk,vm,tlb,\n"
+      "                        health or \"all\" (default all)\n"
       "  --timeline-cap=N      keep only the newest N timeline events\n"
       "  --sample=FILE         export periodic telemetry (tracks + health\n"
       "                        verdict) as nwc-timeseries-v1 JSON, plus a\n"
@@ -74,6 +73,17 @@ namespace {
       "                        results are unchanged.\n"
       "  --dump-config         print the effective config as INI and exit\n");
   std::exit(code);
+}
+
+// The flat CSV written beside a JSON export: out.json -> out.csv (or
+// path + ".csv").
+std::string siblingCsv(std::string path) {
+  if (path.size() > 5 && path.rfind(".json") == path.size() - 5) {
+    path.replace(path.size() - 5, 5, ".csv");
+  } else {
+    path += ".csv";
+  }
+  return path;
 }
 
 std::vector<std::string> parseAppList(const std::string& arg) {
@@ -93,8 +103,6 @@ int main(int argc, char** argv) {
   std::string app;
   double scale = 1.0;
   unsigned jobs = 0;
-  std::string trace_path;
-  std::size_t trace_cap = 0;
   std::string metrics_path;
   std::string timeline_path;
   unsigned timeline_layers = nwc::obs::kAllLayers;
@@ -147,11 +155,6 @@ int main(int argc, char** argv) {
           } else {
             usage(2);
           }
-        } else if (a.rfind("--trace=", 0) == 0) {
-          trace_path = val("--trace=");
-        } else if (a.rfind("--trace-cap=", 0) == 0) {
-          trace_cap = static_cast<std::size_t>(
-              util::positiveFlag("--trace-cap", val("--trace-cap="), true));
         } else if (a.rfind("--metrics=", 0) == 0) {
           metrics_path = val("--metrics=");
         } else if (a.rfind("--timeline=", 0) == 0) {
@@ -222,12 +225,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if ((!trace_path.empty() || !metrics_path.empty() || !timeline_path.empty() ||
-         !sample_path.empty()) &&
+    if ((!metrics_path.empty() || !timeline_path.empty() || !sample_path.empty()) &&
         app_names.size() > 1) {
       std::fprintf(stderr,
-                   "nwcsim: --trace/--metrics/--timeline/--sample require a "
-                   "single --app\n");
+                   "nwcsim: --metrics/--timeline/--sample require a single --app\n");
       return 2;
     }
 
@@ -267,32 +268,21 @@ int main(int argc, char** argv) {
     };
 
     if (app_names.size() == 1) {
-      machine::TraceBuffer trace(trace_cap);
       obs::EventTimeline timeline(timeline_layers, timeline_cap);
       obs::MetricsRegistry registry;
       obs::SamplerConfig scfg;
       scfg.interval = sample_interval;
       obs::Sampler sampler(scfg, apps::healthContextFor(cfg));
       apps::ObsSinks sinks;
-      sinks.trace = trace_path.empty() ? nullptr : &trace;
       sinks.timeline = timeline_path.empty() ? nullptr : &timeline;
       sinks.registry = metrics_path.empty() ? nullptr : &registry;
       sinks.sampler = sample_path.empty() ? nullptr : &sampler;
       const apps::RunSummary s = apps::runApp(cfg, app_names[0], scale, sinks);
       {
         obs::prof::Scope export_scope("export");
-        if (!trace_path.empty()) trace.dumpCsv(trace_path);
         if (!metrics_path.empty()) {
           registry.writeJson(metrics_path);
-          // Sibling flat CSV: out.json -> out.csv (or path + ".csv").
-          std::string csv_path = metrics_path;
-          if (csv_path.size() > 5 &&
-              csv_path.rfind(".json") == csv_path.size() - 5) {
-            csv_path.replace(csv_path.size() - 5, 5, ".csv");
-          } else {
-            csv_path += ".csv";
-          }
-          registry.writeCsv(csv_path);
+          registry.writeCsv(siblingCsv(metrics_path));
         }
         if (!timeline_path.empty()) {
           // With profiling on, the host phase tree rides along as a second
@@ -305,22 +295,10 @@ int main(int argc, char** argv) {
         }
         if (!sample_path.empty()) {
           sampler.writeJson(sample_path);
-          std::string csv_path = sample_path;
-          if (csv_path.size() > 5 &&
-              csv_path.rfind(".json") == csv_path.size() - 5) {
-            csv_path.replace(csv_path.size() - 5, 5, ".csv");
-          } else {
-            csv_path += ".csv";
-          }
-          sampler.writeCsv(csv_path);
+          sampler.writeCsv(siblingCsv(sample_path));
         }
       }
       printSummary(s);
-      if (!as_json && !trace_path.empty()) {
-        std::printf("trace written to %s (%zu events, %llu dropped)\n",
-                    trace_path.c_str(), trace.size(),
-                    static_cast<unsigned long long>(trace.dropped()));
-      }
       if (!as_json && !metrics_path.empty()) {
         std::printf("metrics written to %s (%zu instruments)\n", metrics_path.c_str(),
                     registry.size());
