@@ -9,8 +9,8 @@
 //   --metrics-dir=<dir>  export one MetricsRegistry JSON per simulation,
 //                        <dir>/cellNNNN_app_system_prefetch_sSEED.json
 //                        (NNNN = the simulation's position in the plan)
-//   --profile=<path>     profile the simulator itself: nwc-profile-v1 JSON
-//                        report (+ .folded flamegraph stacks) at exit
+//   --profile=<path>     profile the simulator itself: write an
+//                        nwc-profile-v1 JSON report at exit
 //
 // Run model: a bench lists its whole grid as a plan, runAll() executes it
 // (on --jobs threads, one ParallelExecutor loop at every job count) and

@@ -41,9 +41,9 @@ std::string cellStem(std::size_t index, const std::string& app,
 
 BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   static const std::set<std::string> kKeys = {
-      "apps",           "systems", "prefetch", "seeds",           "scale",
-      "best_min_free",  "csv",     "jsonl",    "meta_dir",        "jobs",
-      "heartbeat_secs", "resume",  "status",   "sample_interval", "sample_dir"};
+      "apps",           "systems", "prefetch",        "seeds",     "scale",
+      "best_min_free",  "csv",     "jsonl",           "meta_dir",  "jobs",
+      "heartbeat_secs", "resume",  "sample_interval", "sample_dir"};
   for (const auto& [full_key, value] : ini.values()) {
     (void)value;
     if (full_key.rfind("batch.", 0) != 0) continue;
@@ -114,7 +114,6 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
     spec.sample_interval = static_cast<sim::Tick>(*v);
   }
   if (const auto v = ini.get("batch.sample_dir")) spec.sample_dir = *v;
-  if (const auto v = ini.get("batch.status")) spec.status_path = *v;
   if (!spec.sample_dir.empty() && spec.sample_interval == 0) {
     throw std::runtime_error("batch: sample_dir requires sample_interval > 0");
   }
@@ -355,83 +354,9 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
     std::filesystem::create_directories(spec.sample_dir);
   }
 
-  // Shared by the run_meta and time-series file names (and echoed on the
-  // status stream).
+  // Shared by the run_meta and time-series file names.
   auto cellStemOf = [&](std::size_t i) {
     return cellStem(i, grid[i].app, grid[i].cfg);
-  };
-
-  // Live status stream (tools/nwctop tails it): one JSONL line per batch
-  // event — "start" (the grid), "hb" (heartbeats), "cell" (completions, in
-  // completion order: this is telemetry, not a gated artifact), "end".
-  std::ofstream status;
-  std::mutex status_mutex;
-  const auto batch_t0 = std::chrono::steady_clock::now();
-  if (!spec.status_path.empty()) {
-    status.open(spec.status_path, std::ios::out | std::ios::trunc);
-    if (!status) throw std::runtime_error("batch: cannot open " + spec.status_path);
-  }
-  auto statusMs = [&] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - batch_t0)
-        .count();
-  };
-  auto statusLine = [&](const std::string& json) {
-    if (!status.is_open()) return;
-    std::lock_guard<std::mutex> lk(status_mutex);
-    status << json << "\n";
-    status.flush();
-  };
-  if (status.is_open()) {
-    std::vector<std::string> cells;
-    cells.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      util::JsonObject c;
-      c.add("cell", static_cast<std::uint64_t>(i))
-          .add("stem", cellStemOf(i))
-          .add("app", grid[i].app)
-          .add("system", machine::toString(grid[i].cfg.system))
-          .add("prefetch", machine::toString(grid[i].cfg.prefetch))
-          .add("seed", static_cast<std::uint64_t>(grid[i].cfg.seed));
-      cells.push_back(c.str());
-    }
-    util::JsonObject o;
-    o.add("type", "start")
-        .add("ts_ms", statusMs())
-        .add("total", static_cast<std::uint64_t>(grid.size()))
-        .add("sample_dir", spec.sample_dir)
-        .addRaw("cells", util::jsonArray(cells));
-    statusLine(o.str());
-    // Resumed cells are already done; report them up front so a tailing
-    // nwctop counts them without waiting.
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!resumed[i]) continue;
-      util::JsonObject o2;
-      o2.add("type", "cell")
-          .add("ts_ms", statusMs())
-          .add("cell", static_cast<std::uint64_t>(i))
-          .add("ok", result.runs[i].ok())
-          .add("resumed", true);
-      statusLine(o2.str());
-    }
-  }
-  auto statusCell = [&](std::size_t i, const RunSummary& s, double wall_ms) {
-    if (!status.is_open()) return;
-    util::JsonObject o;
-    o.add("type", "cell")
-        .add("ts_ms", statusMs())
-        .add("cell", static_cast<std::uint64_t>(i))
-        .add("ok", s.ok())
-        .add("wall_ms", wall_ms)
-        .add("exec_pcycles", static_cast<std::uint64_t>(s.exec_time));
-    if (!s.health_verdict.empty()) {
-      o.add("health", s.health_verdict)
-          .add("health_trips", s.health_trips);
-    }
-    if (spec.sample_interval > 0 && !spec.sample_dir.empty()) {
-      o.add("sample", cellStemOf(i) + ".timeseries.json");
-    }
-    statusLine(o.str());
   };
 
   // Per-cell provenance: wall time and RSS are intentionally kept out of the
@@ -491,7 +416,6 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
            !cell_rss_peak.compare_exchange_weak(seen, rss, std::memory_order_relaxed)) {
     }
     writeCellMeta(i, s, wall_ms);
-    statusCell(i, s, wall_ms);
     return s;
   };
 
@@ -503,8 +427,7 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
   std::condition_variable hb_cv;
   bool hb_stop = false;
   std::thread hb_thread;
-  const std::size_t resumed_count = grid.size() - pending.size();
-  if ((progress != nullptr || status.is_open()) && spec.heartbeat_secs > 0) {
+  if (progress != nullptr && spec.heartbeat_secs > 0) {
     hb_thread = std::thread([&] {
       std::unique_lock<std::mutex> lk(hb_mutex);
       while (!hb_cv.wait_for(lk, std::chrono::seconds(spec.heartbeat_secs),
@@ -513,17 +436,6 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
                         " peak=" + util::formatBytes(util::peakRssBytes()) +
                         " cell_peak=" +
                         util::formatBytes(cell_rss_peak.load(std::memory_order_relaxed)));
-        if (status.is_open()) {
-          util::JsonObject o;
-          o.add("type", "hb")
-              .add("ts_ms", statusMs())
-              .add("done", static_cast<std::uint64_t>(meter.done() + resumed_count))
-              .add("running", static_cast<std::uint64_t>(meter.running()))
-              .add("total", static_cast<std::uint64_t>(grid.size()))
-              .add("eta_s", static_cast<std::int64_t>(meter.etaSeconds()))
-              .add("rss_bytes", util::currentRssBytes());
-          statusLine(o.str());
-        }
       }
     });
   }
@@ -554,12 +466,6 @@ BatchResult runBatch(const BatchSpec& spec, std::ostream* progress) {
 
   for (const RunSummary& s : result.runs) {
     result.all_ok = result.all_ok && s.ok();
-  }
-
-  if (status.is_open()) {
-    util::JsonObject o;
-    o.add("type", "end").add("ts_ms", statusMs()).add("ok", result.all_ok);
-    statusLine(o.str());
   }
 
   // Outputs are emitted after the grid settles, in grid order, so the files

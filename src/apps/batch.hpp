@@ -25,19 +25,17 @@ struct BatchSpec {
   std::string jsonl_path;     // empty = no JSON lines
   std::string meta_dir;       // non-empty: one run_meta.json per grid cell
   unsigned jobs = 0;          // worker threads; 0 = hardware concurrency
-  unsigned heartbeat_secs = 2;  // status cadence; 0 disables
+  unsigned heartbeat_secs = 2;  // stderr heartbeat cadence; 0 disables
   bool resume = false;        // skip grid cells already checkpointed in the
                               // JSONL (crashed grids restart where they died)
   sim::Tick sample_interval = 0;  // pcycles between telemetry samples; 0 = off
   std::string sample_dir;     // non-empty (with sample_interval): one
                               // nwc-timeseries-v1 JSON + CSV per grid cell
-  std::string status_path;    // non-empty: live JSONL status stream
-                              // (start/hb/cell/end lines; tools/nwctop tails it)
 
   /// Parses the [machine] and [batch] sections. [batch] keys:
   ///   apps, systems, prefetch (comma lists), scale, seeds, csv, jsonl,
   ///   meta_dir, best_min_free, jobs, heartbeat_secs, resume,
-  ///   sample_interval, sample_dir, status. Missing keys default to the
+  ///   sample_interval, sample_dir. Missing keys default to the
   ///   full matrix of the standard+nwcache systems over all seven
   ///   applications; any other [batch] key throws, naming it.
   static BatchSpec fromIni(const util::IniFile& ini);

@@ -47,8 +47,10 @@ sim::Task<> Machine::samplerDaemon() {
     collectSample(f);
     sampler_->record(eng_->now(), f);
     // One final sample lands after the last CPU retires, then the daemon
-    // exits so the engine calendar can drain.
-    if (cpus_done_ >= metrics_->numCpus()) break;
+    // exits so the engine calendar can drain. It also exits when it is the
+    // last thing left: a stalled run then returns as an unsampled one does
+    // instead of re-arming the daemon forever.
+    if (cpus_done_ >= metrics_->numCpus() || eng_->pendingEvents() == 0) break;
   }
 }
 

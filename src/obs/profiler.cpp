@@ -9,6 +9,7 @@
 #include <new>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/run_meta.hpp"
@@ -32,9 +33,6 @@ namespace nwc::obs::prof {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<std::uint64_t> g_origin_ns{0};  // host-time zero for trace events
-
-constexpr std::size_t kMaxRetainedEventsPerThread = 1 << 16;
 
 struct Acc {
   std::uint64_t ns = 0;
@@ -50,21 +48,7 @@ struct Acc {
   }
 };
 
-struct Ev {
-  std::string path;  // full slash path (leaf name rendered in the trace)
-  std::uint64_t t0_ns = 0;
-  std::uint64_t dur_ns = 0;
-  int tid = 0;
-};
-
-struct RssSample {
-  std::uint64_t ts_ns = 0;
-  std::uint64_t rss_bytes = 0;
-  std::uint64_t alloc_bytes = 0;  // thread-cumulative at sample time
-};
-
 struct Frame {
-  const char* name;
   std::uint64_t t0_ns;
   std::uint64_t alloc0;
   std::uint64_t bytes0;
@@ -77,10 +61,6 @@ struct GlobalState {
   std::mutex mu;
   std::vector<ThreadState*> live;
   std::unordered_map<std::string, Acc> dead_acc;
-  std::vector<Ev> dead_events;
-  std::vector<RssSample> dead_rss;
-  std::uint64_t events_dropped = 0;
-  int next_tid = 1;
   std::atomic<unsigned> pool_threads{0};
   std::atomic<std::uint64_t> pool_lifetime_ns{0};
   std::atomic<std::uint64_t> pool_busy_ns{0};
@@ -95,19 +75,14 @@ GlobalState& global() {
 }
 
 struct ThreadState {
-  std::mutex mu;  // guards acc/events/rss against snapshot()
+  std::mutex mu;  // guards acc against snapshot()
   std::vector<Frame> stack;
   std::string path;  // slash-joined names of the active stack
   std::unordered_map<std::string, Acc> acc;
-  std::vector<Ev> events;
-  std::vector<RssSample> rss;
-  std::uint64_t dropped = 0;
-  int tid = 0;
 
   ThreadState() {
     GlobalState& g = global();
     std::lock_guard<std::mutex> lk(g.mu);
-    tid = g.next_tid++;
     g.live.push_back(this);
   }
 
@@ -115,9 +90,6 @@ struct ThreadState {
     GlobalState& g = global();
     std::lock_guard<std::mutex> lk(g.mu);
     for (auto& [k, v] : acc) g.dead_acc[k] += v;
-    for (Ev& e : events) g.dead_events.push_back(std::move(e));
-    for (const RssSample& s : rss) g.dead_rss.push_back(s);
-    g.events_dropped += dropped;
     std::erase(g.live, this);
   }
 };
@@ -125,15 +97,6 @@ struct ThreadState {
 ThreadState& threadState() {
   thread_local ThreadState ts;
   return ts;
-}
-
-void retainEvent(ThreadState& ts, std::string path, std::uint64_t t0,
-                 std::uint64_t dur) {
-  if (ts.events.size() >= kMaxRetainedEventsPerThread) {
-    ++ts.dropped;
-    return;
-  }
-  ts.events.push_back(Ev{std::move(path), t0, dur, ts.tid});
 }
 
 void poolObserver(const util::ParallelStats& s) {
@@ -202,21 +165,6 @@ void publishNode(const Node& n, const std::string& slash_path, MetricsRegistry& 
   }
 }
 
-void foldNode(const Node& n, const std::string& semi_path, std::string& out) {
-  std::uint64_t child_ns = 0;
-  for (const auto& [name, child] : n.children) child_ns += child.wall_ns;
-  if (!semi_path.empty()) {
-    const std::uint64_t self_ns = n.wall_ns > child_ns ? n.wall_ns - child_ns : 0;
-    out += semi_path;
-    out += ' ';
-    out += std::to_string(self_ns / 1000);  // folded counts: self µs
-    out += '\n';
-  }
-  for (const auto& [name, child] : n.children) {
-    foldNode(child, semi_path.empty() ? name : semi_path + ";" + name, out);
-  }
-}
-
 std::string nodeJson(const Node& n, const std::string& name) {
   util::JsonObject o;
   o.add("name", name)
@@ -244,8 +192,7 @@ void atexitWriter() {
   if (path.empty()) return;
   try {
     writeReport(path);
-    std::fprintf(stderr, "profile written to %s (+ %s.folded)\n", path.c_str(),
-                 path.c_str());
+    std::fprintf(stderr, "profile written to %s\n", path.c_str());
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "profile write failed: %s\n", ex.what());
   }
@@ -256,8 +203,6 @@ void atexitWriter() {
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void enable() {
-  std::uint64_t expect = 0;
-  g_origin_ns.compare_exchange_strong(expect, nowNs(), std::memory_order_relaxed);
   util::setParallelObserver(&poolObserver);
   g_enabled.store(true, std::memory_order_relaxed);
 }
@@ -268,15 +213,9 @@ void reset() {
   GlobalState& g = global();
   std::lock_guard<std::mutex> lk(g.mu);
   g.dead_acc.clear();
-  g.dead_events.clear();
-  g.dead_rss.clear();
-  g.events_dropped = 0;
   for (ThreadState* ts : g.live) {
     std::lock_guard<std::mutex> tlk(ts->mu);
     ts->acc.clear();
-    ts->events.clear();
-    ts->rss.clear();
-    ts->dropped = 0;
   }
   g.pool_threads.store(0, std::memory_order_relaxed);
   g.pool_lifetime_ns.store(0, std::memory_order_relaxed);
@@ -302,16 +241,9 @@ Scope::Scope(const char* name) : live_(enabled()) {
   if (!live_) return;
   ThreadState& ts = threadState();
   Frame f;
-  f.name = name;
   f.path_len = ts.path.size();
   if (!ts.path.empty()) ts.path += '/';
   ts.path += name;
-  if (ts.stack.empty()) {
-    // Top-level phase boundary: cheap place to sample the RSS counter track
-    // (one /proc read per coarse phase, not per nested scope).
-    std::lock_guard<std::mutex> lk(ts.mu);
-    ts.rss.push_back(RssSample{nowNs(), util::currentRssBytes(), tls_alloc_bytes});
-  }
   f.alloc0 = tls_alloc_count;
   f.bytes0 = tls_alloc_bytes;
   f.t0_ns = nowNs();
@@ -332,10 +264,6 @@ Scope::~Scope() {
   {
     std::lock_guard<std::mutex> lk(ts.mu);
     ts.acc[ts.path] += a;
-    retainEvent(ts, ts.path, f.t0_ns, a.ns);
-    if (ts.stack.empty()) {
-      ts.rss.push_back(RssSample{t1, util::currentRssBytes(), tls_alloc_bytes});
-    }
   }
   ts.path.resize(f.path_len);
 }
@@ -350,8 +278,6 @@ void addSample(const char* rel_path, std::uint64_t wall_ns) {
   a.count = 1;
   std::lock_guard<std::mutex> lk(ts.mu);
   ts.acc[key] += a;
-  const std::uint64_t now = nowNs();
-  retainEvent(ts, key, now > wall_ns ? now - wall_ns : 0, wall_ns);
 }
 
 void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns,
@@ -409,12 +335,6 @@ void publishMetrics(const Report& r, MetricsRegistry& reg) {
   reg.counter("profile.pool.tasks", r.pool_tasks);
 }
 
-std::string foldedStacks(const Report& r) {
-  std::string out;
-  foldNode(r.root, "", out);
-  return out;
-}
-
 std::string reportJson(const Report& r) {
   util::JsonObject pool;
   pool.add("threads", static_cast<std::uint64_t>(r.pool_threads))
@@ -441,67 +361,10 @@ std::string reportJson(const Report& r) {
 }
 
 void writeReport(const std::string& path) {
-  const Report r = snapshot();
-  {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw std::runtime_error("profiler: cannot open " + path);
-    out << reportJson(r) << "\n";
-    if (!out) throw std::runtime_error("profiler: write failed for " + path);
-  }
-  {
-    const std::string folded_path = path + ".folded";
-    std::ofstream out(folded_path, std::ios::binary);
-    if (!out) throw std::runtime_error("profiler: cannot open " + folded_path);
-    out << foldedStacks(r);
-    if (!out) throw std::runtime_error("profiler: write failed for " + folded_path);
-  }
-}
-
-std::vector<std::string> chromeTraceEvents() {
-  GlobalState& g = global();
-  std::vector<Ev> events;
-  std::vector<RssSample> rss;
-  {
-    std::lock_guard<std::mutex> lk(g.mu);
-    events = g.dead_events;
-    rss = g.dead_rss;
-    for (ThreadState* ts : g.live) {
-      std::lock_guard<std::mutex> tlk(ts->mu);
-      events.insert(events.end(), ts->events.begin(), ts->events.end());
-      rss.insert(rss.end(), ts->rss.begin(), ts->rss.end());
-    }
-  }
-  const std::uint64_t origin = g_origin_ns.load(std::memory_order_relaxed);
-  auto micros = [origin](std::uint64_t ns) {
-    const std::uint64_t rel = ns > origin ? ns - origin : 0;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(rel) / 1e3);
-    return std::string(buf);
-  };
-  std::vector<std::string> out;
-  out.reserve(events.size() + rss.size() + 2);
-  out.push_back(
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-      "\"args\":{\"name\":\"host (profiler)\"}}");
-  for (const Ev& e : events) {
-    const std::size_t slash = e.path.rfind('/');
-    const std::string leaf =
-        slash == std::string::npos ? e.path : e.path.substr(slash + 1);
-    out.push_back("{\"name\":\"" + util::jsonEscape(leaf) +
-                  "\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":" + micros(e.t0_ns) +
-                  ",\"dur\":" + micros(origin + e.dur_ns) +
-                  ",\"pid\":1,\"tid\":" + std::to_string(e.tid) +
-                  ",\"args\":{\"path\":\"" + util::jsonEscape(e.path) + "\"}}");
-  }
-  for (const RssSample& s : rss) {
-    out.push_back("{\"name\":\"host rss (bytes)\",\"cat\":\"host\",\"ph\":\"C\""
-                  ",\"ts\":" + micros(s.ts_ns) + ",\"pid\":1,\"args\":{\"value\":" +
-                  std::to_string(s.rss_bytes) + "}}");
-    out.push_back("{\"name\":\"host alloc (bytes)\",\"cat\":\"host\",\"ph\":\"C\""
-                  ",\"ts\":" + micros(s.ts_ns) + ",\"pid\":1,\"args\":{\"value\":" +
-                  std::to_string(s.alloc_bytes) + "}}");
-  }
-  return out;
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("profiler: cannot open " + path);
+  out << reportJson(snapshot()) << "\n";
+  if (!out) throw std::runtime_error("profiler: write failed for " + path);
 }
 
 }  // namespace nwc::obs::prof

@@ -22,19 +22,15 @@
 //    busy/lifetime/task totals through an observer installed by enable();
 //    the report carries worker busy vs idle time as the `pool` section.
 //
-// Output surfaces (all produced from one snapshot()):
-//  - `profile.*` instruments in a MetricsRegistry (publishMetrics),
-//  - folded-stack text for flamegraph tooling (foldedStacks),
-//  - a JSON report (reportJson/writeReport; writeReport also writes a
-//    sibling `.folded` file),
-//  - Chrome trace events on a "host" process track (chromeTraceEvents)
-//    that nwcsim merges into the Perfetto timeline export.
+// Output surfaces (both produced from one snapshot()):
+//  - the `nwc-profile-v1` JSON report (reportJson/writeReport), the one
+//    file every tool's `--profile=FILE` writes,
+//  - `profile.*` instruments in a MetricsRegistry (publishMetrics).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace nwc::obs {
 class MetricsRegistry;
@@ -47,15 +43,13 @@ bool enabled();
 void enable();
 void disable();
 
-/// Drops all recorded data (phase accumulators, retained events, pool
-/// stats). Keeps the enabled/disabled state. Test support; not meant to be
+/// Drops all recorded data (phase accumulators, pool stats). Keeps the enabled/disabled state. Test support; not meant to be
 /// called while scopes are active on other threads.
 void reset();
 
-/// enable() plus an atexit hook that writes the report to `path` (and the
-/// folded stacks to `path + ".folded"`). Backs every tool's `--profile=`
-/// flag; the report is written to stderr-adjacent files only, never to the
-/// tool's stdout, so simulated outputs stay byte-identical.
+/// enable() plus an atexit hook that writes the report to `path`. Backs
+/// every tool's `--profile=` flag; the report goes to that file only, never
+/// to the tool's stdout, so simulated outputs stay byte-identical.
 void enableWithReportAtExit(const std::string& path);
 
 /// Monotonic host clock in nanoseconds (steady_clock).
@@ -129,21 +123,10 @@ Report snapshot();
 ///   profile.pool.idle_ms, profile.pool.utilization, profile.pool.tasks.
 void publishMetrics(const Report& r, MetricsRegistry& reg);
 
-/// Folded-stack lines ("config-parse 1234" / "event-loop;destage-drain 56")
-/// with self-time microseconds as the count column — feed to flamegraph.pl
-/// or speedscope directly.
-std::string foldedStacks(const Report& r);
-
 /// {"schema":"nwc-profile-v1",...} — the full report as JSON.
 std::string reportJson(const Report& r);
 
-/// Writes reportJson to `path` and foldedStacks to `path + ".folded"`.
+/// Writes reportJson(snapshot()) to `path`.
 void writeReport(const std::string& path);
-
-/// Retained phase spans and RSS counter samples as Chrome trace-event JSON
-/// objects on a dedicated "host" process, host-time microsecond timebase.
-/// nwcsim appends these to the Perfetto timeline export when profiling is
-/// enabled (without --profile= the export is byte-identical to before).
-std::vector<std::string> chromeTraceEvents();
 
 }  // namespace nwc::obs::prof

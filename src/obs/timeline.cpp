@@ -161,11 +161,6 @@ int trackId(sim::NodeId node, Layer layer) {
 }  // namespace
 
 std::string EventTimeline::chromeTraceJson(double pcycle_ns) const {
-  return chromeTraceJson(pcycle_ns, {});
-}
-
-std::string EventTimeline::chromeTraceJson(
-    double pcycle_ns, const std::vector<std::string>& extra_events) const {
   // A child span renders nested inside its parent only when both share a
   // track, so resolve each span's track to its outermost ancestor's.
   std::unordered_map<std::uint64_t, const TimelineEvent*> by_id;
@@ -261,22 +256,14 @@ std::string EventTimeline::chromeTraceJson(
     }
   }
 
-  for (const std::string& obj : extra_events) emit(obj);
-
   out += "],\"displayTimeUnit\":\"ns\"}";
   return out;
 }
 
 void EventTimeline::writeChromeTrace(const std::string& path, double pcycle_ns) const {
-  writeChromeTrace(path, pcycle_ns, {});
-}
-
-void EventTimeline::writeChromeTrace(
-    const std::string& path, double pcycle_ns,
-    const std::vector<std::string>& extra_events) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("timeline: cannot open " + path);
-  out << chromeTraceJson(pcycle_ns, extra_events) << "\n";
+  out << chromeTraceJson(pcycle_ns) << "\n";
   if (!out) throw std::runtime_error("timeline: write failed for " + path);
 }
 

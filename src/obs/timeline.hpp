@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -115,16 +114,8 @@ class EventTimeline {
 
   /// Chrome trace-event JSON ("traceEvents" array format). `pcycle_ns`
   /// converts simulated pcycles to the format's microseconds.
-  /// `extra_events` are pre-rendered trace-event JSON objects appended
-  /// verbatim after the simulated events — the profiler's host-process
-  /// tracks ride along this way. Empty extra_events produce byte-identical
-  /// output to the single-argument form.
   std::string chromeTraceJson(double pcycle_ns = 5.0) const;
-  std::string chromeTraceJson(double pcycle_ns,
-                              const std::vector<std::string>& extra_events) const;
   void writeChromeTrace(const std::string& path, double pcycle_ns = 5.0) const;
-  void writeChromeTrace(const std::string& path, double pcycle_ns,
-                        const std::vector<std::string>& extra_events) const;
 
  private:
   void push(const TimelineEvent& e);

@@ -130,14 +130,4 @@ std::size_t ProgressMeter::done() const {
   return done_;
 }
 
-std::size_t ProgressMeter::running() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return running_;
-}
-
-long long ProgressMeter::etaSeconds() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return etaSecondsLocked();
-}
-
 }  // namespace nwc::util

@@ -70,21 +70,18 @@ class ProgressMeter {
   /// `out` may be null (meter counts but prints nothing).
   ProgressMeter(std::size_t total, std::ostream* out);
 
-  /// Records one run entering execution (for running()/heartbeat lines).
+  /// Records one run entering execution (counted by heartbeat lines).
   void started();
 
   /// Records one completed run and prints its progress line.
   void completed(const std::string& what, bool ok);
 
-  /// Prints a periodic status line without consuming a completion:
+  /// Prints a periodic heartbeat line without consuming a completion:
   ///   [hb done/total] running=N <extra> (eta 42s)
   /// `extra` carries caller context (e.g. process RSS); may be empty.
   void heartbeat(const std::string& extra);
 
   std::size_t done() const;
-  std::size_t running() const;
-  /// ETA seconds from throughput so far; < 0 when not yet estimable.
-  long long etaSeconds() const;
 
  private:
   /// ETA seconds from throughput so far; < 0 when not yet estimable.

@@ -92,7 +92,8 @@ TEST(BatchSpec, ValidatesEveryCellMachineBeforeRunning) {
 TEST(BatchSpec, RejectsUnknownKeysByName) {
   // A typo and keys of options that no longer exist must not be silently
   // ignored: the error names the offending key.
-  for (const std::string key : {"sim_treads", "sim_threads", "trace_dir", "trace_mode"}) {
+  for (const std::string key :
+       {"sim_treads", "sim_threads", "trace_dir", "trace_mode", "status"}) {
     try {
       BatchSpec::fromIni(util::IniFile::parse("[batch]\napps = sor\n" + key + " = 4\n"));
       ADD_FAILURE() << "accepted [batch] " << key;

@@ -2,7 +2,6 @@
 // stats, exports, and byte-identity of simulated output under profiling.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -223,26 +222,6 @@ TEST_F(ProfilerTest, PublishMetricsUsesDocumentedNames) {
   EXPECT_NEAR(reg.gaugeValue("profile.pool.utilization"), 0.5, 1e-9);
 }
 
-TEST_F(ProfilerTest, FoldedStacksEmitSelfTime) {
-  {
-    Scope outer("outer");
-    spin(2'000'000);
-    Scope inner("inner");
-    spin(2'000'000);
-  }
-  const std::string folded = obs::prof::foldedStacks(obs::prof::snapshot());
-  EXPECT_NE(folded.find("outer "), std::string::npos);
-  EXPECT_NE(folded.find("outer;inner "), std::string::npos);
-  // Lines are "stack count\n": every line has exactly one space.
-  for (std::size_t pos = 0; pos < folded.size();) {
-    const std::size_t eol = folded.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    const std::string line = folded.substr(pos, eol - pos);
-    EXPECT_EQ(std::count(line.begin(), line.end(), ' '), 1) << line;
-    pos = eol + 1;
-  }
-}
-
 TEST_F(ProfilerTest, ReportJsonCarriesSchema) {
   { Scope s("phase"); }
   const std::string json = obs::prof::reportJson(obs::prof::snapshot());
@@ -250,17 +229,6 @@ TEST_F(ProfilerTest, ReportJsonCarriesSchema) {
   EXPECT_NE(json.find("\"phase\""), std::string::npos);
   EXPECT_NE(json.find("\"host\""), std::string::npos);
   EXPECT_NE(json.find("\"dirty\":"), std::string::npos);
-}
-
-TEST_F(ProfilerTest, ChromeTraceEventsAreHostProcess) {
-  { Scope s("traced"); }
-  const std::vector<std::string> events = obs::prof::chromeTraceEvents();
-  ASSERT_FALSE(events.empty());
-  bool saw_span = false;
-  for (const std::string& e : events) {
-    if (e.find("\"traced\"") != std::string::npos) saw_span = true;
-  }
-  EXPECT_TRUE(saw_span);
 }
 
 // The key byte-identity contract at library level: identical simulated

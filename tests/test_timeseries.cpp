@@ -125,6 +125,36 @@ TEST(MachineSampler, SamplesDuringRun) {
   EXPECT_EQ(m.backend().stagedPages(), 0);  // the ring drained
 }
 
+// A run whose CPUs never all retire (here CPUs 1..n-1 never call cpuDone)
+// must still drain the calendar: once the sampling daemon is the only event
+// left it exits, as the unsampled run returns, instead of re-arming forever.
+TEST(MachineSampler, StalledRunStillDrainsCalendar) {
+  machine::MachineConfig cfg;
+  cfg.withSystem(machine::SystemKind::kNWCache, machine::Prefetch::kOptimal);
+  cfg.memory_per_node = 32 * 1024;
+  cfg.min_free_frames = 2;
+  machine::Machine m(cfg);
+  obs::SamplerConfig scfg;
+  scfg.interval = 500;
+  obs::Sampler sampler(scfg, apps::healthContextFor(cfg));
+  m.attachSampler(&sampler);
+  m.allocRegion(64 * 4096);
+  m.start();
+  auto workload = [&]() -> Task<> {
+    for (PageId p = 0; p < 48; ++p) {
+      co_await m.access(0, static_cast<std::uint64_t>(p) * 4096, true);
+    }
+    co_await m.fence(0);
+    m.cpuDone(0);
+  };
+  m.engine().spawn(workload());
+  // Bounded, so a daemon that never exits fails the test instead of hanging.
+  m.engine().runUntil(10'000'000);
+
+  EXPECT_EQ(m.engine().pendingEvents(), 0u);
+  EXPECT_GT(sampler.samples(), 2u);
+}
+
 TEST(MachineSampler, DetachedByDefault) {
   machine::MachineConfig cfg;
   machine::Machine m(cfg);

@@ -1,7 +1,7 @@
 // nwcbatch: run an experiment grid described by an INI file.
 //
 //   nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume]
-//            [--sample-interval=N] [--sample-dir=DIR] [--status=FILE]
+//            [--sample-interval=N] [--sample-dir=DIR] [--profile=FILE]
 //            experiments.ini
 //
 //   # experiments.ini
@@ -17,7 +17,7 @@
 //   csv = grid.csv
 //   jsonl = grid.jsonl
 //   meta_dir = meta   # one run_meta.json per grid cell
-//   heartbeat_secs = 2  # status cadence on stderr; 0 disables
+//   heartbeat_secs = 2  # heartbeat cadence on stderr; 0 disables
 //
 // Grid cells are independent simulations; they run concurrently on
 // --jobs threads (default: all cores) with results — table, CSV, JSONL —
@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
   bool resume = false;
   long sample_interval = -1;  // -1 = use the INI's sample_interval key
   std::string sample_dir;
-  std::string status_path;
   const char* usage =
       "usage: nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume] "
-      "[--sample-interval=N] [--sample-dir=DIR] [--status=FILE] "
+      "[--sample-interval=N] [--sample-dir=DIR] "
       "[--profile=FILE] <experiments.ini>\n";
   // A count flag whose documented off value is 0.
   auto countOrOff = [](const std::string& flag, const std::string& text, double max) {
@@ -72,8 +71,6 @@ int main(int argc, char** argv) {
         sample_interval = countOrOff("--sample-interval", val("--sample-interval="), 1e15);
       } else if (a.rfind("--sample-dir=", 0) == 0) {
         sample_dir = val("--sample-dir=");
-      } else if (a.rfind("--status=", 0) == 0) {
-        status_path = val("--status=");
       } else if (a.rfind("--profile=", 0) == 0) {
         obs::prof::enableWithReportAtExit(val("--profile="));
       } else if (a == "--help" || a == "-h") {
@@ -81,17 +78,15 @@ int main(int argc, char** argv) {
                     "  --jobs=N          worker threads, a whole number >= 1 (default:\n"
                     "                    the INI's batch.jobs key, else all cores)\n"
                     "  --meta-dir=DIR    write one run_meta.json per grid cell\n"
-                    "  --heartbeat=SECS  status cadence on stderr (0 = off)\n"
+                    "  --heartbeat=SECS  heartbeat cadence on stderr (0 = off)\n"
                     "  --resume          skip grid cells already checkpointed in the\n"
                     "                    batch.jsonl file; rerun only the rest\n"
                     "  --sample-interval=N  pcycles between telemetry samples\n"
                     "                    (0 = off; overrides batch.sample_interval)\n"
                     "  --sample-dir=DIR  one nwc-timeseries-v1 JSON + CSV per cell\n"
-                    "  --status=FILE     live JSONL status stream (tail it with\n"
-                    "                    nwctop)\n"
                     "  --profile=FILE    profile the simulator itself: write an\n"
-                    "                    nwc-profile-v1 JSON report (+ FILE.folded)\n"
-                    "                    at exit; grid results are unchanged\n",
+                    "                    nwc-profile-v1 JSON report at exit;\n"
+                    "                    grid results are unchanged\n",
                     usage);
         return 0;
       } else if (a.rfind("--", 0) == 0) {
@@ -120,7 +115,6 @@ int main(int argc, char** argv) {
     if (resume) spec.resume = true;
     if (sample_interval >= 0) spec.sample_interval = static_cast<sim::Tick>(sample_interval);
     if (!sample_dir.empty()) spec.sample_dir = sample_dir;
-    if (!status_path.empty()) spec.status_path = status_path;
     if (!spec.sample_dir.empty() && spec.sample_interval == 0) {
       std::fprintf(stderr, "nwcbatch: --sample-dir requires --sample-interval > 0\n");
       return 2;
@@ -143,7 +137,6 @@ int main(int argc, char** argv) {
     if (!spec.jsonl_path.empty()) std::printf("jsonl: %s\n", spec.jsonl_path.c_str());
     if (!spec.meta_dir.empty()) std::printf("meta: %s\n", spec.meta_dir.c_str());
     if (!spec.sample_dir.empty()) std::printf("samples: %s\n", spec.sample_dir.c_str());
-    if (!spec.status_path.empty()) std::printf("status: %s\n", spec.status_path.c_str());
     return res.all_ok ? 0 : 1;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "nwcbatch: %s\n", ex.what());

@@ -5,7 +5,7 @@
 //          [--set machine.key=value ...] [--metrics=out.json]
 //          [--timeline=out.trace.json] [--timeline-layers=ring,disk]
 //          [--timeline-cap=N] [--sample=out.timeseries.json]
-//          [--jobs=N] [--json] [--dump-config]
+//          [--jobs=N] [--json] [--profile=FILE] [--dump-config]
 //
 // Runs one or more applications (--app accepts a comma list or "all") on
 // one machine and reports the metrics the paper's evaluation uses, as a
@@ -67,10 +67,8 @@ namespace {
       "                        cores)\n"
       "  --json                emit the run summary as JSON\n"
       "  --profile=FILE        profile the simulator itself: write an\n"
-      "                        nwc-profile-v1 JSON report (+ FILE.folded\n"
-      "                        flamegraph stacks) at exit; host tracks are\n"
-      "                        merged into --timeline= exports. Simulated\n"
-      "                        results are unchanged.\n"
+      "                        nwc-profile-v1 JSON report at exit.\n"
+      "                        Simulated results are unchanged.\n"
       "  --dump-config         print the effective config as INI and exit\n");
   std::exit(code);
 }
@@ -285,13 +283,7 @@ int main(int argc, char** argv) {
           registry.writeCsv(siblingCsv(metrics_path));
         }
         if (!timeline_path.empty()) {
-          // With profiling on, the host phase tree rides along as a second
-          // process in the same Perfetto view; without it the export is
-          // byte-identical to the single-argument form.
-          timeline.writeChromeTrace(timeline_path, cfg.pcycle_ns,
-                                    obs::prof::enabled()
-                                        ? obs::prof::chromeTraceEvents()
-                                        : std::vector<std::string>{});
+          timeline.writeChromeTrace(timeline_path, cfg.pcycle_ns);
         }
         if (!sample_path.empty()) {
           sampler.writeJson(sample_path);
