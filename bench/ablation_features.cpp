@@ -26,20 +26,19 @@ int main(int argc, char** argv) {
   std::printf("NWCache feature ablation under optimal prefetching "
               "(execution time in Mpcycles, scale=%.2f)\n", opt.scale);
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
-    plan.push_back({bench::configFor(machine::SystemKind::kStandard,
-                                     machine::Prefetch::kOptimal, opt),
-                    app});
+    plan.push_back({app, bench::configFor(machine::SystemKind::kStandard,
+                                          machine::Prefetch::kOptimal, opt)});
     for (const Variant& v : variants) {
       machine::MachineConfig cfg = bench::configFor(machine::SystemKind::kNWCache,
                                                     machine::Prefetch::kOptimal, opt);
       cfg.ring_victim_reads = v.victim;
       cfg.ring_bypass_network = v.bypass;
-      plan.push_back({cfg, app});
+      plan.push_back({app, cfg});
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "standard", "full", "no-victim", "no-bypass",
                       "staging-only"});

@@ -15,13 +15,13 @@ int main(int argc, char** argv) {
       machine::SystemKind::kStandard, machine::SystemKind::kDCD,
       machine::SystemKind::kRemoteMemory, machine::SystemKind::kNWCache};
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
     for (const std::string& app : bench::appList(opt)) {
-      for (auto sys : systems) plan.push_back({bench::configFor(sys, pf, opt), app});
+      for (auto sys : systems) plan.push_back({app, bench::configFor(sys, pf, opt)});
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   std::size_t next = 0;
   for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {

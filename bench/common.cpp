@@ -1,48 +1,17 @@
 #include "common.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <stdexcept>
 
-#include "apps/batch.hpp"
 #include "apps/registry.hpp"
 #include "apps/workload.hpp"
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "util/ini.hpp"
-#include "util/parallel.hpp"
 
 namespace nwc::bench {
-
-namespace {
-
-void printRunWarnings(const apps::RunSummary& s, const std::string& app) {
-  if (!s.verified) {
-    std::fprintf(stderr, "  WARNING: %s numerical verification FAILED\n", app.c_str());
-  }
-  if (!s.invariant_violations.empty()) {
-    std::fprintf(stderr, "  WARNING: invariant violations:\n%s",
-                 s.invariant_violations.c_str());
-  }
-}
-
-// Runs plan cell `index`, exporting its instrument registry to
-// opt.metrics_dir when requested.
-apps::RunSummary simulate(std::size_t index, const PlannedRun& run, const Options& opt) {
-  if (opt.metrics_dir.empty()) return apps::runApp(run.cfg, run.app, opt.scale);
-  apps::ObsSinks sinks;
-  obs::MetricsRegistry reg;
-  sinks.registry = &reg;
-  apps::RunSummary s = apps::runApp(run.cfg, run.app, opt.scale, sinks);
-  reg.writeJson(opt.metrics_dir + "/" + apps::cellStem(index, run.app, run.cfg) + ".json");
-  return s;
-}
-
-}  // namespace
 
 Options parseArgs(int argc, char** argv, const std::string& bench_name,
                   double default_scale, const std::vector<std::string>& default_apps) {
@@ -55,7 +24,7 @@ Options parseArgs(int argc, char** argv, const std::string& bench_name,
     auto val = [&](const char* prefix) { return a.substr(std::strlen(prefix)); };
     try {
       if (a.rfind("--scale=", 0) == 0) {
-        opt.scale = util::positiveFlag("--scale", val("--scale="));
+        opt.scale = util::positiveFlag("--scale", val("--scale="), false, 1.0);
       } else if (a.rfind("--apps=", 0) == 0) {
         opt.apps = util::splitList(val("--apps="));
       } else if (a.rfind("--csv=", 0) == 0) {
@@ -86,13 +55,6 @@ Options parseArgs(int argc, char** argv, const std::string& bench_name,
       std::exit(2);
     }
   }
-  if (opt.scale > 1.0) {
-    std::fprintf(stderr, "%s: --scale must be in (0, 1]\n", bench_name.c_str());
-    std::exit(2);
-  }
-  if (!opt.metrics_dir.empty()) {
-    std::filesystem::create_directories(opt.metrics_dir);
-  }
   return opt;
 }
 
@@ -119,20 +81,13 @@ machine::MachineConfig configFor(machine::SystemKind sys, machine::Prefetch pf,
   return cfg;
 }
 
-std::vector<apps::RunSummary> runAll(const std::vector<PlannedRun>& plan,
-                                     const Options& opt) {
-  const util::ParallelExecutor exec(opt.jobs);
-  std::fprintf(stderr, "  running %zu simulations on %zu threads\n", plan.size(),
-               std::min<std::size_t>(exec.jobs(), plan.size()));
-  std::vector<apps::RunSummary> out(plan.size());
-  util::ProgressMeter meter(plan.size(), &std::cerr);
-  exec.forEachIndex(plan.size(), [&](std::size_t i) {
-    apps::RunSummary s = simulate(i, plan[i], opt);
-    meter.completed(plan[i].app + " on " + plan[i].cfg.describe(), s.ok());
-    out[i] = std::move(s);
-  });
-  for (std::size_t i = 0; i < plan.size(); ++i) printRunWarnings(out[i], plan[i].app);
-  return out;
+apps::GridOptions Options::grid() const {
+  apps::GridOptions g;
+  g.scale = scale;
+  g.jobs = jobs;
+  g.progress = &std::cerr;
+  g.metrics_dir = metrics_dir;
+  return g;
 }
 
 void emit(const Options& opt, const util::AsciiTable& table,

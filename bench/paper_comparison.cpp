@@ -50,15 +50,15 @@ std::string f2(double v) { return util::AsciiTable::fmt(v, 2); }
 int main(int argc, char** argv) {
   auto opt = bench::parseArgs(argc, argv, "paper_comparison");
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
       for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
-        plan.push_back({bench::configFor(sys, pf, opt), app});
+        plan.push_back({app, bench::configFor(sys, pf, opt)});
       }
     }
   }
-  std::vector<apps::RunSummary> summaries = bench::runAll(plan, opt);
+  std::vector<apps::RunSummary> summaries = apps::runGrid(plan, opt.grid());
 
   // The plan's order per app: standard (optimal, naive), nwcache (optimal,
   // naive).

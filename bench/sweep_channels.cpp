@@ -46,15 +46,15 @@ int main(int argc, char** argv) {
       "scale=%.2f)\n",
       opt.scale);
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (int rx : receiver_counts) {
       for (int ch : channel_counts) {
-        plan.push_back({cfgFor(ch, rx), app});
+        plan.push_back({app, cfgFor(ch, rx)});
       }
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "Receivers", "Channels", "Exec (Mpc)",
                       "Fault mean (pc)", "Ring hit rate"});

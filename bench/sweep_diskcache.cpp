@@ -15,19 +15,18 @@ int main(int argc, char** argv) {
   std::printf("Disk-controller-cache sweep under optimal prefetching "
               "(execution time in Mpcycles, scale=%.2f)\n", opt.scale);
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (std::uint64_t kb : sizes_kb) {
       machine::MachineConfig cfg = bench::configFor(machine::SystemKind::kStandard,
                                                     machine::Prefetch::kOptimal, opt);
       cfg.disk_cache_bytes = kb * 1024;
-      plan.push_back({cfg, app});
+      plan.push_back({app, cfg});
     }
-    plan.push_back({bench::configFor(machine::SystemKind::kNWCache,
-                                     machine::Prefetch::kOptimal, opt),
-                    app});
+    plan.push_back({app, bench::configFor(machine::SystemKind::kNWCache,
+                                          machine::Prefetch::kOptimal, opt)});
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "std 16K", "std 64K", "std 256K", "std 1M",
                       "NWCache 16K"});

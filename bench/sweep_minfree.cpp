@@ -14,19 +14,19 @@ int main(int argc, char** argv) {
   std::printf("Min-free-frames sweep (execution time in Mpcycles, scale=%.2f)\n",
               opt.scale);
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
       for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
         for (int mf : min_frees) {
           machine::MachineConfig cfg = bench::configFor(sys, pf, opt);
           cfg.min_free_frames = mf;
-          plan.push_back({cfg, app});
+          plan.push_back({app, cfg});
         }
       }
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "System", "Prefetch", "mf=2", "mf=4", "mf=8",
                       "mf=12", "mf=16", "Best"});

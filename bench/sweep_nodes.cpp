@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   };
   const Shape shapes[] = {{4, 2}, {8, 4}, {16, 4}};
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (const Shape& sh : shapes) {
       for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
         cfg.num_nodes = sh.nodes;
         cfg.num_io_nodes = sh.io;
         cfg.ring_channels = sh.nodes;
-        plan.push_back({cfg, app});
+        plan.push_back({app, cfg});
       }
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "Nodes", "I/O nodes", "Standard", "NWCache",
                       "Improvement"});

@@ -50,17 +50,17 @@ int main(int argc, char** argv) {
   std::printf("Write-cache policy sweep (optimal prefetch, scale=%.2f)\n",
               opt.scale);
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (auto sys : systems) {
       for (auto adm : admissions) {
         for (auto dst : destages) {
-          plan.push_back({cfgFor(sys, adm, dst), app});
+          plan.push_back({app, cfgFor(sys, adm, dst)});
         }
       }
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "System", "Admission", "Destage",
                       "Exec (Mpc)", "Fault mean (pc)", "Destage stall (Mpc)",

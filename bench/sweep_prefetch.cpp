@@ -15,18 +15,18 @@ int main(int argc, char** argv) {
   std::printf("Prefetch-quality sweep (hinted policy; execution Mpcycles and "
               "NWCache improvement, scale=%.2f)\n", opt.scale);
 
-  std::vector<bench::PlannedRun> plan;
+  std::vector<apps::GridCell> plan;
   for (const std::string& app : bench::appList(opt)) {
     for (double acc : accuracies) {
       for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
         machine::MachineConfig cfg =
             bench::configFor(sys, machine::Prefetch::kHinted, opt);
         cfg.hint_accuracy = acc;
-        plan.push_back({cfg, app});
+        plan.push_back({app, cfg});
       }
     }
   }
-  const auto runs = bench::runAll(plan, opt);
+  const auto runs = apps::runGrid(plan, opt.grid());
 
   util::AsciiTable t({"Application", "Hint accuracy", "Standard", "NWCache",
                       "Improvement"});

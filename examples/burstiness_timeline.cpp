@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   try {
     if (argc > 3) throw std::invalid_argument("unexpected argument '" + std::string(argv[3]) + "'");
     const std::string app = argc > 1 ? argv[1] : "sor";
-    const double scale = argc > 2 ? util::positiveFlag("scale", argv[2]) : 1.0;
+    const double scale = argc > 2 ? util::positiveFlag("scale", argv[2], false, 1.0) : 1.0;
     std::printf("Swap-out burstiness of %s at scale %.2f under optimal "
                 "prefetching\n(time runs left to right; each column shows the "
                 "bucket peak)\n\n", app.c_str(), scale);

@@ -1,6 +1,6 @@
 // Quickstart: run one of the paper's applications on both machines and
-// print the headline comparison. The four configurations are independent
-// simulations and run concurrently (--jobs=1 forces the serial order).
+// print the headline comparison. The four configurations are one
+// apps::runGrid grid and run concurrently (--jobs=1 forces the serial order).
 //
 //   ./quickstart [app] [scale] [--jobs=N]
 //
@@ -11,28 +11,26 @@
 #include <string>
 #include <vector>
 
-#include "apps/runner.hpp"
+#include "apps/batch.hpp"
 #include "apps/workload.hpp"
 #include "util/ini.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace nwc;
   std::string app = "mg";
-  double scale = 1.0;
-  unsigned jobs = 0;
+  apps::GridOptions grid;
   try {
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
       if (a.rfind("--jobs=", 0) == 0) {
-        jobs = static_cast<unsigned>(util::positiveFlag("--jobs", a.substr(7), true, 4096));
+        grid.jobs = static_cast<unsigned>(util::positiveFlag("--jobs", a.substr(7), true, 4096));
       } else if (positional == 0) {
         app = a;
         ++positional;
       } else if (positional == 1) {
-        scale = util::positiveFlag("scale", a);
+        grid.scale = util::positiveFlag("scale", a, false, 1.0);
         ++positional;
       } else {
         throw std::invalid_argument("unexpected argument '" + a + "'");
@@ -47,21 +45,17 @@ int main(int argc, char** argv) {
   }
 
   std::printf("NWCache quickstart: %s at scale %.2f on an 8-node machine\n\n",
-              app.c_str(), scale);
+              app.c_str(), grid.scale);
 
-  std::vector<machine::MachineConfig> cfgs;
+  std::vector<apps::GridCell> cells;
   for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
     for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
       machine::MachineConfig cfg;
       cfg.withSystem(sys, pf);  // Table 1 defaults + the paper's best min-free
-      cfgs.push_back(cfg);
+      cells.push_back({app, cfg});
     }
   }
-
-  std::vector<apps::RunSummary> runs(cfgs.size());
-  util::ParallelExecutor exec(jobs);
-  exec.forEachIndex(cfgs.size(),
-                    [&](std::size_t i) { runs[i] = apps::runApp(cfgs[i], app, scale); });
+  const std::vector<apps::RunSummary> runs = apps::runGrid(cells, grid);
 
   util::AsciiTable t({"System", "Prefetch", "Exec (Mpcycles)", "Faults",
                       "Swap-outs", "Avg swap-out (Kpc)", "Ring hits", "Verified"});

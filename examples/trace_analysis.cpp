@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   try {
     if (argc > 4) throw std::invalid_argument("unexpected argument '" + std::string(argv[4]) + "'");
     const std::string app = argc > 1 ? argv[1] : "sor";
-    const double scale = argc > 2 ? util::positiveFlag("scale", argv[2]) : 1.0;
+    const double scale = argc > 2 ? util::positiveFlag("scale", argv[2], false, 1.0) : 1.0;
     const std::string sys = argc > 3 ? argv[3] : "nwcache";
     if (sys != "standard" && sys != "nwcache") {
       throw std::invalid_argument("system must be standard or nwcache, got '" + sys + "'");

@@ -1,6 +1,10 @@
-// Batch experiment driver: run a grid of (app x system x prefetch x seed)
+// Grid execution: apps::runGrid runs a list of independent simulations
+// (one (app, MachineConfig) cell each) and owns every per-cell concern —
+// progress, heartbeat, run_meta, sampling and registry exports. The batch
+// driver on top of it runs a grid of (app x system x prefetch x seed)
 // configurations described by an INI file, collecting summaries as CSV
-// and/or JSON-lines. Used by tools/nwcbatch; unit-testable directly.
+// and/or JSON-lines. Used by tools/nwcbatch, the benches and the examples;
+// unit-testable directly.
 #pragma once
 
 #include <iosfwd>
@@ -13,29 +17,52 @@
 
 namespace nwc::apps {
 
+/// One simulation of a grid: an application (or workload spec) on a machine.
+struct GridCell {
+  std::string app;
+  machine::MachineConfig cfg;
+};
+
+struct GridOptions {
+  double scale = 1.0;
+  unsigned jobs = 0;                 // worker threads; 0 = hardware concurrency
+  std::ostream* progress = nullptr;  // progress and warnings; null = silent
+  unsigned heartbeat_secs = 0;       // with progress: heartbeat cadence; 0 = off
+  std::string meta_dir;     // non-empty: one run_meta.json per cell
+  sim::Tick sample_interval = 0;  // pcycles between telemetry samples; 0 = off
+  std::string sample_dir;   // non-empty (with sample_interval): one
+                            // nwc-timeseries-v1 JSON + CSV per cell
+  std::string metrics_dir;  // non-empty: one MetricsRegistry JSON per cell
+};
+
+/// Runs every cell on `opt.jobs` threads (one Machine each; a cell's result
+/// depends only on its coordinates) and returns the summaries in cell
+/// order, so every output built from them is byte-identical at any job
+/// count. Per-cell files are named by cellStem(). With `opt.progress`: a
+/// "running N simulations on T threads" line, one
+/// "[done/total] <cell>: ok|FAIL (eta Ns)" line per completed cell,
+/// heartbeat lines every `opt.heartbeat_secs`, and after the grid a warning
+/// per cell that failed verification or its invariant check.
+std::vector<RunSummary> runGrid(const std::vector<GridCell>& cells,
+                                const GridOptions& opt);
+
 struct BatchSpec {
   machine::MachineConfig base;  // [machine] section applied on top of defaults
   std::vector<std::string> apps;
   std::vector<machine::SystemKind> systems;
   std::vector<machine::Prefetch> prefetches;
   std::vector<std::uint64_t> seeds;
-  double scale = 1.0;
   bool best_min_free = true;  // re-derive min-free per (system, prefetch)
   std::string csv_path;       // empty = no CSV
   std::string jsonl_path;     // empty = no JSON lines
-  std::string meta_dir;       // non-empty: one run_meta.json per grid cell
-  unsigned jobs = 0;          // worker threads; 0 = hardware concurrency
-  unsigned heartbeat_secs = 2;  // stderr heartbeat cadence; 0 disables
-  bool resume = false;        // skip grid cells already checkpointed in the
-                              // JSONL (crashed grids restart where they died)
-  sim::Tick sample_interval = 0;  // pcycles between telemetry samples; 0 = off
-  std::string sample_dir;     // non-empty (with sample_interval): one
-                              // nwc-timeseries-v1 JSON + CSV per grid cell
+  // scale, jobs, heartbeat_secs (default 2), meta_dir, sample_interval and
+  // sample_dir come from [batch]; nwcbatch points `progress` at stderr.
+  GridOptions grid;
 
   /// Parses the [machine] and [batch] sections. [batch] keys:
   ///   apps, systems, prefetch (comma lists), scale, seeds, csv, jsonl,
-  ///   meta_dir, best_min_free, jobs, heartbeat_secs, resume,
-  ///   sample_interval, sample_dir. Missing keys default to the
+  ///   meta_dir, best_min_free, jobs, heartbeat_secs, sample_interval,
+  ///   sample_dir. Missing keys default to the
   ///   full matrix of the standard+nwcache systems over all seven
   ///   applications; any other [batch] key throws, naming it.
   static BatchSpec fromIni(const util::IniFile& ini);
@@ -43,6 +70,10 @@ struct BatchSpec {
   std::size_t runCount() const {
     return apps.size() * systems.size() * prefetches.size() * seeds.size();
   }
+
+  /// The grid's cells — apps outermost, seeds innermost. Each cell's config
+  /// (seed included) is a pure function of its coordinates.
+  std::vector<GridCell> cells() const;
 };
 
 struct BatchResult {
@@ -50,25 +81,12 @@ struct BatchResult {
   bool all_ok = true;
 };
 
-/// Executes the grid on `spec.jobs` worker threads (each run gets its own
-/// Machine; seeds come only from the grid coordinates), collecting results
-/// indexed by grid position — apps outermost, seeds innermost — so the
-/// summaries, CSV and JSONL are byte-for-byte the same at any job count.
-/// Progress lines go to `progress` when non-null: one
-/// "[done/total] <cell>: ok|FAIL (eta Ns)" line per completed cell, plus
-/// heartbeat lines every `spec.heartbeat_secs`.
-///
-/// Checkpointing: with a `jsonl` path each completed cell is appended to
-/// the file as it finishes (one `{"cell":i,...}` line, flushed), and the
-/// file is rewritten in grid order once the grid settles. With
-/// `spec.resume`, lines whose cell index and coordinates match the current
-/// grid are trusted and those cells are not rerun — their summaries are
-/// reconstructed from the checkpoint (timings and counters; histogram
-/// internals are not persisted).
-BatchResult runBatch(const BatchSpec& spec, std::ostream* progress = nullptr);
+/// Runs the spec's cells through runGrid, then writes the CSV and the
+/// JSONL (one `{"cell":i,...}` line per cell) in grid order.
+BatchResult runBatch(const BatchSpec& spec);
 
 /// File-name stem of grid cell `index`, "cell0007_radix_nwcache_optimal_s1":
-/// names nwcbatch's per-cell files and the benches' --metrics-dir exports.
+/// names runGrid's per-cell files.
 /// Workload specs carry ':', ';', '=' and '/', so anything outside the
 /// filesystem-safe set folds to '-'.
 std::string cellStem(std::size_t index, const std::string& app,

@@ -18,7 +18,7 @@
 //  - Allocation counters: global operator new is replaced (malloc + a
 //    thread-local counter bump, ~1ns) so each phase reports how many
 //    heap allocations happened inside it.
-//  - Worker utilization: util::ParallelExecutor::forEachIndex reports
+//  - Worker utilization: each util::ParallelExecutor loop reports
 //    busy/lifetime/task totals through an observer installed by enable();
 //    the report carries worker busy vs idle time as the `pool` section.
 //
@@ -74,7 +74,7 @@ class Scope {
 void addSample(const char* rel_path, std::uint64_t wall_ns);
 
 /// Worker utilization totals, as reported by the util::ParallelExecutor
-/// observer at the end of each forEachIndex call (`lifetime_ns` here is
+/// observer at the end of each executor loop (`lifetime_ns` here is
 /// thread-summed). Accumulates across calls. No-op when disabled.
 void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns,
               std::uint64_t tasks);
@@ -99,7 +99,7 @@ struct Report {
   Node root;  // root.children are the top-level phases; root totals are sums
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t current_rss_bytes = 0;
-  unsigned pool_threads = 0;  // max threads over reporting forEachIndex calls
+  unsigned pool_threads = 0;  // max threads over reporting executor loops
   std::uint64_t pool_lifetime_ns = 0;  // sum of per-call thread-lifetime ns
   std::uint64_t pool_busy_ns = 0;
   std::uint64_t pool_tasks = 0;

@@ -1,10 +1,16 @@
 #include "obs/timeline.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -145,12 +151,44 @@ void EventTimeline::clear() {
 
 namespace {
 
-std::string fmtMicros(sim::Tick ticks, double pcycle_ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(ticks) * pcycle_ns / 1000.0);
-  return buf;
-}
+// Simulated pcycles as the format's microseconds, "%.3f".
+struct Micros {
+  char text[48];
+  Micros(sim::Tick ticks, double pcycle_ns) {
+    std::snprintf(text, sizeof(text), "%.3f",
+                  static_cast<double>(ticks) * pcycle_ns / 1000.0);
+  }
+};
+
+// Renders into one reused buffer and hands it to the stream in large
+// writes: a trace of millions of events costs no per-event allocation.
+class TraceWriter {
+ public:
+  explicit TraceWriter(std::ostream& out) : out_(out) { buf_.reserve(kFlushBytes + 4096); }
+
+  TraceWriter& operator<<(std::string_view s) {
+    buf_ += s;
+    if (buf_.size() >= kFlushBytes) flush();
+    return *this;
+  }
+  TraceWriter& operator<<(const Micros& m) { return *this << std::string_view(m.text); }
+  template <std::integral T>
+  TraceWriter& operator<<(T v) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+    return *this << std::string_view(digits, static_cast<std::size_t>(end - digits));
+  }
+
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kFlushBytes = 1 << 16;
+  std::ostream& out_;
+  std::string buf_;
+};
 
 // One track per (node, layer); node -1 (machine-wide) maps to slot 0.
 int trackId(sim::NodeId node, Layer layer) {
@@ -160,111 +198,110 @@ int trackId(sim::NodeId node, Layer layer) {
 
 }  // namespace
 
-std::string EventTimeline::chromeTraceJson(double pcycle_ns) const {
+void EventTimeline::writeChromeTrace(std::ostream& stream, double pcycle_ns) const {
   // A child span renders nested inside its parent only when both share a
   // track, so resolve each span's track to its outermost ancestor's.
-  std::unordered_map<std::uint64_t, const TimelineEvent*> by_id;
+  // Spans by id, sorted once: one allocation rather than one per span.
+  std::vector<std::pair<std::uint64_t, const TimelineEvent*>> by_id;
   for (const TimelineEvent& e : events_) {
-    if (e.id != 0) by_id.emplace(e.id, &e);
+    if (e.id != 0) by_id.emplace_back(e.id, &e);
   }
-  auto resolveTrack = [&](const TimelineEvent& e) {
+  std::sort(by_id.begin(), by_id.end());
+  auto rootOf = [&](const TimelineEvent& e) {
     const TimelineEvent* cur = &e;
     for (int depth = 0; depth < 8 && cur->parent != 0; ++depth) {
-      const auto it = by_id.find(cur->parent);
-      if (it == by_id.end()) break;  // parent fell out of the ring buffer
+      const auto it = std::lower_bound(
+          by_id.begin(), by_id.end(), cur->parent,
+          [](const auto& entry, std::uint64_t id) { return entry.first < id; });
+      // The parent fell out of the ring buffer.
+      if (it == by_id.end() || it->first != cur->parent) break;
       cur = it->second;
     }
-    return trackId(cur->node, cur->layer);
+    return cur;
+  };
+  auto resolveTrack = [&](const TimelineEvent& e) {
+    const TimelineEvent* root = rootOf(e);
+    return trackId(root->node, root->layer);
   };
 
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&out, &first](const std::string& obj) {
-    if (!first) out += ',';
-    first = false;
-    out += obj;
+  // Event names are static strings drawn from a small set: escape each once.
+  std::unordered_map<const char*, std::string> escaped;
+  auto name = [&](const char* n) -> const std::string& {
+    auto it = escaped.find(n);
+    if (it == escaped.end()) it = escaped.emplace(n, util::jsonEscape(n)).first;
+    return it->second;
   };
 
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-       "\"args\":{\"name\":\"nwcache\"}}");
+  TraceWriter out(stream);
+  out << "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
+         "\"args\":{\"name\":\"nwcache\"}}";
 
-  // Thread-name metadata for every track we are about to use.
+  // Thread-name metadata for every track we are about to use, named after
+  // the event that owns it (its root for children).
   std::map<int, std::string> track_names;
   for (const TimelineEvent& e : events_) {
     if (e.shape == EventShape::kCounter) continue;  // counters are pid-global
-    const int tid = e.shape == EventShape::kSpan ? resolveTrack(e)
-                                                 : trackId(e.node, e.layer);
+    const TimelineEvent* root = e.shape == EventShape::kSpan ? rootOf(e) : &e;
+    const int tid = trackId(root->node, root->layer);
     if (track_names.count(tid)) continue;
-    // Name the track after the event that owns it (its root for children).
-    const TimelineEvent* root = &e;
-    if (e.shape == EventShape::kSpan) {
-      for (int depth = 0; depth < 8 && root->parent != 0; ++depth) {
-        const auto it = by_id.find(root->parent);
-        if (it == by_id.end()) break;
-        root = it->second;
-      }
-    }
     const std::string node_part =
         root->node == sim::kNoNode ? "machine" : "node" + std::to_string(root->node);
     track_names.emplace(tid, node_part + " " + toString(root->layer));
   }
-  for (const auto& [tid, name] : track_names) {
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         std::to_string(tid) + ",\"args\":{\"name\":\"" + util::jsonEscape(name) +
-         "\"}}");
+  for (const auto& [tid, track] : track_names) {
+    out << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
+        << ",\"args\":{\"name\":\"" << util::jsonEscape(track) << "\"}}";
   }
 
   for (const TimelineEvent& e : events_) {
-    const std::string name = util::jsonEscape(e.name);
-    const std::string cat = toString(e.layer);
-    const std::string ts = fmtMicros(e.start, pcycle_ns);
-    std::string args = "{\"node\":" + std::to_string(e.node);
-    if (e.page != sim::kNoPage) args += ",\"page\":" + std::to_string(e.page);
-    args += "}";
+    const Micros ts(e.start, pcycle_ns);
+    auto head = [&] {
+      out << ",{\"name\":\"" << name(e.name) << "\",\"cat\":\"" << toString(e.layer)
+          << "\",";
+    };
+    auto args = [&] {
+      out << ",\"args\":{\"node\":" << e.node;
+      if (e.page != sim::kNoPage) out << ",\"page\":" << e.page;
+      out << "}}";
+    };
     switch (e.shape) {
       case EventShape::kSpan:
-        emit("{\"name\":\"" + name + "\",\"cat\":\"" + cat +
-             "\",\"ph\":\"X\",\"ts\":" + ts +
-             ",\"dur\":" + fmtMicros(e.duration, pcycle_ns) +
-             ",\"pid\":0,\"tid\":" + std::to_string(resolveTrack(e)) +
-             ",\"args\":" + args + "}");
+        head();
+        out << "\"ph\":\"X\",\"ts\":" << ts << ",\"dur\":" << Micros(e.duration, pcycle_ns)
+            << ",\"pid\":0,\"tid\":" << resolveTrack(e);
+        args();
         break;
       case EventShape::kAsyncSpan: {
-        const std::string common = "\"name\":\"" + name + "\",\"cat\":\"" + cat +
-                                   "\",\"id\":" + std::to_string(e.id) +
-                                   ",\"pid\":0,\"tid\":" +
-                                   std::to_string(trackId(e.node, e.layer));
-        emit("{" + common + ",\"ph\":\"b\",\"ts\":" + ts + ",\"args\":" + args + "}");
-        emit("{" + common + ",\"ph\":\"e\",\"ts\":" +
-             fmtMicros(e.start + e.duration, pcycle_ns) + ",\"args\":{}}");
+        const int tid = trackId(e.node, e.layer);
+        head();
+        out << "\"id\":" << e.id << ",\"pid\":0,\"tid\":" << tid
+            << ",\"ph\":\"b\",\"ts\":" << ts;
+        args();
+        head();
+        out << "\"id\":" << e.id << ",\"pid\":0,\"tid\":" << tid
+            << ",\"ph\":\"e\",\"ts\":" << Micros(e.start + e.duration, pcycle_ns)
+            << ",\"args\":{}}";
         break;
       }
       case EventShape::kInstant:
-        emit("{\"name\":\"" + name + "\",\"cat\":\"" + cat +
-             "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + ts +
-             ",\"pid\":0,\"tid\":" + std::to_string(trackId(e.node, e.layer)) +
-             ",\"args\":" + args + "}");
+        head();
+        out << "\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts
+            << ",\"pid\":0,\"tid\":" << trackId(e.node, e.layer);
+        args();
         break;
       case EventShape::kCounter: {
         char val[48];
         std::snprintf(val, sizeof(val), "%.17g", e.value);
-        emit("{\"name\":\"" + name + "\",\"cat\":\"" + cat +
-             "\",\"ph\":\"C\",\"ts\":" + ts + ",\"pid\":0,\"args\":{\"value\":" +
-             val + "}}");
+        head();
+        out << "\"ph\":\"C\",\"ts\":" << ts << ",\"pid\":0,\"args\":{\"value\":" << val
+            << "}}";
         break;
       }
     }
   }
 
-  out += "],\"displayTimeUnit\":\"ns\"}";
-  return out;
-}
-
-void EventTimeline::writeChromeTrace(const std::string& path, double pcycle_ns) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("timeline: cannot open " + path);
-  out << chromeTraceJson(pcycle_ns) << "\n";
-  if (!out) throw std::runtime_error("timeline: write failed for " + path);
+  out << "],\"displayTimeUnit\":\"ns\"}\n";
+  out.flush();
 }
 
 }  // namespace nwc::obs

@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <string>
 
 #include "sim/types.hpp"
@@ -112,10 +113,10 @@ class EventTimeline {
   std::size_t count(Layer l) const;
   void clear();
 
-  /// Chrome trace-event JSON ("traceEvents" array format). `pcycle_ns`
-  /// converts simulated pcycles to the format's microseconds.
-  std::string chromeTraceJson(double pcycle_ns = 5.0) const;
-  void writeChromeTrace(const std::string& path, double pcycle_ns = 5.0) const;
+  /// Writes the Chrome trace-event JSON ("traceEvents" array format) and a
+  /// final newline, event by event. `pcycle_ns` converts simulated pcycles
+  /// to the format's microseconds.
+  void writeChromeTrace(std::ostream& out, double pcycle_ns = 5.0) const;
 
  private:
   void push(const TimelineEvent& e);

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -34,12 +35,15 @@ double positiveFlag(const std::string& flag, const std::string& text, bool whole
                     double max) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
-      (whole && (v != std::floor(v) || v > max))) {
+  if (text.empty() || *end != '\0' || !std::isfinite(v) || v <= 0.0 || v > max ||
+      (whole && v != std::floor(v))) {
+    char bound[32];
+    std::snprintf(bound, sizeof(bound), "%g", max);
     throw std::invalid_argument(
         flag + " must be " +
         (whole ? "a whole number in [1, " + std::to_string(std::llround(max)) + "]"
-               : "a finite number > 0") +
+         : max < 1e15 ? "a number in (0, " + std::string(bound) + "]"
+                      : "a finite number > 0") +
         ", got '" + text + "'");
   }
   return v;

@@ -48,9 +48,9 @@ std::string trim(const std::string& s);
 /// Splits a comma list into trimmed, non-empty items.
 std::vector<std::string> splitList(const std::string& s);
 
-/// The value of a numeric command-line flag: a finite number > 0 with
-/// nothing after it; a count (`whole`) must also be an integer no larger
-/// than `max`. Throws std::invalid_argument naming `flag`.
+/// The value of a numeric command-line flag: a finite number in (0, max]
+/// with nothing after it; a count (`whole`) must also be an integer.
+/// Throws std::invalid_argument naming `flag`.
 double positiveFlag(const std::string& flag, const std::string& text, bool whole = false,
                     double max = 1e15);
 

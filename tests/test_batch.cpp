@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "apps/batch.hpp"
+#include "obs/registry.hpp"
 
 namespace nwc::apps {
 namespace {
@@ -21,7 +23,7 @@ TEST(BatchSpec, DefaultsCoverFullMatrix) {
   EXPECT_EQ(spec.prefetches.size(), 2u);
   EXPECT_EQ(spec.seeds.size(), 1u);
   EXPECT_EQ(spec.runCount(), 28u);
-  EXPECT_DOUBLE_EQ(spec.scale, 1.0);
+  EXPECT_DOUBLE_EQ(spec.grid.scale, 1.0);
 }
 
 TEST(BatchSpec, ParsesLists) {
@@ -37,7 +39,7 @@ TEST(BatchSpec, ParsesLists) {
   EXPECT_EQ(spec.prefetches.size(), 1u);
   EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(spec.runCount(), 2u * 4u * 1u * 3u);
-  EXPECT_DOUBLE_EQ(spec.scale, 0.25);
+  EXPECT_DOUBLE_EQ(spec.grid.scale, 0.25);
 }
 
 TEST(BatchSpec, AppliesMachineSection) {
@@ -49,10 +51,19 @@ TEST(BatchSpec, AppliesMachineSection) {
 TEST(BatchSpec, RejectsBadInput) {
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\napps = doom\n")),
                std::runtime_error);
-  EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\nscale = 2.0\n")),
-               std::runtime_error);
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\nsystems = warp\n")),
                std::runtime_error);
+  // The scale is a finite number in (0, 1], checked as every front end
+  // checks it; the error names the key.
+  for (const std::string bad : {"2.0", "1.5", "nan", "inf", "0", "-0.5", "0.5x"}) {
+    try {
+      BatchSpec::fromIni(util::IniFile::parse("[batch]\nscale = " + bad + "\n"));
+      ADD_FAILURE() << "accepted scale " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "[batch] scale must be a number in (0, 1], got '" + bad + "'");
+    }
+  }
   // Every seeds entry is a whole number in [0, 2^64); the error names the key.
   for (const std::string bad : {"abc", "-2", "3x", "18446744073709551616"}) {
     try {
@@ -93,7 +104,7 @@ TEST(BatchSpec, RejectsUnknownKeysByName) {
   // A typo and keys of options that no longer exist must not be silently
   // ignored: the error names the offending key.
   for (const std::string key :
-       {"sim_treads", "sim_threads", "trace_dir", "trace_mode", "status"}) {
+       {"sim_treads", "sim_threads", "trace_dir", "trace_mode", "status", "resume"}) {
     try {
       BatchSpec::fromIni(util::IniFile::parse("[batch]\napps = sor\n" + key + " = 4\n"));
       ADD_FAILURE() << "accepted [batch] " << key;
@@ -111,7 +122,8 @@ TEST(BatchRun, ExecutesGridAndWritesOutputs) {
       "[batch]\napps = radix\nsystems = standard, nwcache\nprefetch = optimal\n"
       "scale = 0.1\ncsv = " + csv + "\njsonl = " + jsonl + "\n"));
   std::ostringstream progress;
-  const BatchResult res = runBatch(spec, &progress);
+  spec.grid.progress = &progress;
+  const BatchResult res = runBatch(spec);
   ASSERT_EQ(res.runs.size(), 2u);
   EXPECT_TRUE(res.all_ok);
   EXPECT_NE(progress.str().find("[2/2]"), std::string::npos);
@@ -131,8 +143,8 @@ TEST(BatchRun, ExecutesGridAndWritesOutputs) {
 TEST(BatchSpec, ParsesJobs) {
   const auto spec = BatchSpec::fromIni(
       util::IniFile::parse("[batch]\napps = sor\njobs = 4\n"));
-  EXPECT_EQ(spec.jobs, 4u);
-  EXPECT_EQ(BatchSpec::fromIni(util::IniFile::parse("")).jobs, 0u);
+  EXPECT_EQ(spec.grid.jobs, 4u);
+  EXPECT_EQ(BatchSpec::fromIni(util::IniFile::parse("")).grid.jobs, 0u);
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\njobs = -1\n")),
                std::runtime_error);
   EXPECT_THROW(BatchSpec::fromIni(util::IniFile::parse("[batch]\njobs = 4097\n")),
@@ -167,14 +179,64 @@ TEST(BatchRun, ParallelMatchesSerialByteForByte) {
   ASSERT_EQ(r1.runs.size(), 8u);
   ASSERT_EQ(r4.runs.size(), 8u);
   for (std::size_t i = 0; i < r1.runs.size(); ++i) {
-    EXPECT_EQ(summaryJson(r1.runs[i], serial.scale),
-              summaryJson(r4.runs[i], parallel.scale))
+    EXPECT_EQ(summaryJson(r1.runs[i], serial.grid.scale),
+              summaryJson(r4.runs[i], parallel.grid.scale))
         << "summaries diverge at grid index " << i;
   }
   EXPECT_EQ(slurp(csv1), slurp(csv4));
   EXPECT_EQ(slurp(jsonl1), slurp(jsonl4));
   EXPECT_FALSE(slurp(csv1).empty());
   for (const auto& p : {csv1, jsonl1, csv4, jsonl4}) std::remove(p.c_str());
+}
+
+TEST(RunGrid, MetricsDirWritesOneRegistryPerCellAtAnyJobCount) {
+  std::vector<GridCell> cells;
+  for (const std::string app : {"radix", "sor"}) {
+    for (auto sys : {machine::SystemKind::kStandard, machine::SystemKind::kNWCache}) {
+      machine::MachineConfig cfg;
+      cfg.withSystem(sys, machine::Prefetch::kOptimal);
+      cfg.memory_per_node = 32 * 1024;
+      cells.push_back({app, cfg});
+    }
+  }
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  const std::string dir1 = tmp / "nwc_grid_metrics_j1";
+  const std::string dir4 = tmp / "nwc_grid_metrics_j4";
+  const std::string lone = tmp / "nwc_grid_metrics_lone.json";
+  for (const auto& d : {dir1, dir4}) std::filesystem::remove_all(d);
+
+  GridOptions opt;
+  opt.scale = 0.05;
+  opt.jobs = 1;
+  opt.metrics_dir = dir1;
+  const std::vector<RunSummary> r1 = runGrid(cells, opt);
+  opt.jobs = 4;
+  opt.metrics_dir = dir4;
+  const std::vector<RunSummary> r4 = runGrid(cells, opt);
+  ASSERT_EQ(r1.size(), cells.size());
+  ASSERT_EQ(r4.size(), cells.size());
+
+  const auto files = [](const std::string& dir) {
+    std::size_t n = 0;
+    for (const auto& f : std::filesystem::directory_iterator(dir)) n += f.is_regular_file();
+    return n;
+  };
+  EXPECT_EQ(files(dir1), cells.size());
+  EXPECT_EQ(files(dir4), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string name = "/" + cellStem(i, cells[i].app, cells[i].cfg) + ".json";
+    const std::string j1 = slurp(dir1 + name);
+    EXPECT_FALSE(j1.empty()) << name;
+    EXPECT_EQ(j1, slurp(dir4 + name)) << name;
+    // The same bytes as a lone run exporting its own registry.
+    obs::MetricsRegistry reg;
+    ObsSinks sinks;
+    sinks.registry = &reg;
+    runApp(cells[i].cfg, cells[i].app, opt.scale, sinks);
+    reg.writeJson(lone);
+    EXPECT_EQ(j1, slurp(lone)) << name;
+  }
+  for (const auto& d : {dir1, dir4, lone}) std::filesystem::remove_all(d);
 }
 
 // Runs a one-cell radix grid with jobs = 1, so the cell executes on the
@@ -188,7 +250,7 @@ std::vector<std::string> serialRadixRow(const std::string& machine_keys) {
   EXPECT_EQ(res.runs.size(), 1u);
   EXPECT_TRUE(res.all_ok);
   return res.runs.empty() ? std::vector<std::string>{}
-                          : summaryCsvRow(res.runs[0], spec.scale);
+                          : summaryCsvRow(res.runs[0], spec.grid.scale);
 }
 
 TEST(BatchRun, NoStateLeaksBetweenMachinesOnOneWorker) {
@@ -206,60 +268,6 @@ TEST(BatchRun, NoStateLeaksBetweenMachinesOnOneWorker) {
   EXPECT_NE(first, wide);
   EXPECT_EQ(repeat, first);
   EXPECT_EQ(repeat, alone);
-}
-
-TEST(BatchRun, ResumeMatchesFreshRunByteForByte) {
-  const std::string spec_text =
-      "[machine]\nmemory_per_node = 32768\n"
-      "[batch]\napps = radix\nsystems = standard, nwcache\n"
-      "prefetch = optimal\nseeds = 1\nscale = 0.05\n";
-  const std::string csv_full = "/tmp/nwc_batch_full.csv";
-  const std::string jsonl_full = "/tmp/nwc_batch_full.jsonl";
-  const std::string csv_res = "/tmp/nwc_batch_res.csv";
-  const std::string jsonl_res = "/tmp/nwc_batch_res.jsonl";
-
-  auto full = BatchSpec::fromIni(util::IniFile::parse(
-      spec_text + "csv = " + csv_full + "\njsonl = " + jsonl_full + "\n"));
-  runBatch(full);
-
-  // Simulate a crash after the first cell: keep only its checkpoint line,
-  // then resume. The resumed grid must reproduce the full run's outputs
-  // byte-for-byte without rerunning the checkpointed cell.
-  {
-    std::ifstream in(jsonl_full);
-    std::string first;
-    ASSERT_TRUE(std::getline(in, first));
-    std::ofstream out(jsonl_res);
-    out << first << "\n";
-  }
-  auto resume = BatchSpec::fromIni(util::IniFile::parse(
-      spec_text + "resume = true\ncsv = " + csv_res + "\njsonl = " + jsonl_res +
-      "\n"));
-  std::ostringstream progress;
-  const BatchResult res = runBatch(resume, &progress);
-  ASSERT_EQ(res.runs.size(), 2u);
-  EXPECT_TRUE(res.all_ok);
-  // Only the missing cell reran.
-  EXPECT_NE(progress.str().find("[1/1]"), std::string::npos);
-  EXPECT_EQ(slurp(csv_full), slurp(csv_res));
-  EXPECT_EQ(slurp(jsonl_full), slurp(jsonl_res));
-
-  // Resuming a complete checkpoint runs nothing and leaves it unchanged.
-  std::ostringstream progress2;
-  runBatch(resume, &progress2);
-  EXPECT_EQ(progress2.str().find(" on "), std::string::npos);
-  EXPECT_EQ(slurp(jsonl_full), slurp(jsonl_res));
-
-  for (const auto& p : {csv_full, jsonl_full, csv_res, jsonl_res}) {
-    std::remove(p.c_str());
-  }
-}
-
-TEST(BatchRun, ResumeRequiresJsonl) {
-  auto spec = BatchSpec::fromIni(util::IniFile::parse(
-      "[batch]\napps = radix\nsystems = standard\nprefetch = optimal\n"
-      "resume = true\n"));
-  EXPECT_THROW(runBatch(spec), std::runtime_error);
 }
 
 TEST(BatchRun, SeedsVaryTiming) {

@@ -78,6 +78,17 @@ TEST(Ini, PositiveFlagIsStrict) {
   for (const char* bad : {"", "abc", "2x", "0", "-1", "nan", "inf"}) {
     EXPECT_THROW(util::positiveFlag("--scale", bad), std::invalid_argument) << bad;
   }
+  // A bounded fraction (every front end's scale) names its range.
+  EXPECT_EQ(util::positiveFlag("--scale", "1", false, 1.0), 1.0);
+  for (const char* bad : {"1.5", "1.0000001", "inf", "nan", "0"}) {
+    try {
+      util::positiveFlag("--scale", bad, false, 1.0);
+      ADD_FAILURE() << "accepted --scale=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--scale must be a number in (0, 1], got '") + bad + "'");
+    }
+  }
   for (const char* bad : {"1.5", "4097", "0"}) {
     try {
       util::positiveFlag("--jobs", bad, true, 4096);

@@ -2,6 +2,7 @@
 // determinism of the published metrics under parallel execution.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -110,7 +111,9 @@ TEST(EventTimeline, ChromeTraceParsesAndNests) {
   tl.instant(obs::Layer::kTlb, "tlb.shootdown", 50, 2, 7);
   tl.counterSample(obs::Layer::kVm, "vm.free_frames", 60, 12.0);
 
-  const auto doc = util::parseJson(tl.chromeTraceJson(5.0));
+  std::ostringstream trace;
+  tl.writeChromeTrace(trace, 5.0);
+  const auto doc = util::parseJson(trace.str());
   const auto& events = doc.at("traceEvents").array;
   ASSERT_GE(events.size(), 5u);
 

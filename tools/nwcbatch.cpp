@@ -1,6 +1,6 @@
 // nwcbatch: run an experiment grid described by an INI file.
 //
-//   nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume]
+//   nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS]
 //            [--sample-interval=N] [--sample-dir=DIR] [--profile=FILE]
 //            experiments.ini
 //
@@ -19,9 +19,10 @@
 //   meta_dir = meta   # one run_meta.json per grid cell
 //   heartbeat_secs = 2  # heartbeat cadence on stderr; 0 disables
 //
-// Grid cells are independent simulations; they run concurrently on
-// --jobs threads (default: all cores) with results — table, CSV, JSONL —
-// byte-identical at any job count.
+// Grid cells are independent simulations; apps::runGrid runs them
+// concurrently on --jobs threads (default: all cores) with results — table,
+// CSV, JSONL — byte-identical at any job count. The CSV and JSONL are
+// written once, after the whole grid has run.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -30,8 +31,6 @@
 
 #include "apps/batch.hpp"
 #include "obs/profiler.hpp"
-#include "obs/run_meta.hpp"
-#include "util/host.hpp"
 #include "util/ini.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -42,11 +41,10 @@ int main(int argc, char** argv) {
   std::string meta_dir;
   long jobs = -1;       // -1 = use the INI's jobs key (default auto)
   long heartbeat = -1;  // -1 = use the INI's heartbeat_secs key
-  bool resume = false;
   long sample_interval = -1;  // -1 = use the INI's sample_interval key
   std::string sample_dir;
   const char* usage =
-      "usage: nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] [--resume] "
+      "usage: nwcbatch [--jobs=N] [--meta-dir=DIR] [--heartbeat=SECS] "
       "[--sample-interval=N] [--sample-dir=DIR] "
       "[--profile=FILE] <experiments.ini>\n";
   // A count flag whose documented off value is 0.
@@ -65,8 +63,6 @@ int main(int argc, char** argv) {
         meta_dir = val("--meta-dir=");
       } else if (a.rfind("--heartbeat=", 0) == 0) {
         heartbeat = countOrOff("--heartbeat", val("--heartbeat="), 86400);
-      } else if (a == "--resume") {
-        resume = true;
       } else if (a.rfind("--sample-interval=", 0) == 0) {
         sample_interval = countOrOff("--sample-interval", val("--sample-interval="), 1e15);
       } else if (a.rfind("--sample-dir=", 0) == 0) {
@@ -79,8 +75,6 @@ int main(int argc, char** argv) {
                     "                    the INI's batch.jobs key, else all cores)\n"
                     "  --meta-dir=DIR    write one run_meta.json per grid cell\n"
                     "  --heartbeat=SECS  heartbeat cadence on stderr (0 = off)\n"
-                    "  --resume          skip grid cells already checkpointed in the\n"
-                    "                    batch.jsonl file; rerun only the rest\n"
                     "  --sample-interval=N  pcycles between telemetry samples\n"
                     "                    (0 = off; overrides batch.sample_interval)\n"
                     "  --sample-dir=DIR  one nwc-timeseries-v1 JSON + CSV per cell\n"
@@ -109,19 +103,20 @@ int main(int argc, char** argv) {
   }
   try {
     auto spec = apps::BatchSpec::fromIni(util::IniFile::load(ini_path));
-    if (jobs >= 0) spec.jobs = static_cast<unsigned>(jobs);
-    if (!meta_dir.empty()) spec.meta_dir = meta_dir;
-    if (heartbeat >= 0) spec.heartbeat_secs = static_cast<unsigned>(heartbeat);
-    if (resume) spec.resume = true;
-    if (sample_interval >= 0) spec.sample_interval = static_cast<sim::Tick>(sample_interval);
-    if (!sample_dir.empty()) spec.sample_dir = sample_dir;
-    if (!spec.sample_dir.empty() && spec.sample_interval == 0) {
+    apps::GridOptions& grid = spec.grid;
+    if (jobs >= 0) grid.jobs = static_cast<unsigned>(jobs);
+    if (!meta_dir.empty()) grid.meta_dir = meta_dir;
+    if (heartbeat >= 0) grid.heartbeat_secs = static_cast<unsigned>(heartbeat);
+    if (sample_interval >= 0) grid.sample_interval = static_cast<sim::Tick>(sample_interval);
+    if (!sample_dir.empty()) grid.sample_dir = sample_dir;
+    grid.progress = &std::cerr;
+    if (!grid.sample_dir.empty() && grid.sample_interval == 0) {
       std::fprintf(stderr, "nwcbatch: --sample-dir requires --sample-interval > 0\n");
       return 2;
     }
     std::printf("running %zu configurations at scale %.2f on %u threads\n",
-                spec.runCount(), spec.scale, util::resolveJobs(spec.jobs));
-    const apps::BatchResult res = apps::runBatch(spec, &std::cerr);
+                spec.runCount(), grid.scale, util::resolveJobs(grid.jobs));
+    const apps::BatchResult res = apps::runBatch(spec);
 
     util::AsciiTable t({"App", "System", "Prefetch", "Seed", "Exec (Mpc)",
                         "Faults", "Swap-outs", "OK"});
@@ -135,8 +130,8 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     if (!spec.csv_path.empty()) std::printf("csv: %s\n", spec.csv_path.c_str());
     if (!spec.jsonl_path.empty()) std::printf("jsonl: %s\n", spec.jsonl_path.c_str());
-    if (!spec.meta_dir.empty()) std::printf("meta: %s\n", spec.meta_dir.c_str());
-    if (!spec.sample_dir.empty()) std::printf("samples: %s\n", spec.sample_dir.c_str());
+    if (!grid.meta_dir.empty()) std::printf("meta: %s\n", grid.meta_dir.c_str());
+    if (!grid.sample_dir.empty()) std::printf("samples: %s\n", grid.sample_dir.c_str());
     return res.all_ok ? 0 : 1;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "nwcbatch: %s\n", ex.what());

@@ -5,21 +5,21 @@
 //          [--set machine.key=value ...] [--metrics=out.json]
 //          [--timeline=out.trace.json] [--timeline-layers=ring,disk]
 //          [--timeline-cap=N] [--sample=out.timeseries.json]
-//          [--jobs=N] [--json] [--profile=FILE] [--dump-config]
+//          [--json] [--profile=FILE] [--dump-config]
 //
-// Runs one or more applications (--app accepts a comma list or "all") on
-// one machine and reports the metrics the paper's evaluation uses, as a
-// table or as JSON. Multiple applications are independent simulations and
-// run concurrently on --jobs threads; output order stays deterministic.
+// Runs one application or workload on one machine and reports the metrics
+// the paper's evaluation uses, as a table or as JSON. A grid of several
+// applications or machines is an nwcbatch run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/batch.hpp"
-#include "apps/registry.hpp"
 #include "apps/runner.hpp"
 #include "apps/workload.hpp"
 #include "machine/config_io.hpp"
@@ -29,19 +29,18 @@
 #include "obs/timeline.hpp"
 #include "util/ini.hpp"
 #include "util/json.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 [[noreturn]] void usage(int code) {
   std::printf(
-      "usage: nwcsim --app=NAME[,NAME...] [options]\n"
-      "  --app=NAMES           em3d|fft|gauss|lu|mg|radix|sor, comma list,\n"
-      "                        or \"all\" for the full suite. Also accepts\n"
-      "                        workload specs: \"synth[:k=v;k=v...]\" (seeded\n"
-      "                        synthetic block workload) and \"trace:PATH\"\n"
-      "                        (recorded block trace) — see docs/WORKLOADS.md\n"
+      "usage: nwcsim --app=NAME [options]\n"
+      "  --app=NAME            em3d|fft|gauss|lu|mg|radix|sor, or a workload\n"
+      "                        spec: \"synth[:k=v;k=v...]\" (seeded synthetic\n"
+      "                        block workload) or \"trace:PATH\" (recorded\n"
+      "                        block trace) — see docs/WORKLOADS.md. One run;\n"
+      "                        several apps or machines are an nwcbatch grid\n"
       "  --scale=F             input scale in (0,1], default 1.0\n"
       "  --system=KIND         standard|nwcache|dcd|remote (default standard)\n"
       "  --prefetch=POLICY     optimal|naive (default optimal)\n"
@@ -51,20 +50,18 @@ namespace {
       "                        min_free_frames unless it is set here or in\n"
       "                        the --config file\n"
       "  --metrics=FILE        export the instrument catalog as JSON (plus a\n"
-      "                        sibling .csv); single app\n"
+      "                        sibling .csv)\n"
       "  --timeline=FILE       export a Chrome trace-event JSON timeline of\n"
       "                        every page event (load in Perfetto); with\n"
       "                        --sample= it also carries the occupancy\n"
-      "                        counter tracks; single app\n"
+      "                        counter tracks\n"
       "  --timeline-layers=L   comma list: fault,swap,ring,mesh,disk,vm,tlb,\n"
       "                        health or \"all\" (default all)\n"
       "  --timeline-cap=N      keep only the newest N timeline events\n"
       "  --sample=FILE         export periodic telemetry (tracks + health\n"
       "                        verdict) as nwc-timeseries-v1 JSON, plus a\n"
-      "                        sibling .csv; single app\n"
+      "                        sibling .csv\n"
       "  --sample-interval=N   pcycles between samples (default 50000)\n"
-      "  --jobs=N              threads for multi-app runs (default: all\n"
-      "                        cores)\n"
       "  --json                emit the run summary as JSON\n"
       "  --profile=FILE        profile the simulator itself: write an\n"
       "                        nwc-profile-v1 JSON report at exit.\n"
@@ -84,15 +81,6 @@ std::string siblingCsv(std::string path) {
   return path;
 }
 
-std::vector<std::string> parseAppList(const std::string& arg) {
-  std::vector<std::string> out;
-  if (arg == "all") {
-    for (const auto& a : nwc::apps::appRegistry()) out.push_back(a.name);
-    return out;
-  }
-  return nwc::util::splitList(arg);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,7 +88,6 @@ int main(int argc, char** argv) {
 
   std::string app;
   double scale = 1.0;
-  unsigned jobs = 0;
   std::string metrics_path;
   std::string timeline_path;
   unsigned timeline_layers = nwc::obs::kAllLayers;
@@ -133,7 +120,7 @@ int main(int argc, char** argv) {
         if (a.rfind("--app=", 0) == 0) {
           app = val("--app=");
         } else if (a.rfind("--scale=", 0) == 0) {
-          scale = util::positiveFlag("--scale", val("--scale="));
+          scale = util::positiveFlag("--scale", val("--scale="), false, 1.0);
         } else if (a.rfind("--system=", 0) == 0) {
           cfg.system = machine::systemKindFromString(val("--system="));
           system_set = true;
@@ -167,8 +154,6 @@ int main(int argc, char** argv) {
         } else if (a.rfind("--sample-interval=", 0) == 0) {
           sample_interval = static_cast<sim::Tick>(
               util::positiveFlag("--sample-interval", val("--sample-interval="), true));
-        } else if (a.rfind("--jobs=", 0) == 0) {
-          jobs = static_cast<unsigned>(util::positiveFlag("--jobs", val("--jobs="), true, 4096));
         } else if (a == "--json") {
           as_json = true;
         } else if (a.rfind("--profile=", 0) == 0) {
@@ -215,128 +200,96 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (app.empty()) usage(2);
-    const std::vector<std::string> app_names = parseAppList(app);
-    if (app_names.empty()) usage(2);
-    for (const auto& name : app_names) {
-      if (const std::string err = apps::workloadSpecError(name); !err.empty()) {
-        std::fprintf(stderr, "nwcsim: %s\n", err.c_str());
-        return 2;
-      }
-    }
-    if ((!metrics_path.empty() || !timeline_path.empty() || !sample_path.empty()) &&
-        app_names.size() > 1) {
-      std::fprintf(stderr,
-                   "nwcsim: --metrics/--timeline/--sample require a single --app\n");
+    if (const std::string err = apps::workloadSpecError(app); !err.empty()) {
+      std::fprintf(stderr, "nwcsim: %s\n", err.c_str());
       return 2;
     }
 
-    auto printSummary = [&](const apps::RunSummary& s) {
-      const auto& m = s.metrics;
-      if (as_json) {
-        std::printf("%s\n", apps::summaryJson(s, scale).c_str());
-        return;
+    obs::EventTimeline timeline(timeline_layers, timeline_cap);
+    obs::MetricsRegistry registry;
+    obs::SamplerConfig scfg;
+    scfg.interval = sample_interval;
+    obs::Sampler sampler(scfg, apps::healthContextFor(cfg));
+    apps::ObsSinks sinks;
+    sinks.timeline = timeline_path.empty() ? nullptr : &timeline;
+    sinks.registry = metrics_path.empty() ? nullptr : &registry;
+    sinks.sampler = sample_path.empty() ? nullptr : &sampler;
+    const apps::RunSummary s = apps::runApp(cfg, app, scale, sinks);
+    {
+      obs::prof::Scope export_scope("export");
+      if (!metrics_path.empty()) {
+        registry.writeJson(metrics_path);
+        registry.writeCsv(siblingCsv(metrics_path));
       }
-      std::printf("%s on %s, scale %.2f\n", s.app.c_str(), cfg.describe().c_str(),
-                  scale);
-      util::AsciiTable t({"Metric", "Value"});
-      auto row = [&](const char* k, const std::string& v) { t.addRow({k, v}); };
-      row("verified", s.verified ? "yes" : "NO");
-      row("invariants", s.invariant_violations.empty() ? "ok" : "VIOLATED");
-      if (!s.health_verdict.empty()) {
-        row("health", s.health_verdict +
-                          (s.health_trips > 0
-                               ? " (" + std::to_string(s.health_trips) + " trips)"
-                               : ""));
-      }
-      row("execution (Mpcycles)", util::AsciiTable::fmt(s.exec_time / 1e6, 1));
-      row("page faults", std::to_string(m.faults));
-      row("swap-outs", std::to_string(m.swap_outs));
-      row("clean evictions", std::to_string(m.clean_evictions));
-      row("NACKs", std::to_string(m.nacks));
-      row("avg swap-out (Kpcycles)", util::AsciiTable::fmt(m.swap_out_ticks.mean() / 1e3));
-      row("avg fault (Kpcycles)", util::AsciiTable::fmt(m.fault_ticks.mean() / 1e3));
-      row("write combining", util::AsciiTable::fmt(m.write_combining.mean(), 2));
-      row("ring hit rate", util::AsciiTable::fmtPct(m.ring_read_hits.rate()));
-      row("NoFree (Mpcycles)", util::AsciiTable::fmt(m.totalNoFree() / 1e6));
-      row("Transit (Mpcycles)", util::AsciiTable::fmt(m.totalTransit() / 1e6));
-      row("Fault (Mpcycles)", util::AsciiTable::fmt(m.totalFault() / 1e6));
-      row("TLB (Mpcycles)", util::AsciiTable::fmt(m.totalTlb() / 1e6));
-      row("Other (Mpcycles)", util::AsciiTable::fmt(m.totalOther() / 1e6));
-      t.print(std::cout);
-    };
-
-    if (app_names.size() == 1) {
-      obs::EventTimeline timeline(timeline_layers, timeline_cap);
-      obs::MetricsRegistry registry;
-      obs::SamplerConfig scfg;
-      scfg.interval = sample_interval;
-      obs::Sampler sampler(scfg, apps::healthContextFor(cfg));
-      apps::ObsSinks sinks;
-      sinks.timeline = timeline_path.empty() ? nullptr : &timeline;
-      sinks.registry = metrics_path.empty() ? nullptr : &registry;
-      sinks.sampler = sample_path.empty() ? nullptr : &sampler;
-      const apps::RunSummary s = apps::runApp(cfg, app_names[0], scale, sinks);
-      {
-        obs::prof::Scope export_scope("export");
-        if (!metrics_path.empty()) {
-          registry.writeJson(metrics_path);
-          registry.writeCsv(siblingCsv(metrics_path));
-        }
-        if (!timeline_path.empty()) {
-          timeline.writeChromeTrace(timeline_path, cfg.pcycle_ns);
-        }
-        if (!sample_path.empty()) {
-          sampler.writeJson(sample_path);
-          sampler.writeCsv(siblingCsv(sample_path));
+      if (!timeline_path.empty()) {
+        std::ofstream out(timeline_path, std::ios::binary);
+        if (!out) throw std::runtime_error("timeline: cannot open " + timeline_path);
+        timeline.writeChromeTrace(out, cfg.pcycle_ns);
+        if (!out.flush()) {
+          throw std::runtime_error("timeline: write failed for " + timeline_path);
         }
       }
-      printSummary(s);
-      if (!as_json && !metrics_path.empty()) {
-        std::printf("metrics written to %s (%zu instruments)\n", metrics_path.c_str(),
-                    registry.size());
+      if (!sample_path.empty()) {
+        sampler.writeJson(sample_path);
+        sampler.writeCsv(siblingCsv(sample_path));
       }
-      if (!as_json && !timeline_path.empty()) {
-        // Drops broken down by the evicted event's layer, so users know which
-        // --timeline-layers= to trim when the ring buffer overflows.
-        std::string drops;
-        for (unsigned l = 0; l < static_cast<unsigned>(obs::Layer::kNumLayers);
-             ++l) {
-          const auto layer = static_cast<obs::Layer>(l);
-          const std::uint64_t n = timeline.droppedByLayer(layer);
-          if (n == 0) continue;
-          drops += drops.empty() ? ": " : ", ";
-          drops += std::string(obs::toString(layer)) + "=" + std::to_string(n);
-        }
-        std::printf("timeline written to %s (%zu events, %llu dropped%s)\n",
-                    timeline_path.c_str(), timeline.size(),
-                    static_cast<unsigned long long>(timeline.dropped()),
-                    drops.c_str());
-      }
-      if (!as_json && !sample_path.empty()) {
-        std::printf("samples written to %s (%zu samples, health: %s)\n",
-                    sample_path.c_str(), sampler.samples(),
-                    sampler.health().verdict());
-      }
+    }
+    if (as_json) {
+      std::printf("%s\n", apps::summaryJson(s, scale).c_str());
       return s.ok() ? 0 : 1;
     }
 
-    // Several applications: independent machines, run concurrently, printed
-    // in the order they were named.
-    std::vector<apps::RunSummary> summaries(app_names.size());
-    util::ProgressMeter meter(app_names.size(), &std::cerr);
-    util::ParallelExecutor exec(jobs);
-    exec.forEachIndex(app_names.size(), [&](std::size_t i) {
-      apps::RunSummary s = apps::runApp(cfg, app_names[i], scale);
-      meter.completed(app_names[i], s.ok());
-      summaries[i] = std::move(s);
-    });
-    bool all_ok = true;
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      if (!as_json && i > 0) std::printf("\n");
-      printSummary(summaries[i]);
-      all_ok = all_ok && summaries[i].ok();
+    const auto& m = s.metrics;
+    std::printf("%s on %s, scale %.2f\n", s.app.c_str(), cfg.describe().c_str(), scale);
+    util::AsciiTable t({"Metric", "Value"});
+    auto row = [&](const char* k, const std::string& v) { t.addRow({k, v}); };
+    row("verified", s.verified ? "yes" : "NO");
+    row("invariants", s.invariant_violations.empty() ? "ok" : "VIOLATED");
+    if (!s.health_verdict.empty()) {
+      row("health", s.health_verdict +
+                        (s.health_trips > 0
+                             ? " (" + std::to_string(s.health_trips) + " trips)"
+                             : ""));
     }
-    return all_ok ? 0 : 1;
+    row("execution (Mpcycles)", util::AsciiTable::fmt(s.exec_time / 1e6, 1));
+    row("page faults", std::to_string(m.faults));
+    row("swap-outs", std::to_string(m.swap_outs));
+    row("clean evictions", std::to_string(m.clean_evictions));
+    row("NACKs", std::to_string(m.nacks));
+    row("avg swap-out (Kpcycles)", util::AsciiTable::fmt(m.swap_out_ticks.mean() / 1e3));
+    row("avg fault (Kpcycles)", util::AsciiTable::fmt(m.fault_ticks.mean() / 1e3));
+    row("write combining", util::AsciiTable::fmt(m.write_combining.mean(), 2));
+    row("ring hit rate", util::AsciiTable::fmtPct(m.ring_read_hits.rate()));
+    row("NoFree (Mpcycles)", util::AsciiTable::fmt(m.totalNoFree() / 1e6));
+    row("Transit (Mpcycles)", util::AsciiTable::fmt(m.totalTransit() / 1e6));
+    row("Fault (Mpcycles)", util::AsciiTable::fmt(m.totalFault() / 1e6));
+    row("TLB (Mpcycles)", util::AsciiTable::fmt(m.totalTlb() / 1e6));
+    row("Other (Mpcycles)", util::AsciiTable::fmt(m.totalOther() / 1e6));
+    t.print(std::cout);
+    if (!metrics_path.empty()) {
+      std::printf("metrics written to %s (%zu instruments)\n", metrics_path.c_str(),
+                  registry.size());
+    }
+    if (!timeline_path.empty()) {
+      // Drops broken down by the evicted event's layer, so users know which
+      // --timeline-layers= to trim when the ring buffer overflows.
+      std::string drops;
+      for (unsigned l = 0; l < static_cast<unsigned>(obs::Layer::kNumLayers); ++l) {
+        const auto layer = static_cast<obs::Layer>(l);
+        const std::uint64_t n = timeline.droppedByLayer(layer);
+        if (n == 0) continue;
+        drops += drops.empty() ? ": " : ", ";
+        drops += std::string(obs::toString(layer)) + "=" + std::to_string(n);
+      }
+      std::printf("timeline written to %s (%zu events, %llu dropped%s)\n",
+                  timeline_path.c_str(), timeline.size(),
+                  static_cast<unsigned long long>(timeline.dropped()), drops.c_str());
+    }
+    if (!sample_path.empty()) {
+      std::printf("samples written to %s (%zu samples, health: %s)\n",
+                  sample_path.c_str(), sampler.samples(), sampler.health().verdict());
+    }
+    return s.ok() ? 0 : 1;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "nwcsim: %s\n", ex.what());
     return 2;
