@@ -21,7 +21,6 @@
 #include "obs/registry.hpp"
 #include "obs/run_meta.hpp"
 #include "obs/sampler.hpp"
-#include "util/csv.hpp"
 #include "util/host.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -45,7 +44,7 @@ std::string cellStem(std::size_t index, const std::string& app,
 BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   static const std::set<std::string> kKeys = {
       "apps",           "systems", "prefetch",        "seeds",     "scale",
-      "best_min_free",  "csv",     "jsonl",           "meta_dir",  "jobs",
+      "best_min_free",  "jsonl",   "meta_dir",        "jobs",
       "heartbeat_secs", "sample_interval", "sample_dir"};
   for (const auto& [full_key, value] : ini.values()) {
     (void)value;
@@ -99,7 +98,6 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
     spec.grid.scale = util::positiveFlag("[batch] scale", *v, false, 1.0);
   }
   if (const auto v = ini.getBool("batch.best_min_free")) spec.best_min_free = *v;
-  if (const auto v = ini.get("batch.csv")) spec.csv_path = *v;
   if (const auto v = ini.get("batch.jsonl")) spec.jsonl_path = *v;
   if (const auto v = ini.get("batch.meta_dir")) spec.grid.meta_dir = *v;
   if (const auto v = ini.getInt("batch.jobs")) {
@@ -170,39 +168,6 @@ std::string summaryJson(const RunSummary& s, double scale) {
         .add("block_writes", static_cast<std::uint64_t>(m.block_writes));
   }
   return o.str();
-}
-
-std::vector<std::string> summaryCsvHeader() {
-  return {"app",       "system",    "prefetch",      "seed",
-          "scale",     "verified",  "exec_pcycles",  "faults",
-          "swap_outs", "nacks",     "swap_out_mean", "fault_mean",
-          "combining", "ring_rate", "nofree",        "transit",
-          "fault",     "tlb",       "other"};
-}
-
-std::vector<std::string> summaryCsvRow(const RunSummary& s, double scale) {
-  const auto& m = s.metrics;
-  auto d = [](double v) { return std::to_string(v); };
-  auto u = [](std::uint64_t v) { return std::to_string(v); };
-  return {s.app,
-          machine::toString(s.cfg.system),
-          machine::toString(s.cfg.prefetch),
-          u(s.cfg.seed),
-          d(scale),
-          s.verified ? "1" : "0",
-          u(s.exec_time),
-          u(m.faults),
-          u(m.swap_outs),
-          u(m.nacks),
-          d(m.swap_out_ticks.mean()),
-          d(m.fault_ticks.mean()),
-          d(m.write_combining.mean()),
-          d(m.ring_read_hits.rate()),
-          u(m.totalNoFree()),
-          u(m.totalTransit()),
-          u(m.totalFault()),
-          u(m.totalTlb()),
-          u(m.totalOther())};
 }
 
 std::vector<GridCell> BatchSpec::cells() const {
@@ -289,7 +254,6 @@ std::vector<RunSummary> runGrid(const std::vector<GridCell>& cells,
     }
     if (sampler != nullptr && !opt.sample_dir.empty()) {
       sampler->writeJson(opt.sample_dir + "/" + stem + ".timeseries.json");
-      sampler->writeCsv(opt.sample_dir + "/" + stem + ".timeseries.csv");
     }
     const double wall_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - w0)
@@ -363,10 +327,6 @@ BatchResult runBatch(const BatchSpec& spec) {
 
   // Outputs are emitted after the grid settles, in grid order, so the files
   // never depend on completion order.
-  if (!spec.csv_path.empty()) {
-    util::CsvWriter csv(spec.csv_path, summaryCsvHeader());
-    for (const RunSummary& s : result.runs) csv.addRow(summaryCsvRow(s, spec.grid.scale));
-  }
   if (jsonl.is_open()) {
     for (std::size_t i = 0; i < result.runs.size(); ++i) {
       jsonl << "{\"cell\":" << i << ","

@@ -2,8 +2,8 @@
 // (one (app, MachineConfig) cell each) and owns every per-cell concern —
 // progress, heartbeat, run_meta, sampling and registry exports. The batch
 // driver on top of it runs a grid of (app x system x prefetch x seed)
-// configurations described by an INI file, collecting summaries as CSV
-// and/or JSON-lines. Used by tools/nwcbatch, the benches and the examples;
+// configurations described by an INI file, collecting summaries as
+// JSON-lines. Used by tools/nwcbatch, the benches and the examples;
 // unit-testable directly.
 #pragma once
 
@@ -31,7 +31,7 @@ struct GridOptions {
   std::string meta_dir;     // non-empty: one run_meta.json per cell
   sim::Tick sample_interval = 0;  // pcycles between telemetry samples; 0 = off
   std::string sample_dir;   // non-empty (with sample_interval): one
-                            // nwc-timeseries-v1 JSON + CSV per cell
+                            // nwc-timeseries-v1 JSON per cell
   std::string metrics_dir;  // non-empty: one MetricsRegistry JSON per cell
 };
 
@@ -53,14 +53,13 @@ struct BatchSpec {
   std::vector<machine::Prefetch> prefetches;
   std::vector<std::uint64_t> seeds;
   bool best_min_free = true;  // re-derive min-free per (system, prefetch)
-  std::string csv_path;       // empty = no CSV
   std::string jsonl_path;     // empty = no JSON lines
   // scale, jobs, heartbeat_secs (default 2), meta_dir, sample_interval and
   // sample_dir come from [batch]; nwcbatch points `progress` at stderr.
   GridOptions grid;
 
   /// Parses the [machine] and [batch] sections. [batch] keys:
-  ///   apps, systems, prefetch (comma lists), scale, seeds, csv, jsonl,
+  ///   apps, systems, prefetch (comma lists), scale, seeds, jsonl,
   ///   meta_dir, best_min_free, jobs, heartbeat_secs, sample_interval,
   ///   sample_dir. Missing keys default to the
   ///   full matrix of the standard+nwcache systems over all seven
@@ -81,8 +80,8 @@ struct BatchResult {
   bool all_ok = true;
 };
 
-/// Runs the spec's cells through runGrid, then writes the CSV and the
-/// JSONL (one `{"cell":i,...}` line per cell) in grid order.
+/// Runs the spec's cells through runGrid, then writes the JSONL (one
+/// `{"cell":i,...}` line per cell) in grid order.
 BatchResult runBatch(const BatchSpec& spec);
 
 /// File-name stem of grid cell `index`, "cell0007_radix_nwcache_optimal_s1":
@@ -92,11 +91,8 @@ BatchResult runBatch(const BatchSpec& spec);
 std::string cellStem(std::size_t index, const std::string& app,
                      const machine::MachineConfig& cfg);
 
-/// One-line JSON rendering of a run summary (shared with tools/nwcsim).
+/// One-line JSON rendering of a run summary: nwcsim --json prints it and
+/// each JSONL line of a batch carries it.
 std::string summaryJson(const RunSummary& s, double scale);
-
-/// CSV header/row for summaries.
-std::vector<std::string> summaryCsvHeader();
-std::vector<std::string> summaryCsvRow(const RunSummary& s, double scale);
 
 }  // namespace nwc::apps

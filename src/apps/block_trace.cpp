@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -14,10 +13,6 @@
 namespace nwc::apps {
 
 namespace {
-
-constexpr char kBinaryMagic[4] = {'N', 'W', 'C', 'B'};
-constexpr std::uint8_t kBinaryVersion = 1;
-constexpr const char* kTextSignature = "# nwc-block-trace-v1";
 
 [[noreturn]] void specError(const std::string& spec, const std::string& why) {
   throw std::invalid_argument("synthetic spec '" + spec + "': " + why);
@@ -54,78 +49,12 @@ std::string fmtF64(double v) {
   return buf;
 }
 
-void putVarint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-class ByteReader {
- public:
-  ByteReader(const char* data, std::size_t size, std::string path)
-      : p_(data), end_(data + size), path_(std::move(path)) {}
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (p_ == end_) fail("truncated varint");
-      const std::uint8_t b = static_cast<std::uint8_t>(*p_++);
-      if (shift >= 64) fail("varint overflow");
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-  }
-
-  bool atEnd() const { return p_ == end_; }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error(path_ + ": malformed block trace (" + why + ")");
-  }
-
- private:
-  const char* p_;
-  const char* end_;
-  std::string path_;
-};
-
 std::string readFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error(path + ": cannot open block trace");
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-BlockTrace parseBinary(const std::string& path, const std::string& bytes) {
-  ByteReader r(bytes.data() + sizeof(kBinaryMagic) + 1,
-               bytes.size() - sizeof(kBinaryMagic) - 1, path);
-  if (static_cast<std::uint8_t>(bytes[sizeof(kBinaryMagic)]) != kBinaryVersion) {
-    r.fail("unsupported version");
-  }
-  BlockTrace t;
-  t.objects = r.varint();
-  const std::uint64_t nclients = r.varint();
-  if (nclients > (1u << 20)) r.fail("implausible client count");
-  t.clients.resize(nclients);
-  for (auto& ops : t.clients) {
-    const std::uint64_t n = r.varint();
-    ops.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t gw = r.varint();
-      BlockOp op;
-      op.gap = gw >> 1;
-      op.write = (gw & 1) != 0;
-      op.obj = r.varint();
-      if (op.obj >= t.objects) r.fail("object id out of range");
-      ops.push_back(op);
-    }
-  }
-  if (!r.atEnd()) r.fail("trailing bytes");
-  return t;
 }
 
 BlockTrace parseText(const std::string& path, const std::string& bytes) {
@@ -149,14 +78,23 @@ BlockTrace parseText(const std::string& path, const std::string& bytes) {
     std::istringstream ls(line);
     std::string kw;
     if (!(ls >> kw >> t.objects) || kw != "objects") fail("expected 'objects N'");
+    if (t.objects > kMaxBlockObjects) {
+      fail("objects " + std::to_string(t.objects) + " exceeds the cap of " +
+           std::to_string(kMaxBlockObjects));
+    }
   }
   {
     if (!nextLine()) fail("missing clients line");
     std::istringstream ls(line);
     std::string kw;
     if (!(ls >> kw >> nclients) || kw != "clients") fail("expected 'clients N'");
+    if (nclients > kMaxBlockClients) {
+      fail("clients " + std::to_string(nclients) + " exceeds the cap of " +
+           std::to_string(kMaxBlockClients));
+    }
   }
   t.clients.resize(nclients);
+  std::uint64_t total_ops = 0;
   for (std::uint64_t c = 0; c < nclients; ++c) {
     if (!nextLine()) fail("missing client header");
     std::uint64_t idx = 0, nops = 0;
@@ -167,8 +105,15 @@ BlockTrace parseText(const std::string& path, const std::string& bytes) {
         fail("expected 'client " + std::to_string(c) + " N'");
       }
     }
+    // The declared count is checked, never reserved: only the op lines
+    // actually present are stored.
+    if (nops > kMaxBlockOps - total_ops) {
+      fail("client " + std::to_string(c) + " declares " + std::to_string(nops) +
+           " ops; a trace holds at most " + std::to_string(kMaxBlockOps) +
+           " ops in all");
+    }
+    total_ops += nops;
     auto& ops = t.clients[c];
-    ops.reserve(nops);
     for (std::uint64_t i = 0; i < nops; ++i) {
       if (!nextLine()) fail("truncated op list");
       std::istringstream ls(line);
@@ -233,6 +178,17 @@ SyntheticSpec SyntheticSpec::parse(const std::string& spec) {
   if (s.clients == 0) specError(spec, "clients must be >= 1");
   if (s.objects == 0) specError(spec, "objects must be >= 1");
   if (s.ops == 0) specError(spec, "ops must be >= 1");
+  if (s.objects > kMaxBlockObjects) {
+    specError(spec, "objects must be <= " + std::to_string(kMaxBlockObjects));
+  }
+  if (s.clients > kMaxBlockClients) {
+    specError(spec, "clients must be <= " + std::to_string(kMaxBlockClients));
+  }
+  if (s.ops > kMaxBlockOps / s.clients) {
+    specError(spec, "ops must be <= " + std::to_string(kMaxBlockOps / s.clients) +
+                        " at clients=" + std::to_string(s.clients) + " (at most " +
+                        std::to_string(kMaxBlockOps) + " ops in all)");
+  }
   if (s.read_ratio < 0.0 || s.read_ratio > 1.0)
     specError(spec, "read_ratio must be in [0, 1]");
   if (s.zipf_theta < 0.0) specError(spec, "zipf_theta must be >= 0");
@@ -324,27 +280,8 @@ BlockTrace generateBlockTrace(const SyntheticSpec& spec, double scale) {
 }
 
 void writeBlockTrace(const std::string& path, const BlockTrace& trace) {
-  std::string out;
-  out.append(kBinaryMagic, sizeof(kBinaryMagic));
-  out.push_back(static_cast<char>(kBinaryVersion));
-  putVarint(out, trace.objects);
-  putVarint(out, trace.clients.size());
-  for (const auto& ops : trace.clients) {
-    putVarint(out, ops.size());
-    for (const BlockOp& op : ops) {
-      putVarint(out, (op.gap << 1) | (op.write ? 1u : 0u));
-      putVarint(out, op.obj);
-    }
-  }
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f || !f.write(out.data(), static_cast<std::streamsize>(out.size()))) {
-    throw std::runtime_error(path + ": cannot write block trace");
-  }
-}
-
-void writeBlockTraceText(const std::string& path, const BlockTrace& trace) {
   std::ostringstream out;
-  out << kTextSignature << "\n";
+  out << kBlockTraceSignature << "\n";
   out << "objects " << trace.objects << "\n";
   out << "clients " << trace.clients.size() << "\n";
   for (std::size_t c = 0; c < trace.clients.size(); ++c) {
@@ -362,30 +299,11 @@ void writeBlockTraceText(const std::string& path, const BlockTrace& trace) {
 
 BlockTrace readBlockTrace(const std::string& path) {
   const std::string bytes = readFile(path);
-  if (bytes.size() > sizeof(kBinaryMagic) &&
-      std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) == 0) {
-    return parseBinary(path, bytes);
+  if (bytes.rfind(kBlockTraceSignature, 0) != 0) {
+    throw std::runtime_error(path + ": not a block trace (want a \"" +
+                             kBlockTraceSignature + "\" header)");
   }
-  if (bytes.rfind(kTextSignature, 0) == 0) {
-    return parseText(path, bytes);
-  }
-  throw std::runtime_error(
-      path + ": not a block trace (want \"NWCB\" binary magic or a \"" +
-      kTextSignature + "\" header)");
-}
-
-bool isBlockTraceFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char head[32] = {};
-  in.read(head, sizeof(head));
-  const std::size_t got = static_cast<std::size_t>(in.gcount());
-  if (got >= sizeof(kBinaryMagic) &&
-      std::memcmp(head, kBinaryMagic, sizeof(kBinaryMagic)) == 0) {
-    return true;
-  }
-  const std::size_t sig_len = std::strlen(kTextSignature);
-  return got >= sig_len && std::memcmp(head, kTextSignature, sig_len) == 0;
+  return parseText(path, bytes);
 }
 
 BlockTraceStats summarizeBlockTrace(const BlockTrace& trace) {

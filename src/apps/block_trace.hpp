@@ -1,5 +1,5 @@
-// Recorded block-trace workloads: an in-memory representation, a compact
-// binary on-disk encoding (.nwcb), a human-editable text form, and the
+// Recorded block-trace workloads: an in-memory representation, its one
+// on-disk encoding (a committable, hand-editable text form), and the
 // deterministic synthetic generator that produces them.
 //
 // A trace is a set of per-client request streams. Each request names an
@@ -16,6 +16,15 @@
 #include <vector>
 
 namespace nwc::apps {
+
+/// First line of every block-trace file.
+inline constexpr const char* kBlockTraceSignature = "# nwc-block-trace-v1";
+
+/// Caps on what a trace file or a synthetic spec may declare, checked
+/// before anything is sized (docs/WORKLOADS.md).
+inline constexpr std::uint64_t kMaxBlockObjects = std::uint64_t{1} << 20;
+inline constexpr std::uint64_t kMaxBlockClients = std::uint64_t{1} << 16;
+inline constexpr std::uint64_t kMaxBlockOps = std::uint64_t{1} << 24;  // all clients
 
 /// One client request: wait `gap` ticks after the previous request's
 /// scheduled arrival, then read/write object `obj`.
@@ -53,8 +62,9 @@ struct SyntheticSpec {
   double think_mean = 2000.0;     // mean inter-arrival gap (ticks)
   std::uint64_t seed = 0x5eed;
 
-  /// Parses a spec with or without its "synth:" prefix. Unknown keys or
-  /// malformed values throw std::invalid_argument.
+  /// Parses a spec with or without its "synth:" prefix. Unknown keys,
+  /// malformed values and sizes past the kMaxBlock* caps (clients x ops
+  /// counts against kMaxBlockOps) throw std::invalid_argument.
   static SyntheticSpec parse(const std::string& spec);
 
   /// Canonical "synth:..." spelling (every knob, fixed order) — equal specs
@@ -67,21 +77,14 @@ struct SyntheticSpec {
 /// depends only on (spec, scale), never on thread count or host state.
 BlockTrace generateBlockTrace(const SyntheticSpec& spec, double scale = 1.0);
 
-/// Binary encoding (.nwcb: "NWCB" magic, varint-packed). Throws
-/// std::runtime_error on I/O failure.
+/// Writes the text encoding (kBlockTraceSignature header; one
+/// "gap obj r|w" line per op). Throws std::runtime_error on I/O failure.
 void writeBlockTrace(const std::string& path, const BlockTrace& trace);
 
-/// Text encoding ("# nwc-block-trace-v1" header; one "gap obj r|w" line
-/// per op) — committable and hand-editable.
-void writeBlockTraceText(const std::string& path, const BlockTrace& trace);
-
-/// Reads either encoding (sniffed from the file's first bytes). Throws
-/// std::runtime_error on I/O failure or a malformed trace.
+/// Reads a trace written by writeBlockTrace (or by hand). Throws
+/// std::runtime_error on I/O failure, a missing header, a malformed body or
+/// a declared size past the kMaxBlock* caps.
 BlockTrace readBlockTrace(const std::string& path);
-
-/// True when the file starts with one of the block-trace signatures.
-/// (Cheap: reads only the header, never the body.)
-bool isBlockTraceFile(const std::string& path);
 
 /// Summary statistics for tools (nwctrace info/stat).
 struct BlockTraceStats {

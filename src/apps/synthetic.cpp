@@ -106,8 +106,12 @@ std::string workloadSpecError(const std::string& spec) {
   if (spec.rfind("trace:", 0) == 0) {
     const std::string path = spec.substr(6);
     if (path.empty()) return "trace: spec wants a path";
-    if (!isBlockTraceFile(path)) {
-      return path + ": not a readable block trace";
+    // The whole file is parsed, so a grid never runs cells before a bad
+    // trace stops it.
+    try {
+      (void)readBlockTrace(path);
+    } catch (const std::runtime_error& ex) {
+      return ex.what();
     }
     return {};
   }

@@ -11,7 +11,7 @@
 // Workload specs: anywhere an application name is accepted, two extra
 // spellings select non-kernel sources:
 //   synth[:k=v;k=v...]   deterministic synthetic block workload
-//   trace:PATH           recorded block trace (binary .nwcb or text)
+//   trace:PATH           recorded block trace (the text form nwcgen writes)
 // See docs/WORKLOADS.md for the knobs and trace format.
 #pragma once
 

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <new>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -16,17 +15,6 @@
 #include "util/host.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
-
-namespace {
-
-// Allocation counters are thread-local PODs bumped by the operator-new
-// replacement at the bottom of this file. They count unconditionally (the
-// bump is ~1ns and contention-free) so the "profiling disabled performs
-// zero allocations" property is itself testable.
-thread_local std::uint64_t tls_alloc_count = 0;
-thread_local std::uint64_t tls_alloc_bytes = 0;
-
-}  // namespace
 
 namespace nwc::obs::prof {
 
@@ -244,8 +232,8 @@ Scope::Scope(const char* name) : live_(enabled()) {
   f.path_len = ts.path.size();
   if (!ts.path.empty()) ts.path += '/';
   ts.path += name;
-  f.alloc0 = tls_alloc_count;
-  f.bytes0 = tls_alloc_bytes;
+  f.alloc0 = threadAllocCount();
+  f.bytes0 = threadAllocBytes();
   f.t0_ns = nowNs();
   ts.stack.push_back(f);
 }
@@ -259,8 +247,8 @@ Scope::~Scope() {
   Acc a;
   a.ns = t1 - f.t0_ns;
   a.count = 1;
-  a.allocs = tls_alloc_count - f.alloc0;
-  a.bytes = tls_alloc_bytes - f.bytes0;
+  a.allocs = threadAllocCount() - f.alloc0;
+  a.bytes = threadAllocBytes() - f.bytes0;
   {
     std::lock_guard<std::mutex> lk(ts.mu);
     ts.acc[ts.path] += a;
@@ -291,9 +279,6 @@ void notePool(unsigned threads, std::uint64_t lifetime_ns, std::uint64_t busy_ns
   s.tasks = tasks;
   poolObserver(s);
 }
-
-std::uint64_t threadAllocCount() { return tls_alloc_count; }
-std::uint64_t threadAllocBytes() { return tls_alloc_bytes; }
 
 double Report::poolUtilization() const {
   if (pool_lifetime_ns == 0) return 0.0;
@@ -368,57 +353,3 @@ void writeReport(const std::string& path) {
 }
 
 }  // namespace nwc::obs::prof
-
-// --- allocation counting -----------------------------------------------
-//
-// Replace the malloc-backed global operator-new forms with counting
-// versions, and the matching operator-delete forms with free() so the
-// new/delete pairing is explicit (GCC's -Wmismatched-new-delete otherwise
-// flags a replaced new paired with the library delete). Aligned-new forms
-// are not replaced (their default implementations pair among themselves),
-// so over-aligned allocations simply go uncounted.
-
-namespace {
-
-void* countedAlloc(std::size_t n) noexcept {
-  for (;;) {
-    void* p = std::malloc(n != 0 ? n : 1);
-    if (p != nullptr) {
-      ++tls_alloc_count;
-      tls_alloc_bytes += n;
-      return p;
-    }
-    std::new_handler h = std::get_new_handler();
-    if (h == nullptr) return nullptr;
-    h();
-  }
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  void* p = countedAlloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t n) {
-  void* p = countedAlloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return countedAlloc(n);
-}
-
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return countedAlloc(n);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }

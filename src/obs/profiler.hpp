@@ -15,9 +15,9 @@
 //    one relaxed atomic load and performs no allocation. Enabling changes
 //    nothing about simulated results — profiling reads host clocks only —
 //    so simulated outputs are byte-identical with profiling on or off.
-//  - Allocation counters: global operator new is replaced (malloc + a
-//    thread-local counter bump, ~1ns) so each phase reports how many
-//    heap allocations happened inside it.
+//  - Allocation counters: global operator new is replaced in
+//    obs/alloc_count.cpp (malloc + a thread-local counter bump, ~1ns) so
+//    each phase reports how many heap allocations happened inside it.
 //  - Worker utilization: each util::ParallelExecutor loop reports
 //    busy/lifetime/task totals through an observer installed by enable();
 //    the report carries worker busy vs idle time as the `pool` section.

@@ -1,6 +1,5 @@
 #include "obs/registry.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -8,17 +7,6 @@
 #include "util/json.hpp"
 
 namespace nwc::obs {
-
-namespace {
-
-// Shortest round-trip formatting so equal doubles export as equal bytes.
-std::string fmtDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 const char* toString(InstrumentKind k) {
   switch (k) {
@@ -144,35 +132,6 @@ std::string MetricsRegistry::toJson() const {
   return root.str();
 }
 
-std::string MetricsRegistry::toCsv() const {
-  std::string out = "name,kind,value\n";
-  auto row = [&out](const std::string& name, const char* kind, const std::string& v) {
-    out += name;
-    out += ',';
-    out += kind;
-    out += ',';
-    out += v;
-    out += '\n';
-  };
-  for (const auto& [name, i] : instruments_) {
-    switch (i.kind) {
-      case InstrumentKind::kCounter:
-        row(name, "counter", std::to_string(i.counter));
-        break;
-      case InstrumentKind::kGauge:
-        row(name, "gauge", fmtDouble(i.gauge));
-        break;
-      case InstrumentKind::kHistogram:
-        row(name + ".count", "histogram", std::to_string(i.hist.count));
-        row(name + ".p50", "histogram", std::to_string(i.hist.p50));
-        row(name + ".p90", "histogram", std::to_string(i.hist.p90));
-        row(name + ".p99", "histogram", std::to_string(i.hist.p99));
-        break;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 void writeFile(const std::string& path, const std::string& content) {
@@ -186,10 +145,6 @@ void writeFile(const std::string& path, const std::string& content) {
 
 void MetricsRegistry::writeJson(const std::string& path) const {
   writeFile(path, toJson() + "\n");
-}
-
-void MetricsRegistry::writeCsv(const std::string& path) const {
-  writeFile(path, toCsv());
 }
 
 void publish(MetricsRegistry& reg, const std::string& prefix, const sim::FifoServer& s) {

@@ -3,7 +3,7 @@
 // Every component (optical ring, NWCache interface, mesh, buses, disks,
 // swap/fault paths, TLBs) publishes named instruments into one registry at
 // the end of a run via its `publishMetrics()` method; the registry exports
-// the whole catalog as JSON and CSV next to the run's other outputs.
+// the whole catalog as JSON next to the run's other outputs.
 // Publication is a snapshot — components keep their cheap private counters
 // on the hot path and copy them out once, so the instrumentation costs
 // nothing while the simulation runs.
@@ -66,11 +66,7 @@ class MetricsRegistry {
   /// (instruments in name order) so equal runs produce identical bytes.
   std::string toJson() const;
 
-  /// Flat rows "name,kind,value"; histograms expand to .count/.p50/.p90/.p99.
-  std::string toCsv() const;
-
   void writeJson(const std::string& path) const;  // throws on I/O failure
-  void writeCsv(const std::string& path) const;
 
  private:
   struct Instrument {

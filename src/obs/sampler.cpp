@@ -1,6 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <cassert>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -179,30 +178,6 @@ std::string Sampler::toJson() const {
   return root.str();
 }
 
-std::string Sampler::toCsv() const {
-  std::string out = "tick";
-  for (std::size_t i = 0; i < kNumTracks; ++i) {
-    out += ',';
-    out += toString(static_cast<Track>(i));
-  }
-  out += '\n';
-  // Every track samples in lockstep with the same cap, so decimation keeps
-  // identical timestamps across tracks and rows zip cleanly.
-  const std::size_t rows = tracks_[0].size();
-  for (std::size_t i = 1; i < kNumTracks; ++i) {
-    assert(tracks_[i].size() == rows);
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    out += std::to_string(tracks_[0].points()[r].first);
-    for (std::size_t i = 0; i < kNumTracks; ++i) {
-      out += ',';
-      out += fmtDouble(tracks_[i].points()[r].second);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 namespace {
 
 void writeFile(const std::string& path, const std::string& content) {
@@ -217,8 +192,6 @@ void writeFile(const std::string& path, const std::string& content) {
 void Sampler::writeJson(const std::string& path) const {
   writeFile(path, toJson() + "\n");
 }
-
-void Sampler::writeCsv(const std::string& path) const { writeFile(path, toCsv()); }
 
 void Sampler::publishMetrics(MetricsRegistry& reg) const {
   reg.counter("sampler.samples", samples_);

@@ -11,8 +11,8 @@
 // gauges land there as counter samples and each health onset/clear as an
 // instant: the timeline has no other source of counter tracks.
 //
-// The whole series exports as a `nwc-timeseries-v1` JSON (and sibling CSV)
-// artifact — deterministic bytes: samples are taken at simulated ticks, so
+// The whole series exports as a `nwc-timeseries-v1` JSON artifact —
+// deterministic bytes: samples are taken at simulated ticks, so
 // the export is identical at any `--jobs=` value. Like every obs sink, the
 // sampler is pay-for-use: a machine without one attached spends a single
 // pointer check per run (the daemon is never spawned).
@@ -95,12 +95,7 @@ class Sampler {
   /// (per-detector counts, bounded event log, verdict). Deterministic bytes.
   std::string toJson() const;
 
-  /// "tick,<track>,..." rows; all tracks sample in lockstep so decimation
-  /// keeps their timestamps aligned.
-  std::string toCsv() const;
-
   void writeJson(const std::string& path) const;  // throws on I/O failure
-  void writeCsv(const std::string& path) const;
 
   /// `sampler.samples` / `sampler.interval_pcycles` plus the health catalog.
   void publishMetrics(MetricsRegistry& reg) const;

@@ -104,7 +104,7 @@ TEST(BatchSpec, RejectsUnknownKeysByName) {
   // A typo and keys of options that no longer exist must not be silently
   // ignored: the error names the offending key.
   for (const std::string key :
-       {"sim_treads", "sim_threads", "trace_dir", "trace_mode", "status", "resume"}) {
+       {"sim_treads", "sim_threads", "trace_dir", "trace_mode", "status", "resume", "csv"}) {
     try {
       BatchSpec::fromIni(util::IniFile::parse("[batch]\napps = sor\n" + key + " = 4\n"));
       ADD_FAILURE() << "accepted [batch] " << key;
@@ -115,12 +115,11 @@ TEST(BatchSpec, RejectsUnknownKeysByName) {
 }
 
 TEST(BatchRun, ExecutesGridAndWritesOutputs) {
-  const std::string csv = "/tmp/nwc_batch_test.csv";
   const std::string jsonl = "/tmp/nwc_batch_test.jsonl";
   auto spec = BatchSpec::fromIni(util::IniFile::parse(
       "[machine]\nmemory_per_node = 32768\n"
       "[batch]\napps = radix\nsystems = standard, nwcache\nprefetch = optimal\n"
-      "scale = 0.1\ncsv = " + csv + "\njsonl = " + jsonl + "\n"));
+      "scale = 0.1\njsonl = " + jsonl + "\n"));
   std::ostringstream progress;
   spec.grid.progress = &progress;
   const BatchResult res = runBatch(spec);
@@ -128,15 +127,15 @@ TEST(BatchRun, ExecutesGridAndWritesOutputs) {
   EXPECT_TRUE(res.all_ok);
   EXPECT_NE(progress.str().find("[2/2]"), std::string::npos);
 
-  // Both output files have one line per run (+ CSV header).
-  std::ifstream c(csv), j(jsonl);
+  // One line per run, in grid order: the cell index, then the summary.
+  std::ifstream j(jsonl);
   std::string line;
-  int csv_lines = 0, jsonl_lines = 0;
-  while (std::getline(c, line)) ++csv_lines;
-  while (std::getline(j, line)) ++jsonl_lines;
-  EXPECT_EQ(csv_lines, 3);
-  EXPECT_EQ(jsonl_lines, 2);
-  std::remove(csv.c_str());
+  for (std::size_t i = 0; i < res.runs.size(); ++i) {
+    ASSERT_TRUE(std::getline(j, line));
+    EXPECT_EQ(line, "{\"cell\":" + std::to_string(i) + "," +
+                        summaryJson(res.runs[i], spec.grid.scale).substr(1));
+  }
+  EXPECT_FALSE(std::getline(j, line));
   std::remove(jsonl.c_str());
 }
 
@@ -164,15 +163,13 @@ TEST(BatchRun, ParallelMatchesSerialByteForByte) {
       "[machine]\nmemory_per_node = 32768\n"
       "[batch]\napps = radix, sor\nsystems = standard, nwcache\n"
       "prefetch = optimal\nseeds = 1, 2\nscale = 0.05\n";
-  const std::string csv1 = "/tmp/nwc_batch_j1.csv";
   const std::string jsonl1 = "/tmp/nwc_batch_j1.jsonl";
-  const std::string csv4 = "/tmp/nwc_batch_j4.csv";
   const std::string jsonl4 = "/tmp/nwc_batch_j4.jsonl";
 
   auto serial = BatchSpec::fromIni(util::IniFile::parse(
-      spec_text + "jobs = 1\ncsv = " + csv1 + "\njsonl = " + jsonl1 + "\n"));
+      spec_text + "jobs = 1\njsonl = " + jsonl1 + "\n"));
   auto parallel = BatchSpec::fromIni(util::IniFile::parse(
-      spec_text + "jobs = 4\ncsv = " + csv4 + "\njsonl = " + jsonl4 + "\n"));
+      spec_text + "jobs = 4\njsonl = " + jsonl4 + "\n"));
 
   const BatchResult r1 = runBatch(serial);
   const BatchResult r4 = runBatch(parallel);
@@ -183,10 +180,9 @@ TEST(BatchRun, ParallelMatchesSerialByteForByte) {
               summaryJson(r4.runs[i], parallel.grid.scale))
         << "summaries diverge at grid index " << i;
   }
-  EXPECT_EQ(slurp(csv1), slurp(csv4));
   EXPECT_EQ(slurp(jsonl1), slurp(jsonl4));
-  EXPECT_FALSE(slurp(csv1).empty());
-  for (const auto& p : {csv1, jsonl1, csv4, jsonl4}) std::remove(p.c_str());
+  EXPECT_FALSE(slurp(jsonl1).empty());
+  for (const auto& p : {jsonl1, jsonl4}) std::remove(p.c_str());
 }
 
 TEST(RunGrid, MetricsDirWritesOneRegistryPerCellAtAnyJobCount) {
@@ -240,8 +236,8 @@ TEST(RunGrid, MetricsDirWritesOneRegistryPerCellAtAnyJobCount) {
 }
 
 // Runs a one-cell radix grid with jobs = 1, so the cell executes on the
-// calling thread; returns the cell's CSV row.
-std::vector<std::string> serialRadixRow(const std::string& machine_keys) {
+// calling thread; returns the cell's JSON summary.
+std::string serialRadixSummary(const std::string& machine_keys) {
   const auto spec = BatchSpec::fromIni(util::IniFile::parse(
       "[machine]\n" + machine_keys +
       "[batch]\napps = radix\nsystems = nwcache\nprefetch = optimal\n"
@@ -249,8 +245,7 @@ std::vector<std::string> serialRadixRow(const std::string& machine_keys) {
   const BatchResult res = runBatch(spec);
   EXPECT_EQ(res.runs.size(), 1u);
   EXPECT_TRUE(res.all_ok);
-  return res.runs.empty() ? std::vector<std::string>{}
-                          : summaryCsvRow(res.runs[0], spec.grid.scale);
+  return res.runs.empty() ? std::string{} : summaryJson(res.runs[0], spec.grid.scale);
 }
 
 TEST(BatchRun, NoStateLeaksBetweenMachinesOnOneWorker) {
@@ -259,11 +254,11 @@ TEST(BatchRun, NoStateLeaksBetweenMachinesOnOneWorker) {
   // 8-node cell, a 32-node cell, then the first cell again: the repeat must
   // match the first run, and a run alone on a fresh thread.
   const std::string paging = "nodes = 8\nmemory_per_node = 16384\n";
-  const std::vector<std::string> first = serialRadixRow(paging);
-  const std::vector<std::string> wide = serialRadixRow("nodes = 32\n");
-  const std::vector<std::string> repeat = serialRadixRow(paging);
-  std::vector<std::string> alone;
-  std::thread([&] { alone = serialRadixRow(paging); }).join();
+  const std::string first = serialRadixSummary(paging);
+  const std::string wide = serialRadixSummary("nodes = 32\n");
+  const std::string repeat = serialRadixSummary(paging);
+  std::string alone;
+  std::thread([&] { alone = serialRadixSummary(paging); }).join();
   ASSERT_FALSE(first.empty());
   EXPECT_NE(first, wide);
   EXPECT_EQ(repeat, first);
@@ -292,12 +287,6 @@ TEST(SummaryJson, ContainsKeyFields) {
   EXPECT_NE(j.find("\"system\":\"nwcache\""), std::string::npos);
   EXPECT_NE(j.find("\"exec_pcycles\":"), std::string::npos);
   EXPECT_NE(j.find("\"verified\":true"), std::string::npos);
-}
-
-TEST(SummaryCsv, HeaderMatchesRowWidth) {
-  machine::MachineConfig cfg;
-  const RunSummary s = runApp(cfg, "radix", 0.05);
-  EXPECT_EQ(summaryCsvHeader().size(), summaryCsvRow(s, 0.05).size());
 }
 
 }  // namespace

@@ -208,11 +208,19 @@ TEST(Sampler, ExportRoundTripsAndMirrorsHealthOntoTimeline) {
   EXPECT_EQ(health.at("events").array[0].at("detector").string, "nack_storm");
   EXPECT_EQ(health.at("events").array[0].at("kind").string, "onset");
 
-  // CSV: header + one row per sample, tracks in catalog order.
-  const std::string csv = sampler.toCsv();
-  EXPECT_NE(csv.find("tick,vm.free_frames,"), std::string::npos);
-  EXPECT_NE(csv.find("\n0,"), std::string::npos);
-  EXPECT_NE(csv.find("\n1000,7,"), std::string::npos);
+  // Tracks in catalog order, each with one [tick,value] point per sample
+  // at the same ticks.
+  const auto& tracks_json = doc.at("tracks").object;
+  EXPECT_EQ(tracks_json.front().first, "vm.free_frames");
+  for (const auto& [name, track] : tracks_json) {
+    const auto& pts = track.at("points").array;
+    ASSERT_EQ(pts.size(), 2u) << name;
+    EXPECT_EQ(pts[0].array.at(0).number, 0.0) << name;
+    EXPECT_EQ(pts[1].array.at(0).number, 1000.0) << name;
+  }
+  const auto& free_pts = doc.at("tracks").at("vm.free_frames").at("points").array;
+  EXPECT_EQ(free_pts[0].array.at(1).number, 0.0);
+  EXPECT_EQ(free_pts[1].array.at(1).number, 7.0);
 }
 
 TEST(EventTimeline, DropsAreCountedPerLayer) {
@@ -297,7 +305,7 @@ TEST(SamplerDeterminism, ParallelRunsMatchSerial) {
     apps::ObsSinks sinks;
     sinks.sampler = &sampler;
     apps::runApp(cfg, "radix", scale, sinks);
-    return sampler.toJson() + "\n---\n" + sampler.toCsv();
+    return sampler.toJson();
   };
 
   const std::string serial = exportJson();

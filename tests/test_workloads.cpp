@@ -99,6 +99,25 @@ TEST(SyntheticSpecParse, RejectsMalformedSpecs) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
   }
+  // Sizes past the caps fail naming the field instead of dying in
+  // max_size() or bad_alloc.
+  for (const char* kv : {"objects=18446744073709551615", "objects=1048577",
+                         "clients=65537", "clients=99999999999999",
+                         "ops=16777217", "clients=32;ops=524289"}) {
+    const std::string body(kv);
+    const std::string last = body.substr(body.rfind(';') + 1);
+    const std::string key = last.substr(0, last.find('='));
+    try {
+      (void)SyntheticSpec::parse("synth:" + body);
+      ADD_FAILURE() << kv << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // The caps admit the largest specs in use (the blockserve-zipf benchmark).
+  EXPECT_NO_THROW((void)SyntheticSpec::parse("synth:clients=32;objects=8192;ops=6000"));
+  EXPECT_NO_THROW((void)SyntheticSpec::parse(
+      "synth:objects=1048576;clients=65536;ops=256"));
 }
 
 TEST(WorkloadSpecs, SpecErrorClassifiesAllKinds) {
@@ -232,9 +251,9 @@ TEST(ZipfianSampler, GuideTableMatchesBinarySearch) {
 
 // --- encodings ------------------------------------------------------------
 
-TEST(BlockTraceFormat, BinaryRoundTrips) {
+TEST(BlockTraceFormat, TextRoundTrips) {
   const BlockTrace t = generateBlockTrace(smallSpec());
-  const std::string path = "/tmp/nwc_block_roundtrip.nwcb";
+  const std::string path = "/tmp/nwc_block_roundtrip.nwcbt";
   writeBlockTrace(path, t);
   const BlockTrace rt = readBlockTrace(path);
   EXPECT_EQ(rt.objects, t.objects);
@@ -247,42 +266,50 @@ TEST(BlockTraceFormat, BinaryRoundTrips) {
       EXPECT_EQ(rt.clients[c][i].write, t.clients[c][i].write);
     }
   }
-  EXPECT_TRUE(isBlockTraceFile(path));
+  EXPECT_TRUE(workloadSpecError("trace:" + path).empty());
 }
 
-TEST(BlockTraceFormat, TextRoundTrips) {
-  const BlockTrace t = generateBlockTrace(smallSpec());
-  const std::string path = "/tmp/nwc_block_roundtrip.nwcbt";
-  writeBlockTraceText(path, t);
-  const BlockTrace rt = readBlockTrace(path);
-  EXPECT_EQ(rt.objects, t.objects);
-  EXPECT_EQ(rt.totalOps(), t.totalOps());
-  std::uint64_t gaps_a = 0, gaps_b = 0;
-  for (const auto& c : t.clients)
-    for (const auto& op : c) gaps_a += op.gap;
-  for (const auto& c : rt.clients)
-    for (const auto& op : c) gaps_b += op.gap;
-  EXPECT_EQ(gaps_a, gaps_b);
-  EXPECT_TRUE(isBlockTraceFile(path));
+// readBlockTrace must throw for `content`, with `want` in the message, and
+// a "trace:" spec naming the file must fail the up-front spec check alike.
+void expectRejected(const std::string& content, const std::string& want) {
+  const std::string path = "/tmp/nwc_block_corrupt.nwcbt";
+  std::ofstream(path, std::ios::binary) << content;
+  try {
+    (void)readBlockTrace(path);
+    ADD_FAILURE() << "accepted: " << content.substr(0, 80);
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+  const std::string err = workloadSpecError("trace:" + path);
+  EXPECT_NE(err.find(want), std::string::npos) << err;
 }
 
 TEST(BlockTraceFormat, RejectsCorruptFiles) {
   const BlockTrace t = generateBlockTrace(smallSpec());
-  const std::string path = "/tmp/nwc_block_corrupt.nwcb";
+  const std::string path = "/tmp/nwc_block_corrupt.nwcbt";
   writeBlockTrace(path, t);
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   in.close();
-  // Truncation mid-stream must throw, not silently shorten the trace.
-  std::ofstream(path, std::ios::binary)
-      << bytes.substr(0, bytes.size() / 2);
-  EXPECT_THROW((void)readBlockTrace(path), std::runtime_error);
-  // Arbitrary non-trace content is rejected up front.
-  std::ofstream(path, std::ios::binary) << "not a trace at all";
-  EXPECT_THROW((void)readBlockTrace(path), std::runtime_error);
-  EXPECT_FALSE(isBlockTraceFile(path));
-  EXPECT_THROW((void)readBlockTrace("/no/such/file.nwcb"), std::runtime_error);
+  // Truncation mid-stream must throw, not silently shorten the trace: cut
+  // after the tenth op line of client 1.
+  std::size_t cut = bytes.find("client 1 ");
+  for (int i = 0; i < 11; ++i) cut = bytes.find('\n', cut) + 1;
+  expectRejected(bytes.substr(0, cut), "truncated op list");
+  // Arbitrary non-trace content, and the retired binary encoding, are
+  // rejected up front, naming the header a trace must start with.
+  expectRejected("not a trace at all", "# nwc-block-trace-v1");
+  expectRejected(std::string("NWCB\x01\x10\x01\x01\x02\x03", 10),
+                 "# nwc-block-trace-v1");
+  EXPECT_THROW((void)readBlockTrace("/no/such/file.nwcbt"), std::runtime_error);
+  // Declared sizes past the caps fail naming the field, before anything is
+  // sized from them (these used to die in bad_alloc or max_size()).
+  const std::string head = "# nwc-block-trace-v1\n";
+  expectRejected(head + "objects 18446744073709551615\nclients 1\n", "objects");
+  expectRejected(head + "objects 16\nclients 99999999999999\n", "clients");
+  expectRejected(head + "objects 16\nclients 1\nclient 0 999999999999999\n",
+                 "client 0 declares");
 }
 
 // --- end-to-end serving ---------------------------------------------------
@@ -312,7 +339,7 @@ TEST(BlockServe, DeterministicAcrossRepeatRuns) {
 
 TEST(BlockServe, FileServeMatchesLiveGeneration) {
   const std::string spec = "synth:clients=4;objects=512;ops=200;seed=7";
-  const std::string path = "/tmp/nwc_block_serve.nwcb";
+  const std::string path = "/tmp/nwc_block_serve.nwcbt";
   writeBlockTrace(path, generateBlockTrace(SyntheticSpec::parse(spec)));
   const auto cfg = smallConfig(machine::SystemKind::kNWCache);
   ObsSinks sinks;

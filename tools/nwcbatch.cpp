@@ -14,15 +14,14 @@
 //   seeds = 1, 2, 3
 //   scale = 1.0
 //   jobs = 4          # worker threads; 0 (the default) = all cores
-//   csv = grid.csv
 //   jsonl = grid.jsonl
 //   meta_dir = meta   # one run_meta.json per grid cell
 //   heartbeat_secs = 2  # heartbeat cadence on stderr; 0 disables
 //
 // Grid cells are independent simulations; apps::runGrid runs them
-// concurrently on --jobs threads (default: all cores) with results — table,
-// CSV, JSONL — byte-identical at any job count. The CSV and JSONL are
-// written once, after the whole grid has run.
+// concurrently on --jobs threads (default: all cores) with results — table
+// and JSONL — byte-identical at any job count. The JSONL is written once,
+// after the whole grid has run.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
                     "  --heartbeat=SECS  heartbeat cadence on stderr (0 = off)\n"
                     "  --sample-interval=N  pcycles between telemetry samples\n"
                     "                    (0 = off; overrides batch.sample_interval)\n"
-                    "  --sample-dir=DIR  one nwc-timeseries-v1 JSON + CSV per cell\n"
+                    "  --sample-dir=DIR  one nwc-timeseries-v1 JSON per cell\n"
                     "  --profile=FILE    profile the simulator itself: write an\n"
                     "                    nwc-profile-v1 JSON report at exit;\n"
                     "                    grid results are unchanged\n",
@@ -128,7 +127,6 @@ int main(int argc, char** argv) {
                 s.ok() ? "yes" : "NO"});
     }
     t.print(std::cout);
-    if (!spec.csv_path.empty()) std::printf("csv: %s\n", spec.csv_path.c_str());
     if (!spec.jsonl_path.empty()) std::printf("jsonl: %s\n", spec.jsonl_path.c_str());
     if (!grid.meta_dir.empty()) std::printf("meta: %s\n", grid.meta_dir.c_str());
     if (!grid.sample_dir.empty()) std::printf("samples: %s\n", grid.sample_dir.c_str());

@@ -1,9 +1,9 @@
 // nwcgen: generate a deterministic synthetic block trace and write it in
-// the .nwcb binary (default) or text encoding. The output replays through
+// the block-trace text encoding. The output replays through
 // nwcsim/nwcbatch/benches as "trace:FILE" and inspects with nwctrace.
 //
-//   nwcgen --spec='synth:clients=8;objects=4096;ops=2000' --out=wl.nwcb
-//   nwcgen --spec=synth --scale=0.1 --text --out=wl.nwcbt
+//   nwcgen --spec='synth:clients=8;objects=4096;ops=2000' --out=wl.nwcbt
+//   nwcgen --spec=synth --scale=0.1 --out=wl.nwcbt
 //
 // Generation is a pure function of (--spec, --scale): re-running the same
 // command yields a byte-identical file on any host at any thread count.
@@ -15,6 +15,7 @@
 #include <string>
 
 #include "apps/block_trace.hpp"
+#include "util/ini.hpp"
 
 namespace {
 
@@ -26,8 +27,8 @@ namespace {
       "                 clients, objects, ops, read_ratio, zipf_theta,\n"
       "                 burst_prob, burst_len, diurnal_amp, diurnal_period,\n"
       "                 think_mean, seed (defaults: see docs/WORKLOADS.md)\n"
-      "  --scale=F      shrink per-client op counts, like nwcsim --scale=\n"
-      "  --text         write the text encoding instead of .nwcb binary\n"
+      "  --scale=F      shrink per-client op counts: a number in (0,1],\n"
+      "                 like nwcsim --scale=\n"
       "  --quiet        suppress the summary line\n");
   std::exit(code);
 }
@@ -39,8 +40,7 @@ int main(int argc, char** argv) {
 
   std::string out_path;
   std::string spec = "synth";
-  double scale = 1.0;
-  bool text = false;
+  std::string scale_text = "1";
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -50,9 +50,7 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--spec=", 0) == 0) {
       spec = a.substr(7);
     } else if (a.rfind("--scale=", 0) == 0) {
-      scale = std::atof(a.c_str() + 8);
-    } else if (a == "--text") {
-      text = true;
+      scale_text = a.substr(8);
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--help" || a == "-h") {
@@ -63,19 +61,12 @@ int main(int argc, char** argv) {
     }
   }
   if (out_path.empty()) usage(2);
-  if (scale <= 0.0 || scale > 1.0) {
-    std::fprintf(stderr, "nwcgen: --scale must be in (0, 1]\n");
-    return 2;
-  }
 
   try {
+    const double scale = util::positiveFlag("--scale", scale_text, false, 1.0);
     const apps::SyntheticSpec s = apps::SyntheticSpec::parse(spec);
     const apps::BlockTrace t = apps::generateBlockTrace(s, scale);
-    if (text) {
-      apps::writeBlockTraceText(out_path, t);
-    } else {
-      apps::writeBlockTrace(out_path, t);
-    }
+    apps::writeBlockTrace(out_path, t);
     if (!quiet) {
       const apps::BlockTraceStats st = apps::summarizeBlockTrace(t);
       std::printf(

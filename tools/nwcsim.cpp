@@ -49,8 +49,7 @@ namespace {
       "                        --system/--prefetch pick the paper's best\n"
       "                        min_free_frames unless it is set here or in\n"
       "                        the --config file\n"
-      "  --metrics=FILE        export the instrument catalog as JSON (plus a\n"
-      "                        sibling .csv)\n"
+      "  --metrics=FILE        export the instrument catalog as JSON\n"
       "  --timeline=FILE       export a Chrome trace-event JSON timeline of\n"
       "                        every page event (load in Perfetto); with\n"
       "                        --sample= it also carries the occupancy\n"
@@ -59,8 +58,7 @@ namespace {
       "                        health or \"all\" (default all)\n"
       "  --timeline-cap=N      keep only the newest N timeline events\n"
       "  --sample=FILE         export periodic telemetry (tracks + health\n"
-      "                        verdict) as nwc-timeseries-v1 JSON, plus a\n"
-      "                        sibling .csv\n"
+      "                        verdict) as nwc-timeseries-v1 JSON\n"
       "  --sample-interval=N   pcycles between samples (default 50000)\n"
       "  --json                emit the run summary as JSON\n"
       "  --profile=FILE        profile the simulator itself: write an\n"
@@ -68,17 +66,6 @@ namespace {
       "                        Simulated results are unchanged.\n"
       "  --dump-config         print the effective config as INI and exit\n");
   std::exit(code);
-}
-
-// The flat CSV written beside a JSON export: out.json -> out.csv (or
-// path + ".csv").
-std::string siblingCsv(std::string path) {
-  if (path.size() > 5 && path.rfind(".json") == path.size() - 5) {
-    path.replace(path.size() - 5, 5, ".csv");
-  } else {
-    path += ".csv";
-  }
-  return path;
 }
 
 }  // namespace
@@ -217,10 +204,7 @@ int main(int argc, char** argv) {
     const apps::RunSummary s = apps::runApp(cfg, app, scale, sinks);
     {
       obs::prof::Scope export_scope("export");
-      if (!metrics_path.empty()) {
-        registry.writeJson(metrics_path);
-        registry.writeCsv(siblingCsv(metrics_path));
-      }
+      if (!metrics_path.empty()) registry.writeJson(metrics_path);
       if (!timeline_path.empty()) {
         std::ofstream out(timeline_path, std::ios::binary);
         if (!out) throw std::runtime_error("timeline: cannot open " + timeline_path);
@@ -229,10 +213,7 @@ int main(int argc, char** argv) {
           throw std::runtime_error("timeline: write failed for " + timeline_path);
         }
       }
-      if (!sample_path.empty()) {
-        sampler.writeJson(sample_path);
-        sampler.writeCsv(siblingCsv(sample_path));
-      }
+      if (!sample_path.empty()) sampler.writeJson(sample_path);
     }
     if (as_json) {
       std::printf("%s\n", apps::summaryJson(s, scale).c_str());

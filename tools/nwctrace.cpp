@@ -1,4 +1,4 @@
-// nwctrace: inspect block traces (.nwcb binary / text) written by nwcgen.
+// nwctrace: inspect block traces written by nwcgen (or by hand).
 //
 //   nwctrace info <trace>    object, client and op counts, span
 //   nwctrace stat <trace>    per-client read/write mix, est. zipf theta
@@ -62,7 +62,7 @@ int cmdBlockStat(const BlockTrace& t) {
 
 int main(int argc, char** argv) {
   const char* usage =
-      "usage: nwctrace info <trace>   (.nwcb binary or text block trace)\n"
+      "usage: nwctrace info <trace>   (a \"# nwc-block-trace-v1\" text file)\n"
       "       nwctrace stat <trace>\n";
   if (argc < 2) {
     std::fputs(usage, stderr);
