@@ -1,12 +1,16 @@
 #include "apps/block_trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/rand.hpp"
 
@@ -43,88 +47,109 @@ double parseF64(const std::string& spec, const std::string& key,
   }
 }
 
-std::string fmtF64(double v) {
+std::string fmtF64(double v, int digits = 6) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
   return buf;
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(path + ": cannot open block trace");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+// Splits `line` at runs of blanks into `tok`; returns how many tokens the
+// line holds, counting past tok.size() without storing the excess.
+template <std::size_t N>
+std::size_t splitTokens(std::string_view line, std::array<std::string_view, N>& tok) {
+  std::size_t n = 0;
+  std::size_t i = 0;
+  for (;;) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    if (i == line.size()) return n;
+    const std::size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    if (n < N) tok[n] = line.substr(start, i - start);
+    ++n;
+  }
 }
 
-BlockTrace parseText(const std::string& path, const std::string& bytes) {
-  std::istringstream in(bytes);
+// An unsigned decimal token with nothing else in it (no sign, no space).
+// Values past 2^64 - 1 saturate there, so they fail the caps by name.
+bool parseCount(std::string_view s, std::uint64_t& v) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ptr != end || s.empty()) return false;
+  if (ec == std::errc::result_out_of_range) {
+    v = std::numeric_limits<std::uint64_t>::max();
+    return true;
+  }
+  return ec == std::errc{};
+}
+
+// Parses everything after the signature line, one line at a time.
+BlockTrace parseText(const std::string& path, std::istream& in) {
   std::string line;
+  std::array<std::string_view, 3> tok;
+  std::size_t ntok = 0;
   auto fail = [&](const std::string& why) -> void {
     throw std::runtime_error(path + ": malformed block trace (" + why + ")");
   };
+  // Advances to the next line that is neither blank nor a comment.
   auto nextLine = [&]() -> bool {
     while (std::getline(in, line)) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty() || line[0] == '#') continue;
+      ntok = splitTokens(line, tok);
       return true;
     }
     return false;
   };
+  // A "keyword N" header line.
+  auto header = [&](const char* kw, std::uint64_t& n) {
+    if (!nextLine()) fail(std::string("missing ") + kw + " line");
+    if (ntok != 2 || tok[0] != kw || !parseCount(tok[1], n)) {
+      fail(std::string("expected '") + kw + " N'");
+    }
+  };
   BlockTrace t;
   std::uint64_t nclients = 0;
-  {
-    if (!nextLine()) fail("missing objects line");
-    std::istringstream ls(line);
-    std::string kw;
-    if (!(ls >> kw >> t.objects) || kw != "objects") fail("expected 'objects N'");
-    if (t.objects > kMaxBlockObjects) {
-      fail("objects " + std::to_string(t.objects) + " exceeds the cap of " +
-           std::to_string(kMaxBlockObjects));
-    }
+  header("objects", t.objects);
+  if (t.objects > kMaxBlockObjects) {
+    fail("objects " + std::string(tok[1]) + " exceeds the cap of " +
+         std::to_string(kMaxBlockObjects));
   }
-  {
-    if (!nextLine()) fail("missing clients line");
-    std::istringstream ls(line);
-    std::string kw;
-    if (!(ls >> kw >> nclients) || kw != "clients") fail("expected 'clients N'");
-    if (nclients > kMaxBlockClients) {
-      fail("clients " + std::to_string(nclients) + " exceeds the cap of " +
-           std::to_string(kMaxBlockClients));
-    }
+  header("clients", nclients);
+  if (nclients > kMaxBlockClients) {
+    fail("clients " + std::string(tok[1]) + " exceeds the cap of " +
+         std::to_string(kMaxBlockClients));
   }
   t.clients.resize(nclients);
   std::uint64_t total_ops = 0;
   for (std::uint64_t c = 0; c < nclients; ++c) {
+    const std::string client = "client " + std::to_string(c);
     if (!nextLine()) fail("missing client header");
     std::uint64_t idx = 0, nops = 0;
-    {
-      std::istringstream ls(line);
-      std::string kw;
-      if (!(ls >> kw >> idx >> nops) || kw != "client" || idx != c) {
-        fail("expected 'client " + std::to_string(c) + " N'");
-      }
+    if (ntok != 3 || tok[0] != "client" || !parseCount(tok[1], idx) || idx != c ||
+        !parseCount(tok[2], nops)) {
+      fail("expected '" + client + " N'");
     }
     // The declared count is checked, never reserved: only the op lines
     // actually present are stored.
     if (nops > kMaxBlockOps - total_ops) {
-      fail("client " + std::to_string(c) + " declares " + std::to_string(nops) +
-           " ops; a trace holds at most " + std::to_string(kMaxBlockOps) +
-           " ops in all");
+      fail(client + " declares " + std::string(tok[2]) + " ops; a trace holds at most " +
+           std::to_string(kMaxBlockOps) + " ops in all");
     }
     total_ops += nops;
     auto& ops = t.clients[c];
     for (std::uint64_t i = 0; i < nops; ++i) {
       if (!nextLine()) fail("truncated op list");
-      std::istringstream ls(line);
-      BlockOp op;
-      std::string rw;
-      if (!(ls >> op.gap >> op.obj >> rw) || (rw != "r" && rw != "w")) {
-        fail("expected 'gap obj r|w'");
+      std::uint64_t gap = 0, obj = 0;
+      if (ntok != 3 || !parseCount(tok[0], gap) || !parseCount(tok[1], obj) ||
+          (tok[2] != "r" && tok[2] != "w")) {
+        fail(client + ": expected 'gap obj r|w', got '" + line + "'");
       }
-      if (op.obj >= t.objects) fail("object id out of range");
-      op.write = rw == "w";
-      ops.push_back(op);
+      if (gap > kMaxBlockGap) {
+        fail(client + ": gap " + std::string(tok[0]) + " exceeds the cap of " +
+             std::to_string(kMaxBlockGap) + " ticks");
+      }
+      if (obj >= t.objects) fail(client + ": object id out of range");
+      ops.push_back(BlockOp{gap, obj, tok[2] == "w"});
     }
   }
   if (nextLine()) fail("trailing lines");
@@ -198,6 +223,16 @@ SyntheticSpec SyntheticSpec::parse(const std::string& spec) {
     specError(spec, "diurnal_amp must be in [0, 1)");
   if (s.diurnal_period == 0) specError(spec, "diurnal_period must be >= 1");
   if (s.think_mean <= 0.0) specError(spec, "think_mean must be > 0");
+  // exponential() draws at most 36.74 x think_mean (-log of the smallest
+  // uniform, 2^-53), and the load curve divides a draw by at least
+  // 1 - diurnal_amp.
+  const double longest = 37.0 * s.think_mean / (1.0 - s.diurnal_amp);
+  if (longest > static_cast<double>(kMaxBlockGap)) {
+    specError(spec, "think_mean " + fmtF64(s.think_mean, 12) + " at diurnal_amp " +
+                        fmtF64(s.diurnal_amp, 12) + " can draw a gap of " +
+                        fmtF64(longest, 15) + " ticks; 37 x think_mean / (1 - diurnal_amp) " +
+                        "must not exceed " + std::to_string(kMaxBlockGap));
+  }
   return s;
 }
 
@@ -280,30 +315,43 @@ BlockTrace generateBlockTrace(const SyntheticSpec& spec, double scale) {
 }
 
 void writeBlockTrace(const std::string& path, const BlockTrace& trace) {
-  std::ostringstream out;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error(path + ": cannot write block trace");
   out << kBlockTraceSignature << "\n";
   out << "objects " << trace.objects << "\n";
   out << "clients " << trace.clients.size() << "\n";
+  // One "gap obj r|w" line per op, formatted in place: 20 digits at most
+  // per number.
+  char buf[48];
   for (std::size_t c = 0; c < trace.clients.size(); ++c) {
     out << "client " << c << " " << trace.clients[c].size() << "\n";
     for (const BlockOp& op : trace.clients[c]) {
-      out << op.gap << " " << op.obj << " " << (op.write ? "w" : "r") << "\n";
+      char* p = std::to_chars(buf, buf + 20, static_cast<std::uint64_t>(op.gap)).ptr;
+      *p++ = ' ';
+      p = std::to_chars(p, p + 20, static_cast<std::uint64_t>(op.obj)).ptr;
+      *p++ = ' ';
+      *p++ = op.write ? 'w' : 'r';
+      *p++ = '\n';
+      out.write(buf, p - buf);
     }
   }
-  const std::string s = out.str();
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f || !f.write(s.data(), static_cast<std::streamsize>(s.size()))) {
-    throw std::runtime_error(path + ": cannot write block trace");
-  }
+  out.close();
+  if (!out) throw std::runtime_error(path + ": cannot write block trace");
 }
 
 BlockTrace readBlockTrace(const std::string& path) {
-  const std::string bytes = readFile(path);
-  if (bytes.rfind(kBlockTraceSignature, 0) != 0) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error(path + ": cannot open block trace");
+  std::string head(std::char_traits<char>::length(kBlockTraceSignature), '\0');
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<std::size_t>(in.gcount()));
+  if (head != kBlockTraceSignature) {
     throw std::runtime_error(path + ": not a block trace (want a \"" +
                              kBlockTraceSignature + "\" header)");
   }
-  return parseText(path, bytes);
+  // The rest of the signature line is a comment.
+  in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  return parseText(path, in);
 }
 
 BlockTraceStats summarizeBlockTrace(const BlockTrace& trace) {

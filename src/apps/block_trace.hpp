@@ -25,14 +25,21 @@ inline constexpr const char* kBlockTraceSignature = "# nwc-block-trace-v1";
 inline constexpr std::uint64_t kMaxBlockObjects = std::uint64_t{1} << 20;
 inline constexpr std::uint64_t kMaxBlockClients = std::uint64_t{1} << 16;
 inline constexpr std::uint64_t kMaxBlockOps = std::uint64_t{1} << 24;  // all clients
+/// The longest gap, 2^40 - 1 ticks: the bound MachineConfig::validate puts
+/// on any derived delay.
+inline constexpr std::uint64_t kMaxBlockGap = (std::uint64_t{1} << 40) - 1;
 
 /// One client request: wait `gap` ticks after the previous request's
-/// scheduled arrival, then read/write object `obj`.
+/// scheduled arrival, then read/write object `obj`. Packed into one word,
+/// 8 bytes a request; the caps above keep every field in its bits.
 struct BlockOp {
-  std::uint64_t gap = 0;
-  std::uint64_t obj = 0;
-  bool write = false;
+  std::uint64_t gap : 43 = 0;
+  std::uint64_t obj : 20 = 0;
+  bool write : 1 = false;
 };
+static_assert(sizeof(BlockOp) == 8);
+static_assert(kMaxBlockGap < (std::uint64_t{1} << 43));
+static_assert(kMaxBlockObjects <= (std::uint64_t{1} << 20));
 
 struct BlockTrace {
   /// Object-id space: every op's obj is in [0, objects).
@@ -64,7 +71,9 @@ struct SyntheticSpec {
 
   /// Parses a spec with or without its "synth:" prefix. Unknown keys,
   /// malformed values and sizes past the kMaxBlock* caps (clients x ops
-  /// counts against kMaxBlockOps) throw std::invalid_argument.
+  /// counts against kMaxBlockOps; the largest gap a draw can produce,
+  /// 37 x think_mean / (1 - diurnal_amp), against kMaxBlockGap) throw
+  /// std::invalid_argument.
   static SyntheticSpec parse(const std::string& spec);
 
   /// Canonical "synth:..." spelling (every knob, fixed order) — equal specs
@@ -78,12 +87,14 @@ struct SyntheticSpec {
 BlockTrace generateBlockTrace(const SyntheticSpec& spec, double scale = 1.0);
 
 /// Writes the text encoding (kBlockTraceSignature header; one
-/// "gap obj r|w" line per op). Throws std::runtime_error on I/O failure.
+/// "gap obj r|w" line per op), streamed to the file. Throws
+/// std::runtime_error on I/O failure.
 void writeBlockTrace(const std::string& path, const BlockTrace& trace);
 
-/// Reads a trace written by writeBlockTrace (or by hand). Throws
-/// std::runtime_error on I/O failure, a missing header, a malformed body or
-/// a declared size past the kMaxBlock* caps.
+/// Reads a trace written by writeBlockTrace (or by hand), parsing the file
+/// line by line without holding its text. Throws std::runtime_error on I/O
+/// failure, a missing header, a malformed body or a declared size or gap
+/// past the kMaxBlock* caps.
 BlockTrace readBlockTrace(const std::string& path);
 
 /// Summary statistics for tools (nwctrace info/stat).

@@ -15,7 +15,7 @@ inline void Machine::commitResidentTouch(int cpu, sim::PageId page, vm::PageEntr
 
   if (!nc.tlb.lookup(page)) {
     nc.tlb_penalty += cfg_.tlb_miss_latency;
-    nc.tlb.insert(page);
+    tlbInsert(cpu, page, e);
   }
   if (e.home != sim::kNoNode) {
     nodes_[static_cast<std::size_t>(e.home)]->frames.touch(page);
@@ -132,7 +132,7 @@ sim::Task<> Machine::accessLoop(int cpu) {
           metrics_->cpu(cpu).tlb += cfg_.tlb_miss_latency;
           co_await eng_->delay(cfg_.tlb_miss_latency);
           if (pt_->entry(page).state != vm::PageState::kResident) continue;
-          nc.tlb.insert(page);
+          tlbInsert(cpu, page, e);
         }
 
         if (e.home != sim::kNoNode) {

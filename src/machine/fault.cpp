@@ -77,7 +77,7 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
     e.dirty = from_ring || from_remote || write;  // those copies never hit disk
     e.referenced = true;
     pt_->setState(page, PageState::kResident);
-    nc.tlb.insert(page);
+    tlbInsert(cpu, page, e);
 
     // Frame-reclaim stalls are reported as NoFree, not Fault.
     const sim::Tick f_end = eng_->now();

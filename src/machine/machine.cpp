@@ -184,8 +184,22 @@ std::string Machine::checkInvariants() const {
     }
   }
 
+  // TLB residency: bit n of a page's tlb_on is set exactly when node n's
+  // TLB holds the page.
+  std::vector<std::uint64_t> tlb_held(static_cast<std::size_t>(pt_->numPages()), 0);
+  for (int n = 0; n < cfg_.num_nodes; ++n) {
+    nodes_[static_cast<std::size_t>(n)]->tlb.forEach([&](sim::PageId p) {
+      tlb_held[static_cast<std::size_t>(p)] |= std::uint64_t{1} << n;
+    });
+  }
+
   for (std::int64_t p = 0; p < pt_->numPages(); ++p) {
     const vm::PageEntry& e = pt_->entry(p);
+    if (e.tlb_on != tlb_held[static_cast<std::size_t>(p)]) {
+      bad << "page " << p << ": tlb_on mask 0x" << std::hex << e.tlb_on
+          << " but the TLBs hold it on 0x" << tlb_held[static_cast<std::size_t>(p)]
+          << std::dec << "\n";
+    }
     const bool resident = e.state == vm::PageState::kResident;
     if (resident && e.home == sim::kNoNode) {
       bad << "page " << p << ": resident without a home node\n";

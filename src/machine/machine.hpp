@@ -265,6 +265,14 @@ class Machine {
   /// TLB, frame-LRU and page-entry bookkeeping of a resident reference
   /// (defined in access.cpp, the only caller).
   inline void commitResidentTouch(int cpu, sim::PageId page, vm::PageEntry& e, bool write);
+  /// Installs `page` in `cpu`'s TLB and keeps the TLB-residency masks
+  /// (vm::PageEntry::tlb_on) of it and of the entry it evicts exact.
+  void tlbInsert(int cpu, sim::PageId page, vm::PageEntry& e) {
+    const std::uint64_t bit = std::uint64_t{1} << cpu;
+    const sim::PageId victim = nodes_[static_cast<std::size_t>(cpu)]->tlb.insert(page);
+    if (victim != sim::kNoPage) pt_->entry(victim).tlb_on &= ~bit;
+    e.tlb_on |= bit;
+  }
 
   // -- fault path (fault.cpp) -------------------------------------------------
   sim::Task<> pageFault(int cpu, sim::PageId page, bool write);

@@ -39,8 +39,14 @@ void Machine::shootdown(sim::PageId page, sim::NodeId initiator) {
   if (etl_ != nullptr && etl_->enabled(obs::Layer::kTlb)) {
     etl_->instant(obs::Layer::kTlb, "tlb.shootdown", eng_->now(), initiator, page);
   }
+  // Only the TLBs in the page's residency mask hold its translation; every
+  // other node is still interrupted and charged for it.
+  vm::PageEntry& e = pt_->entry(page);
+  for (std::uint64_t mask = e.tlb_on; mask != 0; mask &= mask - 1) {
+    nodes_[static_cast<std::size_t>(std::countr_zero(mask))]->tlb.invalidate(page);
+  }
+  e.tlb_on = 0;
   for (int n = 0; n < cfg_.num_nodes; ++n) {
-    nodes_[static_cast<std::size_t>(n)]->tlb.invalidate(page);
     if (n != initiator) {
       nodes_[static_cast<std::size_t>(n)]->tlb_penalty += cfg_.interrupt_latency;
     }

@@ -29,11 +29,17 @@ class Tlb {
     return false;
   }
 
-  /// Installs a translation, evicting the LRU entry if full.
-  void insert(sim::PageId page) {
-    if (lru_.touch(page)) return;
-    if (lru_.size() >= entries_) lru_.erase(lru_.lru());
+  /// Installs a translation, evicting the LRU entry if full. Returns the
+  /// evicted page, or kNoPage when nothing was evicted.
+  sim::PageId insert(sim::PageId page) {
+    if (lru_.touch(page)) return sim::kNoPage;
+    sim::PageId victim = sim::kNoPage;
+    if (lru_.size() >= entries_) {
+      victim = lru_.lru();
+      lru_.erase(victim);
+    }
     lru_.pushMru(page);
+    return victim;
   }
 
   /// Drops a translation (TLB-shootdown on rights downgrade).
@@ -41,6 +47,12 @@ class Tlb {
   bool invalidate(sim::PageId page) { return lru_.erase(page); }
 
   void flush() { lru_.clear(); }
+
+  /// Calls `f(page)` for every cached translation, LRU first.
+  template <class F>
+  void forEach(F&& f) const {
+    lru_.forEach(f);
+  }
 
   int size() const { return lru_.size(); }
   int capacity() const { return entries_; }

@@ -71,6 +71,14 @@ class PageLruList {
     return true;
   }
 
+  /// Calls `f(page)` for every page, LRU first.
+  template <class F>
+  void forEach(F&& f) const {
+    for (int n = head_; n != kNil; n = nodes_[static_cast<std::size_t>(n)].next) {
+      f(nodes_[static_cast<std::size_t>(n)].page);
+    }
+  }
+
   /// Least-recently-used page; kNoPage when empty.
   PageId lru() const {
     return head_ == kNil ? kNoPage : nodes_[static_cast<std::size_t>(head_)].page;

@@ -35,11 +35,14 @@ struct alignas(32) PageEntry {
   PageEntry(sim::Engine& eng) : mutex(eng), changed(eng) {}
 
   PageState state = PageState::kDisk;
+  bool dirty = false;                        // modified since last disk copy
+  bool referenced = false;                   // has ever been faulted in
   sim::NodeId home = sim::kNoNode;           // holder node while kResident
   sim::NodeId last_translation = sim::kNoNode;  // last node that held it
   int ring_channel = -1;                     // channel while kRing
-  bool dirty = false;                        // modified since last disk copy
-  bool referenced = false;                   // has ever been faulted in
+  /// TLB-residency mask: bit n is set exactly while node n's TLB holds a
+  /// translation of this page, so a shootdown probes only those TLBs.
+  std::uint64_t tlb_on = 0;
   /// Residency mask: bit n is set once cpu n filled an L2 line of this page
   /// since its last eviction (L1 fills always go with an L2 access). Nodes
   /// outside the mask hold no line of the page in L1 or L2, so eviction

@@ -3,6 +3,7 @@
 // per-page residency masks that bound eviction-time cache invalidation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -495,6 +496,35 @@ TEST(Machine, ResidencyMaskCoversEveryCachedLine) {
     EXPECT_GT(masked_pairs, 0u);
     EXPECT_LT(masked_pairs, pairs);
   }
+}
+
+TEST(Machine, TlbResidencyMaskMatchesTlbContents) {
+  // Four TLB entries per node: translations are evicted by later inserts as
+  // well as by shootdowns, and both must clear the node's bit.
+  MachineConfig c = tinyConfig(SystemKind::kNWCache, Prefetch::kOptimal);
+  c.tlb_entries = 4;
+  Machine m(c);
+  m.allocRegion(64 * 4096);
+  m.start();
+  for (int cpu = 0; cpu < 4; ++cpu) {
+    m.engine().spawn(touchPages(m, cpu, range(cpu * 4, cpu * 4 + 24), cpu % 2 == 0));
+  }
+  m.engine().run();
+  EXPECT_GT(m.metrics().shootdowns, 0u);
+  ASSERT_EQ(m.checkInvariants(), "");
+  // Not vacuous: the masks hold one bit per cached translation.
+  int bits = 0, entries = 0;
+  for (PageId p = 0; p < m.numPages(); ++p) {
+    bits += std::popcount(m.pageTable().entry(p).tlb_on);
+  }
+  for (int n = 0; n < c.num_nodes; ++n) entries += m.tlb(n).size();
+  EXPECT_GT(entries, 4);
+  EXPECT_EQ(bits, entries);
+  // A stale bit is caught: node 7 ran nothing, so its TLB is empty.
+  ASSERT_EQ(m.tlb(7).size(), 0);
+  m.pageTable().entry(4).tlb_on |= std::uint64_t{1} << 7;
+  EXPECT_NE(m.checkInvariants().find("page 4: tlb_on"), std::string::npos)
+      << m.checkInvariants();
 }
 
 TEST(Machine, BlockServingLeavesResidencyMasksEmpty) {

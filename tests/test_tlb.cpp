@@ -1,6 +1,8 @@
 // Tlb: LRU translations, shootdown invalidation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/tlb.hpp"
 
 namespace nwc::mem {
@@ -32,6 +34,18 @@ TEST(Tlb, InsertExistingRefreshes) {
   EXPECT_EQ(t.size(), 2);
   t.insert(3);  // evicts 2
   EXPECT_FALSE(t.lookup(2));
+}
+
+TEST(Tlb, InsertReturnsEvictedPage) {
+  Tlb t(2);
+  EXPECT_EQ(t.insert(1), sim::kNoPage);
+  EXPECT_EQ(t.insert(2), sim::kNoPage);
+  EXPECT_EQ(t.insert(1), sim::kNoPage);  // refresh: 2 becomes LRU
+  EXPECT_EQ(t.insert(3), 2);
+  EXPECT_EQ(t.insert(4), 1);
+  std::vector<sim::PageId> held;
+  t.forEach([&](sim::PageId p) { held.push_back(p); });
+  EXPECT_EQ(held, (std::vector<sim::PageId>{3, 4}));  // LRU first
 }
 
 TEST(Tlb, InvalidateRemovesEntry) {

@@ -114,10 +114,31 @@ TEST(SyntheticSpecParse, RejectsMalformedSpecs) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
   }
-  // The caps admit the largest specs in use (the blockserve-zipf benchmark).
+  // The longest gap a draw can produce, 37 x think_mean / (1 - diurnal_amp),
+  // must stay within kMaxBlockGap: think_mean=1e30 used to cast an
+  // out-of-range double to an integer gap (undefined behaviour).
+  for (const char* kv : {"think_mean=1e30", "think_mean=29716530481",
+                         "think_mean=14858265241;diurnal_amp=0.5",
+                         "diurnal_amp=0.99999999"}) {
+    const std::string body(kv);
+    const std::string last = body.substr(body.rfind(';') + 1);
+    const std::string key = last.substr(0, last.find('='));
+    try {
+      (void)SyntheticSpec::parse("synth:" + body);
+      ADD_FAILURE() << kv << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // The caps admit their edges and the largest specs in use (the
+  // blockserve-zipf benchmark).
   EXPECT_NO_THROW((void)SyntheticSpec::parse("synth:clients=32;objects=8192;ops=6000"));
   EXPECT_NO_THROW((void)SyntheticSpec::parse(
       "synth:objects=1048576;clients=65536;ops=256"));
+  EXPECT_NO_THROW((void)SyntheticSpec::parse("synth:think_mean=29716530480"));
+  EXPECT_NO_THROW(
+      (void)SyntheticSpec::parse("synth:think_mean=14858265240;diurnal_amp=0.5"));
+  EXPECT_NO_THROW((void)SyntheticSpec::parse("synth:diurnal_amp=0.9999999"));
 }
 
 TEST(WorkloadSpecs, SpecErrorClassifiesAllKinds) {
@@ -310,6 +331,25 @@ TEST(BlockTraceFormat, RejectsCorruptFiles) {
   expectRejected(head + "objects 16\nclients 99999999999999\n", "clients");
   expectRejected(head + "objects 16\nclients 1\nclient 0 999999999999999\n",
                  "client 0 declares");
+  // An op line is exactly "gap obj r|w": no sign, no fourth token, and a
+  // gap below 2^40 (-1 used to parse as 2^64 - 1 and run for 1.8e13
+  // Mpcycles).
+  const std::string one = head + "objects 16\nclients 2\nclient 0 0\nclient 1 1\n";
+  expectRejected(one + "1099511627776 1 r\n", "client 1: gap 1099511627776 exceeds");
+  expectRejected(one + "18446744073709551615 1 r\n",
+                 "client 1: gap 18446744073709551615 exceeds");
+  expectRejected(one + "99999999999999999999 1 r\n", "client 1: gap 99999999999999999999");
+  for (const char* op : {"-1 1 r", "+5 1 r", "1 2 r x", "1 -2 r", "1 2 rw", "1 2"}) {
+    expectRejected(one + op + "\n", "client 1: expected 'gap obj r|w'");
+  }
+  // The edges are accepted.
+  std::ofstream(path, std::ios::binary) << one << "1099511627775 15 w\n";
+  const BlockTrace edge = readBlockTrace(path);
+  ASSERT_EQ(edge.clients.size(), 2u);
+  ASSERT_EQ(edge.clients[1].size(), 1u);
+  EXPECT_EQ(edge.clients[1][0].gap, kMaxBlockGap);
+  EXPECT_EQ(edge.clients[1][0].obj, 15u);
+  EXPECT_TRUE(edge.clients[1][0].write);
 }
 
 // --- end-to-end serving ---------------------------------------------------

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "util/ini.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -117,11 +118,7 @@ int cmdDiff(const std::vector<std::string>& args) {
     if (a == "--all") {
       all = true;
     } else if (a.rfind("--top=", 0) == 0) {
-      top = std::strtoul(a.c_str() + 6, nullptr, 10);
-      if (top == 0) {
-        std::fprintf(stderr, "nwcstat: --top must be > 0\n");
-        return 2;
-      }
+      top = static_cast<std::size_t>(nwc::util::positiveFlag("--top", a.substr(6), true));
     } else {
       paths.push_back(a);
     }
