@@ -94,14 +94,20 @@ void emit(const Options& opt, const util::AsciiTable& table,
           const std::vector<std::string>& headers,
           const std::vector<std::vector<std::string>>& rows) {
   table.print(std::cout);
-  if (opt.csv_path.empty()) return;
+  if (!opt.csv_path.empty()) writeCsv(opt.csv_path, headers, rows);
+}
+
+void writeCsv(const std::string& path, const std::vector<std::string>& headers,
+              const std::vector<std::vector<std::string>>& rows) {
   try {
-    util::CsvWriter csv(opt.csv_path, headers);
+    util::CsvWriter csv(path, headers);
     for (const auto& r : rows) csv.addRow(r);
-    std::printf("(csv: %s)\n", opt.csv_path.c_str());
+    csv.close();
   } catch (const std::exception& ex) {
-    std::fprintf(stderr, "csv write failed: %s\n", ex.what());
+    std::fprintf(stderr, "error: %s\n", ex.what());
+    std::exit(2);
   }
+  std::printf("(csv: %s)\n", path.c_str());
 }
 
 }  // namespace nwc::bench

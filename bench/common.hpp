@@ -62,4 +62,9 @@ void emit(const Options& opt, const util::AsciiTable& table,
           const std::vector<std::string>& headers,
           const std::vector<std::vector<std::string>>& rows);
 
+/// Writes `rows` under `headers` to the CSV at `path` and prints its path;
+/// exits 2 naming the path when the file cannot be written.
+void writeCsv(const std::string& path, const std::vector<std::string>& headers,
+              const std::vector<std::vector<std::string>>& rows);
+
 }  // namespace nwc::bench

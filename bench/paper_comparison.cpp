@@ -272,9 +272,7 @@ int main(int argc, char** argv) {
   qt.print(std::cout);
 
   if (!opt.csv_path.empty()) {
-    util::CsvWriter csv(opt.csv_path, {"table", "app", "metric", "value"});
-    for (const auto& r : long_rows) csv.addRow(r);
-    std::printf("(csv: %s)\n", opt.csv_path.c_str());
+    bench::writeCsv(opt.csv_path, {"table", "app", "metric", "value"}, long_rows);
   }
 
   bool all_ok = true;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/host_vector.hpp"
 #include "machine/machine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -76,7 +77,7 @@ class MappedFile {
  private:
   machine::Machine* m_ = nullptr;
   std::uint64_t base_ = 0;
-  std::vector<T> data_;
+  HostVector<T> data_;
 };
 
 /// Shared per-run context: the machine plus one global barrier.

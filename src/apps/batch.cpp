@@ -332,6 +332,8 @@ BatchResult runBatch(const BatchSpec& spec) {
       jsonl << "{\"cell\":" << i << ","
             << summaryJson(result.runs[i], spec.grid.scale).substr(1) << "\n";
     }
+    jsonl.close();
+    if (!jsonl) throw std::runtime_error("batch: cannot write " + spec.jsonl_path);
   }
   return result;
 }

@@ -80,7 +80,7 @@ class Gauss final : public AppInstance {
   std::size_t rows_, cols_;
   int ncpus_ = 1;
   MappedFile<double> a_;
-  std::vector<double> ref_;
+  HostVector<double> ref_;
 };
 
 }  // namespace

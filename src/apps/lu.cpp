@@ -156,7 +156,7 @@ class Lu final : public AppInstance {
   std::size_t nblocks_, block_, n_;
   int ncpus_ = 1;
   MappedFile<double> a_;
-  std::vector<double> ref_;
+  HostVector<double> ref_;
 };
 
 }  // namespace

@@ -138,7 +138,7 @@ class Radix final : public AppInstance {
   std::size_t n_;
   int ncpus_ = 1;
   MappedFile<std::uint32_t> a_, b_, hist_, offsets_;
-  std::vector<std::uint32_t> ref_;
+  HostVector<std::uint32_t> ref_;
 };
 
 }  // namespace

@@ -39,15 +39,12 @@ struct RunSummary {
 /// Optional observability sinks for a run; every pointer may be null
 /// (detached). `registry` is filled via Machine::publishMetrics after the
 /// run completes; `timeline` records cross-layer events while it runs.
-/// `attr_records` retains one obs::AttrRecord per completed fault/swap-out/
-/// shootdown (aggregates are always in RunSummary.metrics.attr).
 struct ObsSinks {
   /// Bare page-event record for the repository benchmark's replay
   /// (machine/trace.hpp); everything else reads page events from `timeline`.
   machine::TraceBuffer* trace = nullptr;
   obs::EventTimeline* timeline = nullptr;
   obs::MetricsRegistry* registry = nullptr;
-  std::vector<obs::AttrRecord>* attr_records = nullptr;
   /// Kernel reference-stream capture; attached before setup() so region
   /// allocations are seen. See machine::RefRecorder.
   machine::RefRecorder* ref_recorder = nullptr;

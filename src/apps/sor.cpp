@@ -88,7 +88,7 @@ class Sor final : public AppInstance {
   int iters_;
   int ncpus_ = 1;
   MappedFile<double> g_;
-  std::vector<double> ref_;
+  HostVector<double> ref_;
 };
 
 }  // namespace

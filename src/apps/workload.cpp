@@ -32,7 +32,6 @@ RunSummary runWorkload(const machine::MachineConfig& cfg, WorkloadSource& src,
     m.emplace(cfg);
     if (sinks.trace != nullptr) m->attachTrace(sinks.trace);
     if (sinks.timeline != nullptr) m->attachEventTimeline(sinks.timeline);
-    if (sinks.attr_records != nullptr) m->attachAttrRecords(sinks.attr_records);
     if (sinks.ref_recorder != nullptr) m->attachRefRecorder(sinks.ref_recorder);
     if (sinks.sampler != nullptr) {
       sinks.sampler->attachTimeline(sinks.timeline);

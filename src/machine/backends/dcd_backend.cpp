@@ -1,6 +1,5 @@
 #include "machine/backends/dcd_backend.hpp"
 
-#include "machine/backends/cache_policy.hpp"
 #include "obs/timeline.hpp"
 
 namespace nwc::machine {
@@ -26,7 +25,9 @@ DcdBackend::DcdBackend(Machine& m) : DiskBackend(m) {
     logs_.push_back(std::make_unique<io::LogDisk>(
         lp, rng().fork(0x40 + static_cast<std::uint64_t>(d))));
   }
-  policy_ = makeCachePolicy(cfg(), metrics());
+  if (cfg().ring_admission == AdmissionKind::kSieve) {
+    sieve_ = std::make_unique<SieveAdmission>(cfg(), metrics());
+  }
 }
 
 void DcdBackend::startDiskDaemons(int disk_idx) {
@@ -38,7 +39,7 @@ sim::Task<bool> DcdBackend::fetch(int cpu, sim::PageId page,
   (void)plan;  // only Route::kDisk is ever planned here
   // Feed the admission policy: a fault whose current version still sits in
   // the log is evidence the write cache is holding the right pages.
-  policy_->noteFault(page, log(diskIndexOf(page)).contains(page));
+  if (sieve_) sieve_->noteFault(page, log(diskIndexOf(page)).contains(page));
   return fetchFromDisk(cpu, page, actx);
 }
 
@@ -63,11 +64,11 @@ bool DcdBackend::readFromStage(int disk_idx, sim::PageId page, sim::Tick t,
 sim::Task<> DcdBackend::writeBatch(int disk_idx,
                                    const std::vector<sim::PageId>& batch,
                                    obs::AttrCtx& actx) {
-  // Admission gate (docs/POLICIES.md): the policy decides — keyed on the
+  // Admission gate (docs/POLICIES.md): the sieve decides — keyed on the
   // batch's anchor page, the oldest dirty slot — whether this batch enters
   // the log at all. Rejected batches go straight to the data platters, as
   // on the standard machine. `always` (default) admits everything.
-  if (!policy_->admit(batch.front())) {
+  if (!admitToWriteCache(sieve_.get(), batch.front(), metrics())) {
     co_await IoBackend::writeBatch(disk_idx, batch, actx);
     co_return;
   }
@@ -145,14 +146,14 @@ sim::Task<> DcdBackend::destageLoop(int disk_idx) {
     }
     for (sim::PageId p : run) {
       lg.remove(p);
-      policy_->noteDestage(p);
+      if (sieve_) sieve_->noteDestage(p);
     }
-    recordDestage(actx, eng().now() - t0, run.size(), run.front(), dc.node);
+    recordDestage(actx, eng().now() - t0, run.size());
   }
 }
 
 void DcdBackend::publishMetrics(obs::MetricsRegistry& reg) const {
-  policy_->publishMetrics(reg);
+  publishPolicyMetrics(reg, m_.metrics());
 }
 
 }  // namespace nwc::machine

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "io/log_disk.hpp"
+#include "machine/backends/cache_policy.hpp"
 #include "machine/backends/disk_backend.hpp"
 
 namespace nwc::machine {
@@ -41,6 +42,7 @@ class DcdBackend : public DiskBackend {
   }
 
   std::vector<std::unique_ptr<io::LogDisk>> logs_;  // one per disk
+  std::unique_ptr<SieveAdmission> sieve_;  // null under ring_admission=always
 };
 
 }  // namespace nwc::machine

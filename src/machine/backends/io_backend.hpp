@@ -19,7 +19,6 @@
 #include <memory>
 #include <ostream>
 
-#include "machine/backends/cache_policy.hpp"
 #include "machine/machine.hpp"
 
 namespace nwc::machine {
@@ -107,11 +106,6 @@ class IoBackend {
                                  const std::vector<sim::PageId>& batch,
                                  obs::AttrCtx& actx);
 
-  /// The admission policy of the staging backends (ring channels, DCD
-  /// log); null for backends with no write cache to gate.
-  CachePolicy* cachePolicy() { return policy_.get(); }
-  const CachePolicy* cachePolicy() const { return policy_.get(); }
-
   // --- drain daemons --------------------------------------------------------
   /// Spawns the backend's daemons for disk `disk_idx` (ring drain, DCD
   /// destage). Called by Machine::start right after the disk's write-behind
@@ -149,10 +143,6 @@ class IoBackend {
   // never touch Machine members directly; everything they may use is
   // enumerated here.
   Machine& m_;
-
-  /// Constructed by the staging backends (ring, DCD) via makeCachePolicy;
-  /// stays null elsewhere.
-  std::unique_ptr<CachePolicy> policy_;
 
   sim::Engine& eng() { return *m_.eng_; }
   const MachineConfig& cfg() const { return m_.cfg_; }
@@ -194,16 +184,11 @@ class IoBackend {
                                sim::Tick service) {
     return Machine::attrRequest(actx, stage, srv, now, service);
   }
-  void recordAttr(obs::AttrOp op, obs::AttrOutcome outcome, sim::Tick end_to_end,
-                  const obs::AttrCtx& actx, sim::PageId page, sim::NodeId node) {
-    m_.recordAttr(op, outcome, end_to_end, actx, page, node);
-  }
   /// Destage bookkeeping shared by the write-behind and the DCD destage
   /// daemon: batch-size/stall metrics plus the kDestage attribution record.
   void recordDestage(const obs::AttrCtx& actx, sim::Tick end_to_end,
-                     std::size_t batch_pages, sim::PageId page,
-                     sim::NodeId node) {
-    m_.recordDestage(actx, end_to_end, batch_pages, page, node);
+                     std::size_t batch_pages) {
+    m_.recordDestage(actx, end_to_end, batch_pages);
   }
   /// The generic swap-out wrapper (for backends that spawn their own
   /// write-outs, e.g. remote guest eviction).

@@ -36,7 +36,9 @@ RingBackend::RingBackend(Machine& m) : IoBackend(m) {
     rx_banks_.emplace_back(rxp, "node" + std::to_string(n));
   }
   cursors_.assign(static_cast<std::size_t>(cfg().num_nodes), 0);
-  policy_ = makeCachePolicy(cfg(), metrics());
+  if (cfg().ring_admission == AdmissionKind::kSieve) {
+    sieve_ = std::make_unique<SieveAdmission>(cfg(), metrics());
+  }
 }
 
 int RingBackend::ownershipStride() const {
@@ -76,7 +78,7 @@ sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page, bool force_dis
   // Admission gate (docs/POLICIES.md): a rejected swap-out takes the
   // standard NACK/OK path to the controller cache, exactly as on the
   // baseline machine. The default `always` policy admits everything.
-  if (!policy_->admit(page)) {
+  if (!admitToWriteCache(sieve_.get(), page, metrics())) {
     co_await swapOutToDisk(n, page, actx);
     co_return;
   }
@@ -149,7 +151,7 @@ FetchPlan RingBackend::planFetch(sim::PageId page, const vm::PageEntry& e) {
 
 sim::Task<bool> RingBackend::fetch(int cpu, sim::PageId page,
                                    const FetchPlan& plan, obs::AttrCtx& actx) {
-  policy_->noteFault(page, plan.route == FetchPlan::Route::kRing);
+  if (sieve_) sieve_->noteFault(page, plan.route == FetchPlan::Route::kRing);
   if (plan.route == FetchPlan::Route::kRing) {
     metrics().ring_read_hits.hit();
     co_await fetchFromRing(cpu, page, actx);
@@ -301,7 +303,7 @@ sim::Task<> RingBackend::nwcDrainLoop(int disk_idx) {
       pt().setState(rec->page, PageState::kDisk);
       pt().entry(rec->page).dirty = false;
       copied_any = true;
-      policy_->noteDestage(rec->page);  // the page left the ring for disk
+      if (sieve_) sieve_->noteDestage(rec->page);  // left the ring for disk
 
       // ACK travels back to the swapper; the ring slot frees on receipt.
       eng().spawn(deliverRingAck(ch, rec->page, dc.node, rec->swapper));
@@ -344,7 +346,7 @@ void RingBackend::startDiskDaemons(int disk_idx) {
 }
 
 void RingBackend::publishMetrics(obs::MetricsRegistry& reg) const {
-  policy_->publishMetrics(reg);
+  publishPolicyMetrics(reg, m_.metrics());
   ring_->publishMetrics(reg, "ring.");
   std::uint64_t pushes = 0;
   for (std::size_t d = 0; d < nwc_fifos_.size(); ++d) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "machine/backends/cache_policy.hpp"
 #include "machine/backends/io_backend.hpp"
 #include "nwcache/interface.hpp"
 #include "nwcache/optical_ring.hpp"
@@ -91,6 +92,7 @@ class RingBackend : public IoBackend {
   std::vector<ring::TunableReceiverBank> rx_banks_;      // one per node
   std::vector<int> cursors_;      // per node: round-robin owned-channel index
   std::uint64_t swap_seq_ = 0;    // global swap-out order stamp
+  std::unique_ptr<SieveAdmission> sieve_;  // null under ring_admission=always
 };
 
 }  // namespace nwc::machine

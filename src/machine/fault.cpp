@@ -95,7 +95,7 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
         : from_remote    ? obs::AttrOutcome::kRemote
         : controller_hit ? obs::AttrOutcome::kCtrlCache
                          : obs::AttrOutcome::kPlatter;
-    recordAttr(obs::AttrOp::kFault, attr_outcome, fault_ticks, actx, page, cpu);
+    metrics_->attr.record(obs::AttrOp::kFault, attr_outcome, fault_ticks, actx);
     if (trace_ != nullptr) {
       const TraceKind kind = from_ring ? TraceKind::kFaultRingHit
                              : controller_hit ? TraceKind::kFaultDiskHit

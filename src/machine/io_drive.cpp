@@ -20,7 +20,7 @@ sim::Task<> Machine::diskDrainLoop(int disk_idx) {
     obs::AttrCtx actx;
     const sim::Tick t0 = eng_->now();
     co_await backend_->writeBatch(disk_idx, batch, actx);
-    recordDestage(actx, eng_->now() - t0, batch.size(), batch.front(), dc.node);
+    recordDestage(actx, eng_->now() - t0, batch.size());
 
     dc.cache.completeWrite(batch);
     metrics_->write_combining.add(static_cast<double>(batch.size()));
@@ -30,14 +30,13 @@ sim::Task<> Machine::diskDrainLoop(int disk_idx) {
 }
 
 void Machine::recordDestage(const obs::AttrCtx& actx, sim::Tick end_to_end,
-                            std::size_t batch_pages, sim::PageId page,
-                            sim::NodeId node) {
+                            std::size_t batch_pages) {
   ++metrics_->destage_writes;
   metrics_->destage_pages += batch_pages;
   metrics_->destage_batch_size.add(static_cast<sim::Tick>(batch_pages));
   for (const auto& st : actx.stages()) metrics_->destage_stall_ticks += st.queue;
-  recordAttr(obs::AttrOp::kDestage, obs::AttrOutcome::kPlatter, end_to_end, actx,
-             page, node);
+  metrics_->attr.record(obs::AttrOp::kDestage, obs::AttrOutcome::kPlatter,
+                        end_to_end, actx);
 }
 
 void Machine::sendPendingOks(int disk_idx) {

@@ -162,16 +162,6 @@ sim::Tick Machine::ctrlTransfer(sim::Tick now, sim::NodeId src, sim::NodeId dst,
                           net::TrafficClass::kControl);
 }
 
-void Machine::recordAttr(obs::AttrOp op, obs::AttrOutcome outcome,
-                         sim::Tick end_to_end, const obs::AttrCtx& actx,
-                         sim::PageId page, sim::NodeId node) {
-  metrics_->attr.record(op, outcome, end_to_end, actx);
-  if (attr_records_ != nullptr) {
-    attr_records_->push_back(obs::AttrRecord{op, outcome, end_to_end, eng_->now(),
-                                             page, node, actx.stages()});
-  }
-}
-
 std::string Machine::checkInvariants() const {
   std::ostringstream bad;
 

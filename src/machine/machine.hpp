@@ -177,13 +177,6 @@ class Machine {
   void attachEventTimeline(obs::EventTimeline* tl);
   obs::EventTimeline* eventTimeline() const { return etl_; }
 
-  /// Attaches a per-operation attribution record sink (optional; null to
-  /// detach). Aggregates land in `metrics().attr` regardless — this sink
-  /// additionally retains every completed record, for tests and tooling.
-  void attachAttrRecords(std::vector<obs::AttrRecord>* sink) {
-    attr_records_ = sink;
-  }
-
   /// Attaches the periodic sampler (optional; null to detach). Must be
   /// attached before `start()`: the sampling daemon is spawned there, so a
   /// machine without one never schedules a single extra event.
@@ -317,16 +310,11 @@ class Machine {
     return done;
   }
 
-  /// Folds a completed operation into metrics().attr and the optional
-  /// per-record sink.
-  void recordAttr(obs::AttrOp op, obs::AttrOutcome outcome, sim::Tick end_to_end,
-                  const obs::AttrCtx& actx, sim::PageId page, sim::NodeId node);
-
   /// Destage bookkeeping (io_drive.cpp): batch-size/stall metrics plus the
   /// kDestage attribution record. Shared with the backends' own destage
   /// daemons through an IoBackend forwarder.
   void recordDestage(const obs::AttrCtx& actx, sim::Tick end_to_end,
-                     std::size_t batch_pages, sim::PageId page, sim::NodeId node);
+                     std::size_t batch_pages);
 
   // -- periodic sampler (observe.cpp) -----------------------------------------
   /// Snapshots the sampler's tracks every `sampler_->interval()` ticks; takes
@@ -347,7 +335,6 @@ class Machine {
   TraceBuffer* trace_ = nullptr;
   RefRecorder* ref_recorder_ = nullptr;
   obs::EventTimeline* etl_ = nullptr;
-  std::vector<obs::AttrRecord>* attr_records_ = nullptr;
   obs::Sampler* sampler_ = nullptr;
   int cpus_done_ = 0;  // lets the sampler daemon stop with the workload
   std::uint64_t host_drain_start_ns_ = 0;  // see hostDrainStartNs()

@@ -61,8 +61,8 @@ void Machine::shootdown(sim::PageId page, sim::NodeId initiator) {
   const sim::Tick remote_cost =
       static_cast<sim::Tick>(cfg_.num_nodes - 1) * cfg_.interrupt_latency;
   sctx.add(obs::AttrStage::kTlbShootdown, remote_cost, cfg_.tlb_shootdown_latency);
-  recordAttr(obs::AttrOp::kShootdown, obs::AttrOutcome::kNone,
-             cfg_.tlb_shootdown_latency + remote_cost, sctx, page, initiator);
+  metrics_->attr.record(obs::AttrOp::kShootdown, obs::AttrOutcome::kNone,
+                        cfg_.tlb_shootdown_latency + remote_cost, sctx);
 }
 
 void Machine::dropPageFromCachesAndDirectory(sim::PageId page) {
@@ -143,7 +143,7 @@ sim::Task<> Machine::swapOutPage(sim::NodeId n, sim::PageId page, bool force_dis
   const sim::Tick dt = eng_->now() - t0;
   metrics_->swap_out_ticks.add(static_cast<double>(dt));
   metrics_->swap_out_hist.add(dt);
-  recordAttr(obs::AttrOp::kSwap, actx.outcome(), dt, actx, page, n);
+  metrics_->attr.record(obs::AttrOp::kSwap, actx.outcome(), dt, actx);
   if (trace_ != nullptr) {
     trace_->record(TraceEvent{eng_->now(), dt, page, n, swapTraceKind(actx.outcome())});
   }

@@ -118,23 +118,6 @@ class AttrCtx {
   AttrOutcome outcome_ = AttrOutcome::kNone;
 };
 
-/// One completed, attributed operation (retained only when a sink asks).
-struct AttrRecord {
-  AttrOp op = AttrOp::kFault;
-  AttrOutcome outcome = AttrOutcome::kNone;
-  sim::Tick end_to_end = 0;
-  sim::Tick at = 0;  // completion time
-  sim::PageId page = sim::kNoPage;
-  sim::NodeId node = sim::kNoNode;
-  std::array<StageTicks, kNumAttrStages> stages{};
-
-  sim::Tick attributedTotal() const {
-    sim::Tick t = 0;
-    for (const auto& st : stages) t += st.total();
-    return t;
-  }
-};
-
 /// Aggregate for one (op, outcome) group.
 struct AttrGroup {
   std::uint64_t count = 0;

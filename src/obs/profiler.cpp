@@ -4,14 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/run_meta.hpp"
+#include "util/file.hpp"
 #include "util/host.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -346,10 +345,7 @@ std::string reportJson(const Report& r) {
 }
 
 void writeReport(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("profiler: cannot open " + path);
-  out << reportJson(snapshot()) << "\n";
-  if (!out) throw std::runtime_error("profiler: write failed for " + path);
+  util::writeFile(path, reportJson(snapshot()) + "\n");
 }
 
 }  // namespace nwc::obs::prof

@@ -1,9 +1,9 @@
 #include "obs/registry.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "sim/fifo_server.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace nwc::obs {
@@ -132,19 +132,8 @@ std::string MetricsRegistry::toJson() const {
   return root.str();
 }
 
-namespace {
-
-void writeFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("metrics: cannot open " + path);
-  out << content;
-  if (!out) throw std::runtime_error("metrics: write failed for " + path);
-}
-
-}  // namespace
-
 void MetricsRegistry::writeJson(const std::string& path) const {
-  writeFile(path, toJson() + "\n");
+  util::writeFile(path, toJson() + "\n");
 }
 
 void publish(MetricsRegistry& reg, const std::string& prefix, const sim::FifoServer& s) {

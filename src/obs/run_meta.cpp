@@ -1,9 +1,8 @@
 #include "obs/run_meta.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
+#include "util/file.hpp"
 #include "util/host.hpp"
 #include "util/json.hpp"
 
@@ -61,10 +60,7 @@ std::string RunMeta::toJson() const {
 }
 
 void RunMeta::write(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("run_meta: cannot open " + path);
-  out << toJson() << "\n";
-  if (!out) throw std::runtime_error("run_meta: write failed for " + path);
+  util::writeFile(path, toJson() + "\n");
 }
 
 }  // namespace nwc::obs

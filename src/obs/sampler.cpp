@@ -1,11 +1,11 @@
 #include "obs/sampler.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "obs/timeline.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace nwc::obs {
@@ -178,19 +178,8 @@ std::string Sampler::toJson() const {
   return root.str();
 }
 
-namespace {
-
-void writeFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("sampler: cannot open " + path);
-  out << content;
-  if (!out) throw std::runtime_error("sampler: write failed for " + path);
-}
-
-}  // namespace
-
 void Sampler::writeJson(const std::string& path) const {
-  writeFile(path, toJson() + "\n");
+  util::writeFile(path, toJson() + "\n");
 }
 
 void Sampler::publishMetrics(MetricsRegistry& reg) const {

@@ -1,6 +1,7 @@
 // Growable open-addressing hash map from uint64 keys to small values.
 //
-// Built for hot bookkeeping tables (the coherence directory) where
+// Built for hot bookkeeping tables (the coherence directory, the
+// PageLruList index behind the TLB and frame pool) where
 // std::unordered_map's per-bucket pointer chasing shows up in profiles:
 // linear probing over one flat slot array, backward-shift deletion (no
 // tombstones), growth by rehash at 50% load. Iteration order is never

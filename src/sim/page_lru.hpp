@@ -1,7 +1,8 @@
 // Bounded LRU set of pages with O(1) touch/insert/erase/victim.
 //
 // An intrusive doubly-linked list over a fixed node array (indices, not
-// pointers — reusable and relocation-safe) with a FlatPageMap index. Backs
+// pointers — reusable and relocation-safe) with a FlatHashU64 index, sized
+// at twice the capacity so it never grows. Backs
 // the TLB and the per-node frame pool, which both used to pay a hash-bucket
 // walk (and, for the TLB, a full O(n) min-scan per eviction) on the hottest
 // path in the simulator. Recency order is total (every touch moves the page
@@ -12,7 +13,7 @@
 #include <cassert>
 #include <vector>
 
-#include "sim/flat_page_map.hpp"
+#include "sim/flat_hash.hpp"
 #include "sim/types.hpp"
 
 namespace nwc::sim {
@@ -24,7 +25,7 @@ class PageLruList {
   /// Clears and re-sizes for at most `capacity` pages.
   void reset(int capacity) {
     nodes_.assign(static_cast<std::size_t>(capacity), Node{});
-    index_.reset(static_cast<std::size_t>(capacity));
+    index_ = FlatHashU64<int>(2 * static_cast<std::size_t>(capacity));
     free_.clear();
     free_.reserve(nodes_.size());
     for (int i = capacity - 1; i >= 0; --i) free_.push_back(i);
@@ -36,7 +37,7 @@ class PageLruList {
   int size() const { return static_cast<int>(index_.size()); }
   int capacity() const { return static_cast<int>(nodes_.size()); }
   bool empty() const { return head_ == kNil; }
-  bool contains(PageId page) const { return index_.contains(page); }
+  bool contains(PageId page) const { return index_.find(key(page)) != nullptr; }
 
   /// Moves `page` to MRU. Returns false (and does nothing) if absent.
   bool touch(PageId page) {
@@ -44,7 +45,7 @@ class PageLruList {
     // per page): when it is already MRU the move is a no-op — skip the
     // hash probe entirely.
     if (tail_ != kNil && nodes_[static_cast<std::size_t>(tail_)].page == page) return true;
-    const int* n = index_.find(page);
+    const int* n = index_.find(key(page));
     if (n == nullptr) return false;
     moveToTail(*n);
     return true;
@@ -57,17 +58,17 @@ class PageLruList {
     free_.pop_back();
     nodes_[static_cast<std::size_t>(n)].page = page;
     linkTail(n);
-    index_.set(page, n);
+    index_.getOrInsert(key(page)) = n;
   }
 
   /// Removes `page`; returns false if absent.
   bool erase(PageId page) {
-    const int* n = index_.find(page);
+    const int* n = index_.find(key(page));
     if (n == nullptr) return false;
     const int i = *n;
     unlink(i);
     free_.push_back(i);
-    index_.erase(page);
+    index_.erase(key(page));
     return true;
   }
 
@@ -86,6 +87,8 @@ class PageLruList {
 
  private:
   static constexpr int kNil = -1;
+
+  static std::uint64_t key(PageId page) { return static_cast<std::uint64_t>(page); }
 
   struct Node {
     PageId page = kNoPage;
@@ -124,7 +127,7 @@ class PageLruList {
 
   std::vector<Node> nodes_;
   std::vector<int> free_;
-  FlatPageMap index_;
+  FlatHashU64<int> index_;  // page -> nodes_ index
   int head_ = kNil;
   int tail_ = kNil;
 };

@@ -18,6 +18,11 @@ void CsvWriter::addRow(const std::vector<std::string>& cells) {
   out_ << '\n';
 }
 
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error("cannot write " + path_);
+}
+
 std::string CsvWriter::escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
   std::string quoted = "\"";

@@ -15,6 +15,10 @@ class CsvWriter {
 
   void addRow(const std::vector<std::string>& cells);
 
+  /// Closes the file. Throws naming the path when any write failed (a
+  /// full disk shows only when the buffer is flushed).
+  void close();
+
   const std::string& path() const { return path_; }
 
   /// Escapes a cell per RFC 4180 (quotes around commas/quotes/newlines).

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "apps/app_context.hpp"
+#include "apps/host_vector.hpp"
 #include "apps/registry.hpp"
 #include "apps/runner.hpp"
 
@@ -31,6 +32,22 @@ TEST(Registry, FindApp) {
 TEST(Registry, UnknownAppThrows) {
   MachineConfig cfg;
   EXPECT_THROW(runApp(cfg, "doom"), std::invalid_argument);
+}
+
+TEST(HostVector, NextRunReusesABigBlockZeroed) {
+  constexpr std::size_t kBig = std::size_t{1} << 18;  // 2 MiB of doubles
+  const double* first = nullptr;
+  {
+    HostVector<double> v(kBig, 1.0);
+    first = v.data();
+  }
+  {
+    HostVector<double> other(kBig / 2);  // another size: not that block
+    EXPECT_NE(other.data(), first);
+  }
+  HostVector<double> w(kBig);
+  EXPECT_EQ(w.data(), first);
+  for (std::size_t i = 0; i < kBig; i += 4096) ASSERT_EQ(w[i], 0.0);
 }
 
 TEST(Registry, PaperDataSizesRoughlyMatchTable2) {

@@ -1,20 +1,15 @@
-// Backend-refactor safety net.
+// Backend tests. (The run summary of every backend is pinned byte for byte
+// by ci/backend_golden/, a ctest golden.)
 //
-// 1. Golden byte-identity: one small app (radix at scale 0.05) pinned for
-//    all four system kinds. The expected values were recorded from the
-//    pre-refactor tree (commit f6dfb25, before the datapath moved into
-//    machine/backends/); any drift means the refactor changed simulated
-//    behaviour, which is a bug even if the new numbers look plausible.
-// 2. TunableReceiverBank unit tests: a saturated receiver queues work (FIFO,
+// 1. TunableReceiverBank unit tests: a saturated receiver queues work (FIFO,
 //    nothing dropped), dedicated mode routes by use, shared mode charges
 //    retunes on channel switches.
-// 3. White-box machine test: with a single receiver per node, ring drains
+// 2. White-box machine test: with a single receiver per node, ring drains
 //    behind a busy receiver are delayed, never dropped.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "apps/runner.hpp"
 #include "machine/backends/ring_backend.hpp"
 #include "machine/machine.hpp"
 #include "nwcache/interface.hpp"
@@ -25,91 +20,6 @@ namespace {
 
 using sim::PageId;
 using sim::Tick;
-
-// ---------------------------------------------------------------------------
-// Golden byte-identity across the four system kinds
-// ---------------------------------------------------------------------------
-
-struct Golden {
-  SystemKind system;
-  Tick exec_pcycles;
-  std::uint64_t faults;
-  std::uint64_t swap_outs;
-  std::uint64_t clean_evictions;
-  std::uint64_t nacks;
-  std::uint64_t shootdowns;
-  double swap_out_mean_pcycles;
-  double fault_mean_pcycles;
-  double write_combining;
-  double ring_hit_rate;
-  std::uint64_t remote_stores;
-  Tick nofree;
-  Tick transit;
-  Tick fault;
-  Tick tlb;
-  Tick other;
-  std::uint64_t accesses;
-  std::uint64_t engine_events;
-};
-
-// Recorded pre-refactor with:
-//   nwcsim --app=radix --scale=0.05 --system=<s> --prefetch=optimal
-//          --set memory_per_node=32768 --set seed=1 --set min_free_frames=12 --json
-const Golden kGoldens[] = {
-    {SystemKind::kStandard, 6319173722, 53667, 25957, 27707, 9591, 53664,
-     1915282.4672727974, 12162.29932733337, 1.3029118360744136, 0.0, 0,
-     49075952193, 249322391, 652714118, 179698900, 394053674, 294912, 586004},
-    {SystemKind::kNWCache, 226127064, 66665, 34920, 31737, 0, 66657,
-     7692.4808991981672, 19183.781744543612, 1.25, 0.51811295282382064, 0,
-     25912577, 192297831, 1278886810, 222337800, 81007494, 294912, 782041},
-    {SystemKind::kDCD, 1595591789, 57706, 27317, 30386, 10918, 57703,
-     423414.62664274994, 12554.837902471147, 1.3024207695006431, 0.0, 0,
-     11273418637, 298465289, 724489476, 193397500, 271657810, 294912, 632934},
-    {SystemKind::kRemoteMemory, 6319173722, 53667, 25957, 27707, 9591, 53664,
-     1915282.4672727974, 12162.29932733337, 1.3029118360744136, 0.0, 0,
-     49075952193, 249322391, 652714118, 179698900, 394053674, 294912, 586004},
-};
-
-class BackendGolden : public ::testing::TestWithParam<Golden> {};
-
-TEST_P(BackendGolden, RadixRunSummaryIsByteIdenticalToPreRefactor) {
-  const Golden& g = GetParam();
-  MachineConfig cfg;
-  cfg.system = g.system;
-  cfg.prefetch = Prefetch::kOptimal;  // min_free_frames stays at the default
-  cfg.memory_per_node = 32768;
-  cfg.seed = 1;
-
-  const apps::RunSummary s = apps::runApp(cfg, "radix", 0.05);
-  const Metrics& m = s.metrics;
-
-  EXPECT_TRUE(s.verified);
-  EXPECT_EQ(s.invariant_violations, "");
-  EXPECT_EQ(s.exec_time, g.exec_pcycles);
-  EXPECT_EQ(m.faults, g.faults);
-  EXPECT_EQ(m.swap_outs, g.swap_outs);
-  EXPECT_EQ(m.clean_evictions, g.clean_evictions);
-  EXPECT_EQ(m.nacks, g.nacks);
-  EXPECT_EQ(m.shootdowns, g.shootdowns);
-  EXPECT_EQ(m.swap_out_ticks.mean(), g.swap_out_mean_pcycles);
-  EXPECT_EQ(m.fault_ticks.mean(), g.fault_mean_pcycles);
-  EXPECT_EQ(m.write_combining.mean(), g.write_combining);
-  EXPECT_EQ(m.ring_read_hits.rate(), g.ring_hit_rate);
-  EXPECT_EQ(m.remote_stores, g.remote_stores);
-  EXPECT_EQ(m.totalNoFree(), g.nofree);
-  EXPECT_EQ(m.totalTransit(), g.transit);
-  EXPECT_EQ(m.totalFault(), g.fault);
-  EXPECT_EQ(m.totalTlb(), g.tlb);
-  EXPECT_EQ(m.totalOther(), g.other);
-  EXPECT_EQ(m.totalAccesses(), g.accesses);
-  EXPECT_EQ(s.engine_events, g.engine_events);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSystems, BackendGolden,
-                         ::testing::ValuesIn(kGoldens),
-                         [](const ::testing::TestParamInfo<Golden>& info) {
-                           return toString(info.param.system);
-                         });
 
 // ---------------------------------------------------------------------------
 // TunableReceiverBank unit tests

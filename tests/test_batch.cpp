@@ -139,6 +139,18 @@ TEST(BatchRun, ExecutesGridAndWritesOutputs) {
   std::remove(jsonl.c_str());
 }
 
+TEST(BatchRun, FullDiskThrowsNamingTheJsonl) {
+  auto spec = BatchSpec::fromIni(util::IniFile::parse(
+      "[batch]\napps = radix\nsystems = standard\nscale = 0.02\n"
+      "jsonl = /dev/full\n"));
+  try {
+    runBatch(spec);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("/dev/full"), std::string::npos) << ex.what();
+  }
+}
+
 TEST(BatchSpec, ParsesJobs) {
   const auto spec = BatchSpec::fromIni(
       util::IniFile::parse("[batch]\napps = sor\njobs = 4\n"));

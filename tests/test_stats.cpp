@@ -4,9 +4,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/stats.hpp"
 #include "util/csv.hpp"
+#include "util/file.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -125,6 +128,38 @@ TEST(Csv, WritesFile) {
   EXPECT_EQ(l1, "a,b");
   EXPECT_EQ(l2, "1,\"x,y\"");
   std::remove(path.c_str());
+}
+
+// Expects `write` to throw a message naming /dev/full: a write that fits in
+// the stream's buffer fails only when the file is flushed and closed.
+template <class F>
+void expectFullDiskThrows(F write) {
+  try {
+    write();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("/dev/full"), std::string::npos) << ex.what();
+  }
+}
+
+TEST(Csv, FullDiskThrowsNamingThePath) {
+  expectFullDiskThrows([] {
+    util::CsvWriter w("/dev/full", {"a", "b"});
+    w.addRow({"1", "2"});
+    w.close();
+  });
+}
+
+TEST(WriteFile, FullDiskThrowsNamingThePath) {
+  expectFullDiskThrows([] { util::writeFile("/dev/full", "small\n"); });
+}
+
+TEST(WriteFile, RoundTripsThroughReadFile) {
+  const std::string path = "/tmp/nwc_write_file_test.txt";
+  util::writeFile(path, "a\nb");
+  EXPECT_EQ(util::readFile(path), "a\nb");
+  std::remove(path.c_str());
+  EXPECT_THROW(util::readFile(path), std::runtime_error);
 }
 
 }  // namespace

@@ -23,27 +23,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace {
 
 using nwc::util::JsonValue;
 using nwc::util::parseJson;
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 std::string htmlEscape(const std::string& s) {
   std::string out;
@@ -220,14 +212,13 @@ Report digestMetrics(const JsonValue& doc) {
 }
 
 void writeCsv(const Report& rep, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path);
+  std::ostringstream out;
   out << "op,outcome,stage,metric,value\n";
   for (const CsvRow& r : rep.rows) {
     out << r.op << ',' << r.outcome << ',' << r.stage << ',' << r.metric << ','
         << fmtNum(r.value) << '\n';
   }
-  if (!out) throw std::runtime_error("write failed: " + path);
+  nwc::util::writeFile(path, out.str());
 }
 
 // --- HTML rendering --------------------------------------------------------
@@ -496,10 +487,7 @@ void writeHtml(const Report& rep, const JsonValue* samples,
   html << "<p class=\"muted\">generated by nwcreport from nwc-metrics-v1 "
           "artifacts</p></body></html>\n";
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out << html.str();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  nwc::util::writeFile(path, html.str());
 }
 
 }  // namespace
@@ -542,7 +530,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const JsonValue metrics = parseJson(readFile(metrics_path));
+    const JsonValue metrics = parseJson(nwc::util::readFile(metrics_path));
     const Report rep = digestMetrics(metrics);
     if (rep.rows.empty()) {
       std::fprintf(stderr, "nwcreport: %s has no attr.* instruments\n",
@@ -552,7 +540,7 @@ int main(int argc, char** argv) {
     JsonValue samples;
     bool have_samples = false;
     if (!sample_path.empty()) {
-      samples = parseJson(readFile(sample_path));
+      samples = parseJson(nwc::util::readFile(sample_path));
       have_samples = true;
     }
     if (!csv_path.empty()) {

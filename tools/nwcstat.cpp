@@ -14,14 +14,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/file.hpp"
 #include "util/ini.hpp"
 #include "util/json.hpp"
 
@@ -38,18 +37,10 @@ struct Instrument {
 
 using InstrumentMap = std::map<std::string, Instrument>;
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 // Loads a metrics export and flattens it to name -> scalar. Histogram
 // instruments become four derived entries sharing the histogram kind.
 InstrumentMap loadMetrics(const std::string& path) {
-  const JsonValue doc = nwc::util::parseJson(readFile(path));
+  const JsonValue doc = nwc::util::parseJson(nwc::util::readFile(path));
   const JsonValue* schema = doc.find("schema");
   if (schema == nullptr || schema->string != "nwc-metrics-v1") {
     throw std::runtime_error(path + ": not an nwc-metrics-v1 export");
