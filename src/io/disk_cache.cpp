@@ -1,7 +1,5 @@
 #include "io/disk_cache.hpp"
 
-#include <algorithm>
-
 #include "obs/registry.hpp"
 
 namespace nwc::io {
@@ -98,46 +96,13 @@ std::optional<sim::PageId> DiskCache::oldestDirty() const {
   return best->page;
 }
 
-std::vector<sim::PageId> DiskCache::planWriteBatch(bool longest_run) const {
+std::vector<sim::PageId> DiskCache::planWriteBatch() const {
   auto anchor = oldestDirty();
   std::vector<sim::PageId> batch;
   if (!anchor.has_value()) return batch;
 
-  if (longest_run) {
-    // Write-combine destage: scan every run of consecutive Dirty pages and
-    // pick the longest one, preferring the run that contains the oldest
-    // Dirty page on ties (so the FIFO page cannot starve indefinitely).
-    std::vector<const Slot*> dirty;
-    for (const auto& s : slots_) {
-      if (s.state == State::kDirty) dirty.push_back(&s);
-    }
-    std::sort(dirty.begin(), dirty.end(),
-              [](const Slot* a, const Slot* b) { return a->page < b->page; });
-    std::size_t best_begin = 0, best_len = 0;
-    std::uint64_t best_oldest = 0;
-    for (std::size_t i = 0; i < dirty.size();) {
-      std::size_t j = i;
-      std::uint64_t oldest = dirty[i]->stamp;
-      while (j + 1 < dirty.size() && dirty[j + 1]->page == dirty[j]->page + 1) {
-        ++j;
-        oldest = std::min(oldest, dirty[j]->stamp);
-      }
-      const std::size_t len = j - i + 1;
-      if (len > best_len || (len == best_len && oldest < best_oldest)) {
-        best_begin = i;
-        best_len = len;
-        best_oldest = oldest;
-      }
-      i = j + 1;
-    }
-    for (std::size_t k = 0; k < best_len; ++k) {
-      batch.push_back(dirty[best_begin + k]->page);
-    }
-    return batch;
-  }
-
-  // FIFO destage: extend downward then upward over consecutive Dirty pages
-  // around the oldest Dirty anchor.
+  // Extend downward then upward over consecutive Dirty pages around the
+  // oldest Dirty anchor.
   sim::PageId lo = *anchor;
   while (true) {
     const Slot* s = find(lo - 1);

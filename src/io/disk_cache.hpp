@@ -51,13 +51,10 @@ class DiskCache {
   /// Oldest Dirty page (FIFO by staging order), if any.
   std::optional<sim::PageId> oldestDirty() const;
 
-  /// Collects the drain batch. Default (FIFO destage): anchored at the
-  /// oldest Dirty page, extended over Dirty pages with consecutive page
-  /// numbers in both directions. With `longest_run` (write-combine
-  /// destage): the longest run of consecutive Dirty pages anywhere in the
-  /// cache, ties broken toward the run holding the oldest Dirty page. The
+  /// Collects the drain batch: anchored at the oldest Dirty page, extended
+  /// over Dirty pages with consecutive page numbers in both directions. The
   /// batch stays Dirty until `completeWrite` is called.
-  std::vector<sim::PageId> planWriteBatch(bool longest_run = false) const;
+  std::vector<sim::PageId> planWriteBatch() const;
 
   /// Marks the batch pages Clean (data now also on the platters).
   void completeWrite(const std::vector<sim::PageId>& batch);

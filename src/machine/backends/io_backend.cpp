@@ -2,7 +2,6 @@
 // factory — the single place a SystemKind decides anything in the datapath.
 #include "machine/backends/io_backend.hpp"
 
-#include "machine/backends/cache_policy.hpp"
 #include "machine/backends/dcd_backend.hpp"
 #include "machine/backends/disk_backend.hpp"
 #include "machine/backends/remote_backend.hpp"

@@ -4,7 +4,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "machine/backends/cache_policy.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeline.hpp"
 #include "util/units.hpp"
@@ -36,9 +35,6 @@ RingBackend::RingBackend(Machine& m) : IoBackend(m) {
     rx_banks_.emplace_back(rxp, "node" + std::to_string(n));
   }
   cursors_.assign(static_cast<std::size_t>(cfg().num_nodes), 0);
-  if (cfg().ring_admission == AdmissionKind::kSieve) {
-    sieve_ = std::make_unique<SieveAdmission>(cfg(), metrics());
-  }
 }
 
 int RingBackend::ownershipStride() const {
@@ -75,13 +71,6 @@ int RingBackend::pickChannel(sim::NodeId n) {
 sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
                                  obs::AttrCtx& actx) {
   (void)force_disk;  // the ring has no guest evictions that could force this
-  // Admission gate (docs/POLICIES.md): a rejected swap-out takes the
-  // standard NACK/OK path to the controller cache, exactly as on the
-  // baseline machine. The default `always` policy admits everything.
-  if (!admitToWriteCache(sieve_.get(), page, metrics())) {
-    co_await swapOutToDisk(n, page, actx);
-    co_return;
-  }
   vm::PageEntry& e = pt().entry(page);
   actx.setOutcome(obs::AttrOutcome::kRing);
 
@@ -151,7 +140,6 @@ FetchPlan RingBackend::planFetch(sim::PageId page, const vm::PageEntry& e) {
 
 sim::Task<bool> RingBackend::fetch(int cpu, sim::PageId page,
                                    const FetchPlan& plan, obs::AttrCtx& actx) {
-  if (sieve_) sieve_->noteFault(page, plan.route == FetchPlan::Route::kRing);
   if (plan.route == FetchPlan::Route::kRing) {
     metrics().ring_read_hits.hit();
     co_await fetchFromRing(cpu, page, actx);
@@ -303,7 +291,6 @@ sim::Task<> RingBackend::nwcDrainLoop(int disk_idx) {
       pt().setState(rec->page, PageState::kDisk);
       pt().entry(rec->page).dirty = false;
       copied_any = true;
-      if (sieve_) sieve_->noteDestage(rec->page);  // left the ring for disk
 
       // ACK travels back to the swapper; the ring slot frees on receipt.
       eng().spawn(deliverRingAck(ch, rec->page, dc.node, rec->swapper));
@@ -346,7 +333,6 @@ void RingBackend::startDiskDaemons(int disk_idx) {
 }
 
 void RingBackend::publishMetrics(obs::MetricsRegistry& reg) const {
-  publishPolicyMetrics(reg, m_.metrics());
   ring_->publishMetrics(reg, "ring.");
   std::uint64_t pushes = 0;
   for (std::size_t d = 0; d < nwc_fifos_.size(); ++d) {

@@ -10,14 +10,6 @@ const char* toString(Prefetch p) { return util::enumName(kPrefetchNames, p); }
 
 const char* toString(SystemKind s) { return util::enumName(kSystemKindNames, s); }
 
-const char* toString(AdmissionKind a) {
-  return util::enumName(kAdmissionKindNames, a);
-}
-
-const char* toString(DestageKind d) {
-  return util::enumName(kDestageKindNames, d);
-}
-
 std::vector<sim::NodeId> MachineConfig::ioNodes() const {
   std::vector<sim::NodeId> out;
   out.reserve(static_cast<std::size_t>(num_io_nodes));
@@ -50,13 +42,6 @@ std::string MachineConfig::describe() const {
      << " minfree=" << min_free_frames << " dcache=" << disk_cache_bytes / 1024 << "K";
   if (hasRing()) {
     os << " ring=" << ring_channels << "x" << ring_channel_bytes / 1024 << "K";
-  }
-  // Policies print only when non-default so baseline output is unchanged.
-  if (ring_admission != AdmissionKind::kAlways) {
-    os << " admit=" << toString(ring_admission);
-  }
-  if (destage_policy != DestageKind::kFifo) {
-    os << " destage=" << toString(destage_policy);
   }
   return os.str();
 }

@@ -36,23 +36,6 @@ enum class SystemKind {
                   // multiprocessor workloads
 };
 
-/// Write-cache admission policy: which swap-outs the staging cache (the
-/// ring channels, or the DCD log disk) accepts. Rejected pages take the
-/// plain disk path, exactly as on the standard machine.
-enum class AdmissionKind {
-  kAlways,  // paper-faithful: admit every swap-out (default)
-  kSieve,   // miss-filter + ghost cache (bouncer's sieved write buffer):
-            // admit repeat offenders and pages whose earlier destage later
-            // missed (ghost hit)
-};
-
-/// Disk destage ordering: how dirty controller-cache / log-disk pages are
-/// scheduled onto the data platters.
-enum class DestageKind {
-  kFifo,          // oldest-dirty first (paper-faithful, default)
-  kWriteCombine,  // coalesce the longest adjacent-page run per arm pass
-};
-
 // Canonical value<->name tables, the single source of truth shared by
 // toString (config.cpp) and the *FromString parsers (config_io.cpp), looked
 // up through util::enumName / util::enumFromName.
@@ -67,19 +50,9 @@ inline constexpr std::pair<Prefetch, const char*> kPrefetchNames[] = {
     {Prefetch::kNaive, "naive"},
     {Prefetch::kHinted, "hinted"},
 };
-inline constexpr std::pair<AdmissionKind, const char*> kAdmissionKindNames[] = {
-    {AdmissionKind::kAlways, "always"},
-    {AdmissionKind::kSieve, "sieve"},
-};
-inline constexpr std::pair<DestageKind, const char*> kDestageKindNames[] = {
-    {DestageKind::kFifo, "fifo"},
-    {DestageKind::kWriteCombine, "write-combine"},
-};
 
 const char* toString(Prefetch p);
 const char* toString(SystemKind s);
-const char* toString(AdmissionKind a);
-const char* toString(DestageKind d);
 
 struct MachineConfig {
   // --- Table 1 -------------------------------------------------------
@@ -152,13 +125,6 @@ struct MachineConfig {
   // dedicated spindle written sequentially, so appends pay no seek.
   double log_disk_bps = 20e6;
   std::uint64_t log_disk_blocks = 1 << 20;  // effectively unbounded log
-
-  // Write-cache policies (docs/POLICIES.md). The defaults reproduce the
-  // paper's behaviour byte-for-byte; anything else is an extension study.
-  AdmissionKind ring_admission = AdmissionKind::kAlways;
-  DestageKind destage_policy = DestageKind::kFifo;
-  int sieve_threshold = 2;       // misses before the sieve admits a page
-  int policy_ghost_pages = 512;  // sieve ghost-cache capacity (pages)
 
   // --- derived ----------------------------------------------------------
   int framesPerNode() const {

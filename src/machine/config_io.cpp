@@ -55,13 +55,10 @@ constexpr KeyRange nonNegative() { return {0.0, kInf}; }
 constexpr KeyRange probability() { return {0.0, 1.0}; }
 constexpr KeyRange latency() { return {0.0, 1e6}; }  // pcycles
 
-using Slot = std::variant<int*, std::uint64_t*, double*, bool*, SystemKind*, Prefetch*,
-                          AdmissionKind*, DestageKind*>;
+using Slot = std::variant<int*, std::uint64_t*, double*, bool*, SystemKind*, Prefetch*>;
 
 constexpr const auto& namesOf(const SystemKind*) { return kSystemKindNames; }
 constexpr const auto& namesOf(const Prefetch*) { return kPrefetchNames; }
-constexpr const auto& namesOf(const AdmissionKind*) { return kAdmissionKindNames; }
-constexpr const auto& namesOf(const DestageKind*) { return kDestageKindNames; }
 
 struct Field {
   const char* key;
@@ -133,10 +130,6 @@ const Field kFields[] = {
     NWC_FIELD("ring_victim_reads", ring_victim_reads, std::nullopt),
     NWC_FIELD("ring_bypass_network", ring_bypass_network, std::nullopt),
     NWC_FIELD("log_disk_bps", log_disk_bps, positive()),
-    NWC_FIELD("ring_admission", ring_admission, std::nullopt),
-    NWC_FIELD("destage_policy", destage_policy, std::nullopt),
-    NWC_FIELD("sieve_threshold", sieve_threshold, inRange(1, 1 << 16)),
-    NWC_FIELD("policy_ghost_pages", policy_ghost_pages, inRange(1, 1 << 16)),
 };
 #undef NWC_FIELD
 

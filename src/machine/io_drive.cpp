@@ -10,9 +10,8 @@ namespace nwc::machine {
 
 sim::Task<> Machine::diskDrainLoop(int disk_idx) {
   DiskCtx& dc = *disks_[static_cast<std::size_t>(disk_idx)];
-  const bool combine = cfg_.destage_policy == DestageKind::kWriteCombine;
   for (;;) {
-    const std::vector<sim::PageId> batch = dc.cache.planWriteBatch(combine);
+    const std::vector<sim::PageId> batch = dc.cache.planWriteBatch();
     if (batch.empty()) {
       co_await dc.work.wait();
       continue;

@@ -70,10 +70,6 @@ class Metrics {
   std::uint64_t destage_writes = 0;         // destage operations issued
   std::uint64_t destage_pages = 0;          // pages those operations moved
   sim::Tick destage_stall_ticks = 0;        // ticks destage ops queued for arms
-  // Write-cache admission policy decisions (machine/backends/cache_policy).
-  std::uint64_t policy_admits = 0;
-  std::uint64_t policy_rejects = 0;
-  std::uint64_t policy_ghost_hits = 0;  // sieve ghost-cache promotions
   // Block-stream front end (Machine::blockAccess): storage requests served
   // through the swap/fault/destage datapath without the processor caches.
   std::uint64_t block_reads = 0;

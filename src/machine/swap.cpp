@@ -20,8 +20,8 @@ using vm::PageState;
 namespace {
 
 // A swap-out is labelled by the path it took (the backend's attribution
-// outcome), not by the machine's variant: a ring machine sends admission
-// rejects down the disk path, and a remote machine evicts guests to disk.
+// outcome), not by the machine's variant: a remote machine sends a swap-out
+// to disk when no donor has a spare frame, and evicts guests to disk.
 TraceKind swapTraceKind(obs::AttrOutcome path) {
   return path == obs::AttrOutcome::kRing ? TraceKind::kSwapOutRing : TraceKind::kSwapOutDisk;
 }

@@ -181,7 +181,11 @@ void atexitWriter() {
     writeReport(path);
     std::fprintf(stderr, "profile written to %s\n", path.c_str());
   } catch (const std::exception& ex) {
+    // A failed result file exits 2. exit() may not be called from an
+    // atexit handler, so flush what the run printed and end here.
     std::fprintf(stderr, "profile write failed: %s\n", ex.what());
+    std::fflush(nullptr);
+    std::_Exit(2);
   }
 }
 

@@ -49,7 +49,8 @@ void reset();
 
 /// enable() plus an atexit hook that writes the report to `path`. Backs
 /// every tool's `--profile=` flag; the report goes to that file only, never
-/// to the tool's stdout, so simulated outputs stay byte-identical.
+/// to the tool's stdout, so simulated outputs stay byte-identical. When the
+/// write fails the process exits 2, naming the path on stderr.
 void enableWithReportAtExit(const std::string& path);
 
 /// Monotonic host clock in nanoseconds (steady_clock).

@@ -60,8 +60,6 @@ std::vector<Sample> samples() {
     if (!range) {
       if (key == "system") addNames(out, key, kSystemKindNames);
       else if (key == "prefetch") addNames(out, key, kPrefetchNames);
-      else if (key == "ring_admission") addNames(out, key, kAdmissionKindNames);
-      else if (key == "destage_policy") addNames(out, key, kDestageKindNames);
       else {
         for (const char* v : {"true", "false", "maybe"}) out.push_back({key, v});
       }
@@ -112,12 +110,11 @@ TEST(ConfigFuzz, EverySampleIsRejectedNamingItsKeyOrRunsClean) {
   int rejected = 0;
   for (std::size_t i = 0; i < all.size(); ++i) {
     const Sample& s = all[i];
-    // Rotate the machine under the samples, so the ring, DCD, sieve and
+    // Rotate the machine under the samples, so the ring, DCD and
     // hinted-prefetch keys are also sampled where they are read.
     MachineConfig c = base;
     c.system = kSystems[i % 4];
     c.prefetch = kPrefetches[i % 3];
-    c.ring_admission = (i / 4) % 2 ? AdmissionKind::kSieve : AdmissionKind::kAlways;
     try {
       applyIni(util::IniFile::parse("[machine]\n" + s.key + " = " + s.value + "\n"), c);
       c.validate();

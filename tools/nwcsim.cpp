@@ -1,11 +1,11 @@
 // nwcsim: the command-line driver.
 //
-//   nwcsim --app=gauss [--scale=1.0] [--system=standard|nwcache|dcd]
-//          [--prefetch=optimal|naive] [--config=machine.ini]
+//   nwcsim --app=gauss [--scale=1.0] [--system=standard|nwcache|dcd|remote]
+//          [--prefetch=optimal|naive|hinted] [--config=machine.ini]
 //          [--set machine.key=value ...] [--metrics=out.json]
 //          [--timeline=out.trace.json] [--timeline-layers=ring,disk]
 //          [--timeline-cap=N] [--sample=out.timeseries.json]
-//          [--json] [--profile=FILE] [--dump-config]
+//          [--sample-interval=N] [--json] [--profile=FILE] [--dump-config]
 //
 // Runs one application or workload on one machine and reports the metrics
 // the paper's evaluation uses, as a table or as JSON. A grid of several
@@ -43,7 +43,8 @@ namespace {
       "                        several apps or machines are an nwcbatch grid\n"
       "  --scale=F             input scale in (0,1], default 1.0\n"
       "  --system=KIND         standard|nwcache|dcd|remote (default standard)\n"
-      "  --prefetch=POLICY     optimal|naive (default optimal)\n"
+      "  --prefetch=POLICY     optimal|naive|hinted (default optimal;\n"
+      "                        hinted reads hint_accuracy)\n"
       "  --config=FILE         load a [machine] INI section\n"
       "  --set K=V             override one machine key (repeatable);\n"
       "                        --system/--prefetch pick the paper's best\n"
@@ -62,7 +63,8 @@ namespace {
       "  --sample-interval=N   pcycles between samples (default 50000)\n"
       "  --json                emit the run summary as JSON\n"
       "  --profile=FILE        profile the simulator itself: write an\n"
-      "                        nwc-profile-v1 JSON report at exit.\n"
+      "                        nwc-profile-v1 JSON report at exit\n"
+      "                        (exit 2 if it cannot be written).\n"
       "                        Simulated results are unchanged.\n"
       "  --dump-config         print the effective config as INI and exit\n");
   std::exit(code);
