@@ -1,8 +1,7 @@
-// Related-work baselines (paper section 6): how does the NWCache compare
-// against a DCD machine (Hu & Yang's Disk Caching Disk) and a remote-memory
-// paging machine (Felten & Zahorjan)? The paper argues the NWCache wins the
-// read-back path against the DCD and that remote paging cannot help when
-// every node is computing — this bench quantifies both claims.
+// Related-work baseline (paper section 6): how does the NWCache compare
+// against a DCD machine (Hu & Yang's Disk Caching Disk)? The paper argues
+// the NWCache wins the read-back path against the DCD — this bench
+// quantifies the claim.
 #include <cstdio>
 
 #include "common.hpp"
@@ -11,9 +10,9 @@ int main(int argc, char** argv) {
   using namespace nwc;
   auto opt = bench::parseArgs(argc, argv, "baseline_dcd", 1.0, {"sor", "mg", "em3d"});
 
-  const machine::SystemKind systems[] = {
-      machine::SystemKind::kStandard, machine::SystemKind::kDCD,
-      machine::SystemKind::kRemoteMemory, machine::SystemKind::kNWCache};
+  const machine::SystemKind systems[] = {machine::SystemKind::kStandard,
+                                         machine::SystemKind::kDCD,
+                                         machine::SystemKind::kNWCache};
 
   std::vector<apps::GridCell> plan;
   for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
@@ -25,11 +24,11 @@ int main(int argc, char** argv) {
 
   std::size_t next = 0;
   for (auto pf : {machine::Prefetch::kOptimal, machine::Prefetch::kNaive}) {
-    std::printf("Standard vs DCD vs remote-memory vs NWCache under %s prefetching "
+    std::printf("Standard vs DCD vs NWCache under %s prefetching "
                 "(execution Mpcycles / median swap-out Kpcycles, scale=%.2f)\n",
                 machine::toString(pf), opt.scale);
-    util::AsciiTable t({"Application", "std exec", "dcd exec", "rmt exec", "nwc exec",
-                        "std swap p50", "dcd swap p50", "rmt swap p50", "nwc swap p50"});
+    util::AsciiTable t({"Application", "std exec", "dcd exec", "nwc exec",
+                        "std swap p50", "dcd swap p50", "nwc swap p50"});
     std::vector<std::vector<std::string>> rows;
     for (const std::string& app : bench::appList(opt)) {
       std::vector<std::string> row = {app};
@@ -45,15 +44,12 @@ int main(int argc, char** argv) {
       rows.push_back(row);
     }
     bench::emit(opt, t,
-                {"app", "std_exec_mpc", "dcd_exec_mpc", "rmt_exec_mpc",
-                 "nwc_exec_mpc", "std_swap_p50_kpc", "dcd_swap_p50_kpc",
-                 "rmt_swap_p50_kpc", "nwc_swap_p50_kpc"},
+                {"app", "std_exec_mpc", "dcd_exec_mpc", "nwc_exec_mpc",
+                 "std_swap_p50_kpc", "dcd_swap_p50_kpc", "nwc_swap_p50_kpc"},
                 rows);
     std::printf("\n");
   }
   std::printf("Expected shape: DCD fixes most of the standard machine's write\n"
-              "stalls but loses the read-back path; remote-memory paging finds\n"
-              "no spare frames on a balanced out-of-core machine and degrades\n"
-              "to disk swapping (the paper's argument for dismissing it).\n");
+              "stalls but loses the read-back path.\n");
   return 0;
 }

@@ -27,6 +27,7 @@ Options parseArgs(int argc, char** argv, const std::string& bench_name,
         opt.scale = util::positiveFlag("--scale", val("--scale="), false, 1.0);
       } else if (a.rfind("--apps=", 0) == 0) {
         opt.apps = util::splitList(val("--apps="));
+        if (opt.apps.empty()) throw std::invalid_argument("--apps lists no application");
       } else if (a.rfind("--csv=", 0) == 0) {
         opt.csv_path = val("--csv=");
       } else if (a.rfind("--seed=", 0) == 0) {

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   auto faultQueueShare = [](const apps::RunSummary& s) {
     std::uint64_t queue = 0, total = 0;
     for (auto oc : {obs::AttrOutcome::kRing, obs::AttrOutcome::kCtrlCache,
-                    obs::AttrOutcome::kPlatter, obs::AttrOutcome::kRemote}) {
+                    obs::AttrOutcome::kPlatter}) {
       const obs::AttrGroup& g = s.metrics.attr.group(obs::AttrOp::kFault, oc);
       total += g.end_to_end_ticks;
       for (const auto& st : g.stages) queue += static_cast<std::uint64_t>(st.queue);
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   auto ringFaultShare = [](const apps::RunSummary& s) {
     std::uint64_t ring = 0, total = 0;
     for (auto oc : {obs::AttrOutcome::kRing, obs::AttrOutcome::kCtrlCache,
-                    obs::AttrOutcome::kPlatter, obs::AttrOutcome::kRemote}) {
+                    obs::AttrOutcome::kPlatter}) {
       const std::uint64_t c = s.metrics.attr.group(obs::AttrOp::kFault, oc).count;
       total += c;
       if (oc == obs::AttrOutcome::kRing) ring += c;

@@ -41,6 +41,17 @@ std::string cellStem(std::size_t index, const std::string& app,
          machine::toString(cfg.prefetch) + "_s" + std::to_string(cfg.seed);
 }
 
+namespace {
+
+// A grid list key that is present must name at least one entry.
+std::vector<std::string> gridList(const std::string& key, const std::string& value) {
+  std::vector<std::string> names = util::splitList(value);
+  if (names.empty()) throw std::runtime_error("batch: " + key + " lists nothing");
+  return names;
+}
+
+}  // namespace
+
 BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   static const std::set<std::string> kKeys = {
       "apps",           "systems", "prefetch",        "seeds",     "scale",
@@ -58,7 +69,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   machine::applyIni(ini, spec.base);
 
   if (const auto v = ini.get("batch.apps")) {
-    spec.apps = util::splitList(*v);
+    spec.apps = gridList("apps", *v);
     for (const auto& a : spec.apps) {
       // Kernel names and workload specs (synth:/trace:) are both valid;
       // specs use ';' between knobs, so the comma list stays unambiguous.
@@ -71,7 +82,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   }
 
   if (const auto v = ini.get("batch.systems")) {
-    for (const auto& s : util::splitList(*v)) {
+    for (const auto& s : gridList("systems", *v)) {
       spec.systems.push_back(machine::systemKindFromString(s));
     }
   } else {
@@ -79,7 +90,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   }
 
   if (const auto v = ini.get("batch.prefetch")) {
-    for (const auto& p : util::splitList(*v)) {
+    for (const auto& p : gridList("prefetch", *v)) {
       spec.prefetches.push_back(machine::prefetchFromString(p));
     }
   } else {
@@ -87,7 +98,7 @@ BatchSpec BatchSpec::fromIni(const util::IniFile& ini) {
   }
 
   if (const auto v = ini.get("batch.seeds")) {
-    for (const auto& s : util::splitList(*v)) {
+    for (const auto& s : gridList("seeds", *v)) {
       spec.seeds.push_back(util::seedValue("[batch] seeds", s));
     }
   } else {
@@ -148,7 +159,6 @@ std::string summaryJson(const RunSummary& s, double scale) {
       .add("fault_mean_pcycles", m.fault_ticks.mean())
       .add("write_combining", m.write_combining.mean())
       .add("ring_hit_rate", m.ring_read_hits.rate())
-      .add("remote_stores", static_cast<std::uint64_t>(m.remote_stores))
       .add("nofree_pcycles", static_cast<std::uint64_t>(m.totalNoFree()))
       .add("transit_pcycles", static_cast<std::uint64_t>(m.totalTransit()))
       .add("fault_pcycles", static_cast<std::uint64_t>(m.totalFault()))

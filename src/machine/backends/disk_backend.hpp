@@ -12,9 +12,8 @@ class DiskBackend : public IoBackend {
  public:
   explicit DiskBackend(Machine& m) : IoBackend(m) {}
 
-  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
+  sim::Task<> swapOut(sim::NodeId n, sim::PageId page,
                       obs::AttrCtx& actx) override {
-    (void)force_disk;  // disk is already the terminal destination
     return swapOutToDisk(n, page, actx);
   }
 

@@ -4,7 +4,6 @@
 
 #include "machine/backends/dcd_backend.hpp"
 #include "machine/backends/disk_backend.hpp"
-#include "machine/backends/remote_backend.hpp"
 #include "machine/backends/ring_backend.hpp"
 #include "obs/timeline.hpp"
 
@@ -16,7 +15,6 @@ std::unique_ptr<IoBackend> makeIoBackend(Machine& m) {
   switch (m.config().system) {
     case SystemKind::kNWCache: return std::make_unique<RingBackend>(m);
     case SystemKind::kDCD: return std::make_unique<DcdBackend>(m);
-    case SystemKind::kRemoteMemory: return std::make_unique<RemoteBackend>(m);
     case SystemKind::kStandard: break;
   }
   return std::make_unique<DiskBackend>(m);

@@ -5,10 +5,9 @@
 // disks with controller caches — and delegates everything the paper varies
 // between systems to one IoBackend implementation chosen at construction:
 //
-//   kStandard     -> DiskBackend    (NACK/OK swap-outs to the controller cache)
-//   kNWCache      -> RingBackend    (optical ring staging + victim reads)
-//   kDCD          -> DcdBackend     (log-disk write absorption + destage)
-//   kRemoteMemory -> RemoteBackend  (paging to donor nodes' spare frames)
+//   kStandard -> DiskBackend  (NACK/OK swap-outs to the controller cache)
+//   kNWCache  -> RingBackend  (optical ring staging + victim reads)
+//   kDCD      -> DcdBackend   (log-disk write absorption + destage)
 //
 // The interface is deliberately narrow: the swap-out route, the victim-read
 // probe (fetch planning + execution), the per-disk drain daemons, and the
@@ -26,12 +25,10 @@ namespace nwc::machine {
 /// Fetch route for one fault, decided under the page-entry mutex.
 struct FetchPlan {
   enum class Route {
-    kDisk,    // demand read through the disk controller
-    kRing,    // victim read off the optical ring
-    kRemote,  // pull from a donor node's memory
+    kDisk,  // demand read through the disk controller
+    kRing,  // victim read off the optical ring
   };
   Route route = Route::kDisk;
-  sim::NodeId remote_holder = sim::kNoNode;  // donor while route == kRemote
 };
 
 class IoBackend {
@@ -45,17 +42,8 @@ class IoBackend {
   /// The variant-specific write-out path for a dirty victim. Runs inside
   /// Machine::swapOutPage, which owns the generic bookkeeping (frame
   /// release, metrics, trace). Must leave the entry in a settled state.
-  /// `force_disk` bypasses any non-disk staging (remote guest evictions).
-  virtual sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
+  virtual sim::Task<> swapOut(sim::NodeId n, sim::PageId page,
                               obs::AttrCtx& actx) = 0;
-
-  /// Replacement-daemon hook: lets the backend reclaim its own staged state
-  /// ahead of the node's working set (remote-memory guest eviction).
-  /// Returns true when it consumed this reclaim iteration.
-  virtual bool takeGuestVictim(sim::NodeId n) {
-    (void)n;
-    return false;
-  }
 
   // --- victim-read probe (fault path) --------------------------------------
   /// True when a fault finding the entry in `s` must stall (charged NoFree)
@@ -189,11 +177,6 @@ class IoBackend {
   void recordDestage(const obs::AttrCtx& actx, sim::Tick end_to_end,
                      std::size_t batch_pages) {
     m_.recordDestage(actx, end_to_end, batch_pages);
-  }
-  /// The generic swap-out wrapper (for backends that spawn their own
-  /// write-outs, e.g. remote guest eviction).
-  sim::Task<> machineSwapOut(sim::NodeId n, sim::PageId page, bool force_disk) {
-    return m_.swapOutPage(n, page, force_disk);
   }
 
   // Shared datapaths every variant may fall back to.

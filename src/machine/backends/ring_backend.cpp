@@ -68,9 +68,8 @@ int RingBackend::pickChannel(sim::NodeId n) {
   return ownedChannel(n, cur);
 }
 
-sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
+sim::Task<> RingBackend::swapOut(sim::NodeId n, sim::PageId page,
                                  obs::AttrCtx& actx) {
-  (void)force_disk;  // the ring has no guest evictions that could force this
   vm::PageEntry& e = pt().entry(page);
   actx.setOutcome(obs::AttrOutcome::kRing);
 

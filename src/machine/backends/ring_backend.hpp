@@ -25,7 +25,7 @@ class RingBackend : public IoBackend {
  public:
   explicit RingBackend(Machine& m);
 
-  sim::Task<> swapOut(sim::NodeId n, sim::PageId page, bool force_disk,
+  sim::Task<> swapOut(sim::NodeId n, sim::PageId page,
                       obs::AttrCtx& actx) override;
   bool faultMustWait(vm::PageState s) const override {
     // In the victim-read ablation a staged page is unreachable until the

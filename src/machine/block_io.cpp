@@ -6,7 +6,7 @@
 // model peeled off: no TLB, no L1/L2, no write buffer — storage clients
 // address whole objects (pages), not cache lines. Non-resident pages go
 // through the ordinary pageFault path, so the configured IoBackend
-// (disk / DCD / remote / NWCache ring), replacement, destage, attribution,
+// (disk / DCD / NWCache ring), replacement, destage, attribution,
 // sampler and health machinery all see the traffic without any special
 // cases. A resident hit pays one memory-bus page transfer on the serving
 // node, and dirtying a page here makes it destage later exactly like a

@@ -29,11 +29,6 @@ enum class SystemKind {
   kDCD,       // baseline + Disk Caching Disk (Hu & Yang [7]): a log disk
               // between the controller cache and the data disk absorbs
               // writes sequentially; a destage daemon copies them back
-  kRemoteMemory,  // baseline + remote-memory paging (Felten & Zahorjan [3]):
-                  // swap-outs go to another node's spare frames when any
-                  // exist, falling back to the disks when none do — the
-                  // configuration the paper argues cannot help out-of-core
-                  // multiprocessor workloads
 };
 
 // Canonical value<->name tables, the single source of truth shared by
@@ -43,7 +38,6 @@ inline constexpr std::pair<SystemKind, const char*> kSystemKindNames[] = {
     {SystemKind::kStandard, "standard"},
     {SystemKind::kNWCache, "nwcache"},
     {SystemKind::kDCD, "dcd"},
-    {SystemKind::kRemoteMemory, "remote"},
 };
 inline constexpr std::pair<Prefetch, const char*> kPrefetchNames[] = {
     {Prefetch::kOptimal, "optimal"},

@@ -17,11 +17,11 @@
 namespace nwc::machine {
 
 SystemKind systemKindFromString(const std::string& s) {
-  return util::enumFromName(kSystemKindNames, s, "system kind");
+  return util::enumFromName(kSystemKindNames, s, "system");
 }
 
 Prefetch prefetchFromString(const std::string& s) {
-  return util::enumFromName(kPrefetchNames, s, "prefetch policy");
+  return util::enumFromName(kPrefetchNames, s, "prefetch");
 }
 
 namespace {

@@ -1,6 +1,6 @@
 // Page-fault service: transit waits, frame allocation (NoFree stalls), and
 // the fetch itself, routed through the configured I/O backend (demand disk
-// reads, NWCache victim reads off the optical ring, remote-memory pulls).
+// reads or NWCache victim reads off the optical ring).
 #include "machine/backends/io_backend.hpp"
 #include "machine/machine.hpp"
 #include "obs/timeline.hpp"
@@ -37,7 +37,7 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
       metrics_->cpu(cpu).nofree += eng_->now() - w0;
       continue;
     }
-    // kDisk (or backend-fetchable staging: kRing, kRemote): compete to
+    // kDisk (or backend-fetchable staging: kRing): compete to
     // become the fetcher. Time queued on the entry mutex is time another
     // processor spends fetching: Transit.
     const sim::Tick m0 = eng_->now();
@@ -58,7 +58,6 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
 
     const FetchPlan plan = backend_->planFetch(page, e);
     const bool from_ring = plan.route == FetchPlan::Route::kRing;
-    const bool from_remote = plan.route == FetchPlan::Route::kRemote;
     pt_->setState(page, PageState::kTransit);
 
     const sim::Tick nofree_before = metrics_->cpu(cpu).nofree;
@@ -74,7 +73,7 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
     nc.frames.addResident(page);
     e.home = cpu;
     e.last_translation = cpu;
-    e.dirty = from_ring || from_remote || write;  // those copies never hit disk
+    e.dirty = from_ring || write;  // a ring copy never hit disk
     e.referenced = true;
     pt_->setState(page, PageState::kResident);
     tlbInsert(cpu, page, e);
@@ -92,7 +91,6 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
     // NoFree share; the stage ticks in `actx` must tile that interval.
     const obs::AttrOutcome attr_outcome =
         from_ring        ? obs::AttrOutcome::kRing
-        : from_remote    ? obs::AttrOutcome::kRemote
         : controller_hit ? obs::AttrOutcome::kCtrlCache
                          : obs::AttrOutcome::kPlatter;
     metrics_->attr.record(obs::AttrOp::kFault, attr_outcome, fault_ticks, actx);
@@ -111,11 +109,8 @@ sim::Task<> Machine::pageFault(int cpu, sim::PageId page, bool write) {
         etl_->span(obs::Layer::kVm, "fault.alloc_frame", f0, fetch0 - f0, cpu, page,
                    fid);
       }
-      const obs::Layer fetch_layer = from_ring     ? obs::Layer::kRing
-                                     : from_remote ? obs::Layer::kMesh
-                                                   : obs::Layer::kDisk;
+      const obs::Layer fetch_layer = from_ring ? obs::Layer::kRing : obs::Layer::kDisk;
       const char* fetch_name = from_ring        ? "fault.fetch_ring"
-                               : from_remote    ? "fault.fetch_remote"
                                : controller_hit ? "fault.fetch_ctrl_hit"
                                                 : "fault.fetch_disk";
       etl_->span(fetch_layer, fetch_name, fetch0, f_end - fetch0, cpu, page, fid);

@@ -201,8 +201,7 @@ std::string Machine::checkInvariants() const {
     }
   }
 
-  // Backend staging invariants (single-copy on the ring, remote guest
-  // lists, ...).
+  // Backend staging invariants (single-copy on the ring).
   backend_->checkInvariants(bad);
   return bad.str();
 }

@@ -1,8 +1,8 @@
 // The simulated multiprocessor: nodes (TLB, caches, write buffer, local
 // memory), wormhole mesh, disks with controller caches, the machine-wide
 // virtual memory system, and a pluggable I/O backend implementing the
-// system variant under test (plain disk, NWCache ring, DCD log disk,
-// remote-memory paging — see machine/backends/).
+// system variant under test (plain disk, NWCache ring, DCD log disk — see
+// machine/backends/).
 //
 // Applications drive it through `access()` (one awaitable per memory
 // reference — resident cache hits are a synchronous fast path), `compute()`
@@ -273,7 +273,7 @@ class Machine {
 
   // -- replacement & swap-out (swap.cpp) --------------------------------------
   sim::Task<> replacementDaemon(sim::NodeId n);
-  sim::Task<> swapOutPage(sim::NodeId n, sim::PageId page, bool force_disk = false);
+  sim::Task<> swapOutPage(sim::NodeId n, sim::PageId page);
   void shootdown(sim::PageId page, sim::NodeId initiator);
   void dropPageFromCachesAndDirectory(sim::PageId page);
 

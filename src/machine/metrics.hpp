@@ -74,11 +74,6 @@ class Metrics {
   // through the swap/fault/destage datapath without the processor caches.
   std::uint64_t block_reads = 0;
   std::uint64_t block_writes = 0;
-  // Remote-memory baseline (Felten & Zahorjan [3]).
-  std::uint64_t remote_stores = 0;     // swap-outs parked in a donor's frame
-  std::uint64_t remote_fetches = 0;    // faults served from a donor's memory
-  std::uint64_t remote_evictions = 0;  // guest pages forced onward to disk
-  std::uint64_t remote_fallbacks = 0;  // swap-outs that found no donor
 
   // --- aggregates ---------------------------------------------------------
   sim::Tick totalNoFree() const;

@@ -85,10 +85,6 @@ void Machine::publishMetrics(obs::MetricsRegistry& reg) const {
   reg.histogram("swap.latency_pcycles", metrics_->swap_out_hist);
   obs::publish(reg, "swap.ticks", metrics_->swap_out_ticks);
   obs::publish(reg, "swap.write_combining", metrics_->write_combining);
-  reg.counter("swap.remote_stores", metrics_->remote_stores);
-  reg.counter("swap.remote_fetches", metrics_->remote_fetches);
-  reg.counter("swap.remote_evictions", metrics_->remote_evictions);
-  reg.counter("swap.remote_fallbacks", metrics_->remote_fallbacks);
 
   // --- block-stream front end (Machine::blockAccess) ------------------------
   // Published only when block traffic ran: kernel-only runs (and their

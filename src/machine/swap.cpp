@@ -4,7 +4,7 @@
 // free. Clean victims are freed instantly. Dirty victims are swapped out
 // through the configured I/O backend (machine/backends/): the standard
 // machine's NACK/OK protocol to the controller cache, the NWCache's ring
-// staging, the DCD's log disk, or remote-memory paging. This file owns only
+// staging, or the DCD's log disk. This file owns only
 // the variant-independent parts: victim selection, shootdowns, and the
 // metrics/trace wrapper around the backend's write-out.
 #include <bit>
@@ -20,16 +20,13 @@ using vm::PageState;
 namespace {
 
 // A swap-out is labelled by the path it took (the backend's attribution
-// outcome), not by the machine's variant: a remote machine sends a swap-out
-// to disk when no donor has a spare frame, and evicts guests to disk.
+// outcome): the ring, or the disk controller behind every other backend.
 TraceKind swapTraceKind(obs::AttrOutcome path) {
   return path == obs::AttrOutcome::kRing ? TraceKind::kSwapOutRing : TraceKind::kSwapOutDisk;
 }
 
 const char* swapSpanName(obs::AttrOutcome path) {
-  return path == obs::AttrOutcome::kRing     ? "swap.ring"
-         : path == obs::AttrOutcome::kRemote ? "swap.remote"
-                                             : "swap.disk";
+  return path == obs::AttrOutcome::kRing ? "swap.ring" : "swap.disk";
 }
 
 }  // namespace
@@ -89,10 +86,6 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
     // Frames already being written out will free on their own; only start
     // enough additional swap-outs to restore the reserve.
     while (nc.frames.freeFrames() + nc.swaps_in_flight < nc.frames.minFree()) {
-      // The backend may hold reclaimable staged state of its own (the
-      // remote-memory baseline evicts guest pages parked here by other
-      // nodes before any of this node's own working set).
-      if (backend_->takeGuestVictim(n)) continue;
       auto victim = nc.frames.lruVictim();
       if (!victim.has_value()) break;  // nothing resident left to evict
       const sim::PageId page = *victim;
@@ -131,10 +124,10 @@ sim::Task<> Machine::replacementDaemon(sim::NodeId n) {
   }
 }
 
-sim::Task<> Machine::swapOutPage(sim::NodeId n, sim::PageId page, bool force_disk) {
+sim::Task<> Machine::swapOutPage(sim::NodeId n, sim::PageId page) {
   const sim::Tick t0 = eng_->now();
   obs::AttrCtx actx;
-  co_await backend_->swapOut(n, page, force_disk, actx);
+  co_await backend_->swapOut(n, page, actx);
   NodeCtx& nc = *nodes_[static_cast<std::size_t>(n)];
   --nc.swaps_in_flight;
   nc.frames.releaseFrame();

@@ -19,7 +19,7 @@ enum class TraceKind : std::uint8_t {
   kFaultDiskHit,    // page fault served from the disk controller cache
   kFaultDiskMiss,   // page fault paid a platter read
   kFaultRingHit,    // page fault served off the optical ring (victim read)
-  kSwapOutDisk,     // dirty write-out by any other path (disk, log, remote)
+  kSwapOutDisk,     // dirty write-out by any other path (disk, log)
   kSwapOutRing,     // dirty write-out staged on the ring
   kCleanEviction,   // frame freed without a write-out
   kNack,            // controller cache full response

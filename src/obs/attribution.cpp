@@ -40,7 +40,6 @@ const char* toString(AttrOutcome o) {
     case AttrOutcome::kRing: return "ring";
     case AttrOutcome::kCtrlCache: return "ctrl_cache";
     case AttrOutcome::kPlatter: return "platter";
-    case AttrOutcome::kRemote: return "remote";
     case AttrOutcome::kNone: return "all";
     case AttrOutcome::kNumOutcomes: break;
   }

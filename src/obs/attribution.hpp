@@ -62,15 +62,13 @@ enum class AttrOp : std::uint8_t { kFault, kSwap, kShootdown, kDestage, kNumOps 
 inline constexpr int kNumAttrOps = static_cast<int>(AttrOp::kNumOps);
 
 /// How the operation was satisfied. For faults: page found circulating on
-/// the ring, hit in the disk controller cache, read from the platter/log,
-/// or fetched from a remote node's memory. For swap-outs: staged onto the
-/// ring, accepted by the controller cache (standard disk path), or pushed
-/// to a donor frame. Shootdowns use kNone.
+/// the ring, hit in the disk controller cache, or read from the
+/// platter/log. For swap-outs: staged onto the ring or accepted by the
+/// controller cache (standard disk path). Shootdowns use kNone.
 enum class AttrOutcome : std::uint8_t {
   kRing,
   kCtrlCache,
   kPlatter,
-  kRemote,
   kNone,
   kNumOutcomes,
 };

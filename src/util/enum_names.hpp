@@ -19,14 +19,18 @@ constexpr const char* enumName(const std::pair<E, const char*> (&table)[N], E v)
   return "?";
 }
 
-/// Parses `s` via the name table; throws naming `what` on unknown input.
+/// Parses `s` via the name table; on unknown input throws naming `what`
+/// and every accepted name, e.g. "unknown system: x (one of: a, b)".
 template <typename E, std::size_t N>
 E enumFromName(const std::pair<E, const char*> (&table)[N], const std::string& s,
                const char* what) {
+  std::string accepted;
   for (const auto& [value, name] : table) {
     if (s == name) return value;
+    accepted += accepted.empty() ? name : std::string(", ") + name;
   }
-  throw std::runtime_error(std::string("unknown ") + what + ": " + s);
+  throw std::runtime_error(std::string("unknown ") + what + ": " + s + " (one of: " +
+                           accepted + ")");
 }
 
 }  // namespace nwc::util

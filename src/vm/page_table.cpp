@@ -9,7 +9,6 @@ const char* toString(PageState s) {
     case PageState::kResident: return "resident";
     case PageState::kRing: return "ring";
     case PageState::kSwapping: return "swapping";
-    case PageState::kRemote: return "remote";
     default: return "?";
   }
 }

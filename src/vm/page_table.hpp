@@ -24,7 +24,6 @@ enum class PageState : std::uint8_t {
   kResident,  // mapped in some node's memory
   kRing,      // Ring bit set: the only copy is on the optical ring
   kSwapping,  // standard swap-out in flight to the disk controller cache
-  kRemote,    // remote-memory baseline: stored in another node's spare frame
 };
 
 const char* toString(PageState s);

@@ -30,15 +30,15 @@ TEST(BatchSpec, ParsesLists) {
   const auto spec = BatchSpec::fromIni(util::IniFile::parse(
       "[batch]\n"
       "apps = sor, radix\n"
-      "systems = standard, nwcache, dcd, remote\n"
+      "systems = standard, nwcache, dcd\n"
       "prefetch = naive\n"
       "seeds = 1, 2, 3\n"
       "scale = 0.25\n"));
   EXPECT_EQ(spec.apps, (std::vector<std::string>{"sor", "radix"}));
-  EXPECT_EQ(spec.systems.size(), 4u);
+  EXPECT_EQ(spec.systems.size(), 3u);
   EXPECT_EQ(spec.prefetches.size(), 1u);
   EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(spec.runCount(), 2u * 4u * 1u * 3u);
+  EXPECT_EQ(spec.runCount(), 2u * 3u * 1u * 3u);
   EXPECT_DOUBLE_EQ(spec.grid.scale, 0.25);
 }
 
@@ -72,6 +72,20 @@ TEST(BatchSpec, RejectsBadInput) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("[batch] seeds"), std::string::npos) << e.what();
       EXPECT_NE(std::string(e.what()).find("'" + bad + "'"), std::string::npos) << e.what();
+    }
+  }
+}
+
+// A grid list that is present but names nothing would run zero cells.
+TEST(BatchSpec, RejectsEmptyLists) {
+  for (const std::string key : {"apps", "systems", "prefetch", "seeds"}) {
+    for (const std::string value : {"", " , ,"}) {
+      try {
+        BatchSpec::fromIni(util::IniFile::parse("[batch]\n" + key + " =" + value + "\n"));
+        ADD_FAILURE() << "accepted an empty " << key << " list";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "batch: " + key + " lists nothing");
+      }
     }
   }
 }

@@ -97,9 +97,8 @@ std::vector<Sample> samples() {
 }
 
 TEST(ConfigFuzz, EverySampleIsRejectedNamingItsKeyOrRunsClean) {
-  const SystemKind kSystems[] = {SystemKind::kStandard, SystemKind::kNWCache,
-                                 SystemKind::kDCD, SystemKind::kRemoteMemory};
-  const Prefetch kPrefetches[] = {Prefetch::kOptimal, Prefetch::kNaive, Prefetch::kHinted};
+  constexpr std::size_t kSystems = std::size(kSystemKindNames);
+  constexpr std::size_t kPrefetches = std::size(kPrefetchNames);
   MachineConfig base;
   base.memory_per_node = 16384;  // 4 frames per node: every sample pages
   const std::vector<Sample> all = samples();
@@ -110,11 +109,12 @@ TEST(ConfigFuzz, EverySampleIsRejectedNamingItsKeyOrRunsClean) {
   int rejected = 0;
   for (std::size_t i = 0; i < all.size(); ++i) {
     const Sample& s = all[i];
-    // Rotate the machine under the samples, so the ring, DCD and
-    // hinted-prefetch keys are also sampled where they are read.
+    // Rotate the machine under the samples through every system/prefetch
+    // pair, so the ring, DCD and hinted-prefetch keys are also sampled
+    // where they are read.
     MachineConfig c = base;
-    c.system = kSystems[i % 4];
-    c.prefetch = kPrefetches[i % 3];
+    c.system = kSystemKindNames[i % kSystems].first;
+    c.prefetch = kPrefetchNames[i / kSystems % kPrefetches].first;
     try {
       applyIni(util::IniFile::parse("[machine]\n" + s.key + " = " + s.value + "\n"), c);
       c.validate();

@@ -234,8 +234,7 @@ TEST(EdgeConfig, RejectsNodeCountBeyondMaskWidth) {
 }
 
 TEST(EdgeConfig, RejectsZeroFramesPerNode) {
-  for (const SystemKind sys : {SystemKind::kStandard, SystemKind::kNWCache,
-                               SystemKind::kDCD, SystemKind::kRemoteMemory}) {
+  for (const auto& [sys, name] : kSystemKindNames) {
     MachineConfig c;
     c.withSystem(sys, Prefetch::kOptimal);
     c.memory_per_node = 0;
@@ -246,8 +245,7 @@ TEST(EdgeConfig, RejectsZeroFramesPerNode) {
 }
 
 TEST(EdgeConfig, RejectsZeroSlotDiskCache) {
-  for (const SystemKind sys : {SystemKind::kStandard, SystemKind::kNWCache,
-                               SystemKind::kDCD, SystemKind::kRemoteMemory}) {
+  for (const auto& [sys, name] : kSystemKindNames) {
     MachineConfig c;
     c.withSystem(sys, Prefetch::kOptimal);
     c.disk_cache_bytes = 0;
@@ -278,8 +276,7 @@ TEST(EdgeConfig, RejectsEmptyWriteBuffer) {
 }
 
 TEST(EdgeConfig, RejectsEmptyStripeGroup) {
-  for (const SystemKind sys : {SystemKind::kStandard, SystemKind::kNWCache,
-                               SystemKind::kDCD, SystemKind::kRemoteMemory}) {
+  for (const auto& [sys, name] : kSystemKindNames) {
     MachineConfig c;
     c.withSystem(sys, Prefetch::kOptimal);
     c.pages_per_group = 0;

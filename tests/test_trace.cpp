@@ -50,9 +50,7 @@ TEST(TimelineIntegration, EventsMatchMetrics) {
                 countName(tl, "fault.fetch_disk"),
             s.metrics.faults);
   EXPECT_EQ(countName(tl, "fault.fetch_ring"), s.metrics.ring_read_hits.hits());
-  EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk") +
-                countName(tl, "swap.remote"),
-            s.metrics.swap_outs);
+  EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk"), s.metrics.swap_outs);
   EXPECT_EQ(countName(tl, "swap.disk"), 0u);  // every swap-out went to the ring
   EXPECT_EQ(countName(tl, "swap.clean_eviction"), s.metrics.clean_evictions);
   EXPECT_EQ(countName(tl, "swap.nack"), s.metrics.nacks);
@@ -62,22 +60,24 @@ TEST(TimelineIntegration, EventsMatchMetrics) {
   }
 }
 
-// Remote-memory paging stores victims on donor nodes; only the guest
-// evictions (and fallbacks) reach the disk.
-TEST(TimelineIntegration, RemoteStoresAreRemoteSwapOuts) {
-  MachineConfig cfg;
-  cfg.withSystem(SystemKind::kRemoteMemory, Prefetch::kOptimal);
-  cfg.memory_per_node = 32 * 1024;
-  cfg.min_free_frames = 4;
-  obs::EventTimeline tl(obs::layerBit(obs::Layer::kSwap));
-  const apps::RunSummary s = runTimed(cfg, "fft", 0.2, tl);
-  ASSERT_TRUE(s.ok());
-  ASSERT_GT(s.metrics.remote_stores, 0u);
-  EXPECT_EQ(countName(tl, "swap.remote"), s.metrics.remote_stores);
-  // Guest evictions are swap-outs too, counted apart from swap_outs.
-  EXPECT_EQ(countName(tl, "swap.remote") + countName(tl, "swap.disk"),
-            s.metrics.swap_outs + s.metrics.remote_evictions);
-  EXPECT_EQ(countName(tl, "swap.ring"), 0u);
+// On every machine each swap-out is one swap span and each fault one fetch
+// span, whichever path served it.
+TEST(TimelineIntegration, EveryMachineSpansMatchMetrics) {
+  for (const auto& [sys, name] : kSystemKindNames) {
+    SCOPED_TRACE(name);
+    MachineConfig cfg;
+    cfg.withSystem(sys, Prefetch::kNaive);
+    cfg.memory_per_node = 16 * 1024;
+    cfg.min_free_frames = 12;
+    obs::EventTimeline tl(obs::kAllLayers & ~obs::layerBit(obs::Layer::kMesh));
+    const apps::RunSummary s = runTimed(cfg, "radix", 0.1, tl);
+    ASSERT_TRUE(s.ok());
+    ASSERT_GT(s.metrics.swap_outs, 0u);
+    EXPECT_EQ(countName(tl, "swap.ring") + countName(tl, "swap.disk"), s.metrics.swap_outs);
+    EXPECT_EQ(countName(tl, "fault.fetch_ring") + countName(tl, "fault.fetch_ctrl_hit") +
+                  countName(tl, "fault.fetch_disk"),
+              s.metrics.faults);
+  }
 }
 
 // --- the TraceBuffer sink ---------------------------------------------------

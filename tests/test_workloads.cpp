@@ -1,7 +1,7 @@
 // Workload front end: the WorkloadSource seam (kernel runs must be
 // byte-identical through it), the synthetic generator (determinism, zipf
 // shape, spec round-trips), the block-trace encodings, and end-to-end
-// block serving on all four systems.
+// block serving on every system.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,14 +33,11 @@ machine::MachineConfig smallConfig(machine::SystemKind sys) {
   return cfg;
 }
 
-const std::vector<machine::SystemKind> kAllSystems = {
-    machine::SystemKind::kStandard, machine::SystemKind::kNWCache,
-    machine::SystemKind::kDCD, machine::SystemKind::kRemoteMemory};
 
 // --- the seam: runApp must equal an explicit KernelWorkload ---------------
 
 TEST(WorkloadSeam, KernelThroughSeamMatchesRunApp) {
-  for (const auto sys : kAllSystems) {
+  for (const auto& [sys, name] : machine::kSystemKindNames) {
     const auto cfg = smallConfig(sys);
     const RunSummary direct = runApp(cfg, "radix", kScale);
     const AppInfo* info = findApp("radix");
@@ -363,7 +360,7 @@ std::string runSpec(const machine::MachineConfig& cfg, const std::string& spec) 
 
 TEST(BlockServe, RunsVerifiedOnAllSystems) {
   const std::string spec = "synth:clients=4;objects=512;ops=200;seed=7";
-  for (const auto sys : kAllSystems) {
+  for (const auto& [sys, name] : machine::kSystemKindNames) {
     const std::string json = runSpec(smallConfig(sys), spec);
     // Block traffic reaches the metrics layer.
     EXPECT_NE(json.find("\"block_reads\":"), std::string::npos);

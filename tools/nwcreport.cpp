@@ -347,7 +347,6 @@ std::string outcomeLabel(const std::string& outcome) {
   if (outcome == "ring") return "ring hit";
   if (outcome == "ctrl_cache") return "controller-cache hit";
   if (outcome == "platter") return "platter access";
-  if (outcome == "remote") return "remote memory";
   if (outcome == "all") return "all";
   return outcome;
 }

@@ -1,6 +1,6 @@
 // nwcsim: the command-line driver.
 //
-//   nwcsim --app=gauss [--scale=1.0] [--system=standard|nwcache|dcd|remote]
+//   nwcsim --app=gauss [--scale=1.0] [--system=standard|nwcache|dcd]
 //          [--prefetch=optimal|naive|hinted] [--config=machine.ini]
 //          [--set machine.key=value ...] [--metrics=out.json]
 //          [--timeline=out.trace.json] [--timeline-layers=ring,disk]
@@ -42,7 +42,7 @@ namespace {
       "                        block trace) — see docs/WORKLOADS.md. One run;\n"
       "                        several apps or machines are an nwcbatch grid\n"
       "  --scale=F             input scale in (0,1], default 1.0\n"
-      "  --system=KIND         standard|nwcache|dcd|remote (default standard)\n"
+      "  --system=KIND         standard|nwcache|dcd (default standard)\n"
       "  --prefetch=POLICY     optimal|naive|hinted (default optimal;\n"
       "                        hinted reads hint_accuracy)\n"
       "  --config=FILE         load a [machine] INI section\n"
